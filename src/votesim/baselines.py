@@ -15,6 +15,7 @@ costs exactly 2n(n-1) messages and has no loss tolerance at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import simnet, wire
 from .crypto import (
@@ -41,7 +42,7 @@ from .simnet import (
     PHASE_EVALUATION,
     PHASE_REGISTRATION,
     PHASE_VERIFICATION,
-    SendMutator,
+    SendFilter,
     Trace,
     register_behavior,
 )
@@ -78,28 +79,6 @@ class HeliosParams:
             raise simnet.ConfigError("need 1 <= t <= trustees")
         if self.d < 2:
             raise simnet.ConfigError("d must be >= 2")
-
-
-@dataclass
-class HeliosOutcome:
-    tallies: dict[int, tuple[int, ...] | None]
-    completion: float
-    accepted: int | None
-    verification_failures: set[int]
-    roles: simnet.RoleLog
-
-    def to_obj(self) -> dict:
-        return {
-            "protocol": "helios",
-            "completion": self.completion,
-            "accepted": self.accepted,
-            "tallies": {
-                str(p): (list(t) if t is not None else None)
-                for p, t in sorted(self.tallies.items())
-            },
-            "verification_failures": sorted(self.verification_failures),
-            "roles": self.roles.to_obj(),
-        }
 
 
 class HeliosVoter(Peer):
@@ -276,9 +255,8 @@ class HeliosTrustee(Peer):
             ctx.finish()
 
 
-def _tamper_bulletin(msg: dict) -> dict:
+def _tamper_bulletin(group: Group, msg: dict) -> dict:
     if msg.get("t") == "bulletin" and msg["ballots"]:
-        group = DEFAULT_GROUP
         ballots = [list(b) for b in msg["ballots"]]
         voter, cts_obj, proof = ballots[0]
         cts = [list(pair) for pair in cts_obj]
@@ -288,89 +266,64 @@ def _tamper_bulletin(msg: dict) -> dict:
     return msg
 
 
-register_behavior(BEHAVIOR_TAMPER_BULLETIN, lambda inner: SendMutator(inner, _tamper_bulletin))
+register_behavior(
+    BEHAVIOR_TAMPER_BULLETIN,
+    lambda inner: SendFilter(
+        inner, partial(_tamper_bulletin, getattr(inner, "group", DEFAULT_GROUP))
+    ),
+)
 
 
 def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel,
                     seed: int, group: Group = DEFAULT_GROUP,
-                    max_ticks: int = 1_000_000) -> tuple[HeliosOutcome, Trace]:
+                    max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
     """Centralized homomorphic election with trustee threshold decryption.
 
     The hub and trustees are distinguished non-voter peers fixed by the
     scenario; a crashed hub takes the whole election down by design.
     """
     params.validate()
-    if len(choices) != params.n:
-        raise simnet.ConfigError(f"need {params.n} choices, got {len(choices)}")
-    if any(not 0 <= c < params.d for c in choices):
-        raise simnet.ConfigError("choice out of range")
     pk, shares = threshold_keygen(
         params.t, params.trustees, group, wire.derive_seed(seed, "trustee-keys")
     )
-    total = params.n + 1 + params.trustees
-    ov = build_star(total, params.hub)
-    sim = simnet.Simulator(
-        faults,
-        seed,
-        params={
-            "protocol": "helios",
-            "n": params.n,
-            "trustees": params.trustees,
-            "t": params.t,
-            "d": params.d,
-            "seed": seed,
-            "choices": list(choices),
-            "faults": faults.to_obj(),
-            "overlay": ov.to_obj(),
-        },
-    )
-    sim.roles.voters = frozenset(range(params.n))
-    sim.roles.assign(ROLE_HUB, {params.hub}, "configured", ())
-    sim.roles.assign(
-        ROLE_TRUSTEE, set(params.trustee_ids), "configured",
-        (ARTIFACT_PUBKEY, ARTIFACT_TALLY),
-    )
-    voters = [HeliosVoter(pid, params, choices[pid], group) for pid in range(params.n)]
     hub = HeliosHub(params, pk, group)
-    trustees = [
+    trustees = tuple(
         HeliosTrustee(tid, params, shares[i], group)
         for i, tid in enumerate(params.trustee_ids)
-    ]
-    for peer in voters + [hub] + trustees:
-        sim.add_peer(peer)
-    trace = sim.run_until_quiescent(max_ticks)
-    tallies = {v.pid: v.tally for v in voters}
-    live = [pid for pid in range(params.n) if pid not in faults.crashed]
-    completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
-    outcome = HeliosOutcome(
-        tallies=tallies,
-        completion=completion,
-        accepted=hub.accepted if hub.tally is not None else None,
-        verification_failures={v.pid for v in voters if v.verify_failed},
-        roles=sim.roles,
     )
-    return outcome, trace
+    ov = build_star(params.n + 1 + params.trustees, params.hub)
+
+    def details(voters: list[HeliosVoter]) -> dict:
+        return {
+            "accepted": hub.accepted if hub.tally is not None else None,
+            "verification_failures": {v.pid for v in voters if v.verify_failed},
+        }
+
+    return simnet.run_election(
+        "helios", params.n, params.d, seed, choices, faults, ov.to_obj(),
+        lambda pid, choice: HeliosVoter(pid, params, choice, group),
+        details, params={"trustees": params.trustees, "t": params.t},
+        others=(hub, *trustees),
+        roles=((ROLE_HUB, {params.hub}, "configured"),
+               (ROLE_TRUSTEE, set(params.trustee_ids), "configured",
+                (ARTIFACT_PUBKEY, ARTIFACT_TALLY))),
+        max_ticks=max_ticks,
+    )
 
 
 # -- full-mesh additive secret sharing ---------------------------------------
 
 
-@dataclass
-class MeshOutcome:
-    tallies: dict[int, tuple[int, ...] | None]
-    completion: float
-    roles: simnet.RoleLog
+@dataclass(frozen=True)
+class MeshParams:
+    n: int
+    d: int
 
-    def to_obj(self) -> dict:
-        return {
-            "protocol": "mesh",
-            "completion": self.completion,
-            "tallies": {
-                str(p): (list(t) if t is not None else None)
-                for p, t in sorted(self.tallies.items())
-            },
-            "roles": self.roles.to_obj(),
-        }
+    def validate(self) -> None:
+        if self.n < 2:
+            raise simnet.ConfigError("mesh baseline needs n >= 2")
+        if self.d < 2:
+            raise simnet.ConfigError("d must be >= 2")
 
 
 class MeshVoter(Peer):
@@ -440,39 +393,13 @@ class MeshVoter(Peer):
 
 def run_mesh_share(n: int, d: int, choices: list[int], seed: int,
                    faults: FaultModel | None = None,
-                   max_ticks: int = 1_000_000) -> tuple[MeshOutcome, Trace]:
+                   max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
     """Additive-sharing baseline; exactly 2n(n-1) messages, no robustness."""
-    if n < 2:
-        raise simnet.ConfigError("mesh baseline needs n >= 2")
-    if d < 2:
-        raise simnet.ConfigError("d must be >= 2")
-    if len(choices) != n:
-        raise simnet.ConfigError(f"need {n} choices, got {len(choices)}")
-    if any(not 0 <= c < d for c in choices):
-        raise simnet.ConfigError("choice out of range")
-    faults = faults or FaultModel()
+    MeshParams(n, d).validate()
     # The baseline talks peer-to-peer over the complete graph.
     links = tuple((a, b) for a in range(n) for b in range(a + 1, n))
     ov = Overlay(GOSSIP_MESH, n, (tuple(range(n)),), links, {"degree": n - 1})
-    sim = simnet.Simulator(
-        faults,
-        seed,
-        params={
-            "protocol": "mesh",
-            "n": n,
-            "d": d,
-            "seed": seed,
-            "choices": list(choices),
-            "faults": faults.to_obj(),
-            "overlay": ov.to_obj(),
-        },
+    return simnet.run_election(
+        "mesh", n, d, seed, choices, faults or FaultModel(), ov.to_obj(),
+        lambda pid, choice: MeshVoter(pid, n, d, choice), max_ticks=max_ticks,
     )
-    sim.roles.voters = frozenset(range(n))
-    voters = [MeshVoter(pid, n, d, choices[pid]) for pid in range(n)]
-    for v in voters:
-        sim.add_peer(v)
-    trace = sim.run_until_quiescent(max_ticks)
-    tallies = {v.pid: v.tally for v in voters}
-    live = [pid for pid in range(n) if pid not in faults.crashed]
-    completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
-    return MeshOutcome(tallies, completion, sim.roles), trace

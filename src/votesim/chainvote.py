@@ -39,7 +39,7 @@ from .simnet import (
     PHASE_EVALUATION,
     PHASE_REGISTRATION,
     PHASE_VERIFICATION,
-    SendSuppressor,
+    SendFilter,
     SilentPeer,
     Trace,
     register_behavior,
@@ -344,29 +344,6 @@ def issue_tokens(voters: list[int], key: IssuerKey,
 # -- the peer ----------------------------------------------------------------
 
 
-@dataclass
-class ChainOutcome:
-    tallies: dict[int, tuple[int, ...] | None]
-    completion: float
-    proposers: set[int]
-    double_spend_serials: set[str]
-    transcript: IssuanceTranscript
-    tokens: dict[int, Token]
-    roles: simnet.RoleLog
-
-    def to_obj(self) -> dict:
-        return {
-            "protocol": "chainvote",
-            "completion": self.completion,
-            "tallies": {
-                str(p): (list(t) if t is not None else None)
-                for p, t in sorted(self.tallies.items())
-            },
-            "proposers": sorted(self.proposers),
-            "roles": self.roles.to_obj(),
-        }
-
-
 class ChainVoter(Peer):
     def __init__(self, pid: int, params: ChainParams, neighbors: tuple[int, ...],
                  issuer_pk: IssuerPublicKey, token: Token | None, choice: int):
@@ -481,7 +458,7 @@ class ChainVoter(Peer):
 register_behavior(BEHAVIOR_SILENT, SilentPeer)
 register_behavior(
     BEHAVIOR_WITHHOLD,
-    lambda inner: SendSuppressor(inner, lambda msg: msg.get("t") == "block"),
+    lambda inner: SendFilter(inner, lambda msg: None if msg.get("t") == "block" else msg),
 )
 
 
@@ -497,7 +474,8 @@ register_behavior(BEHAVIOR_DOUBLE_SPEND, _enable_double_spend)
 
 
 def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
-                  seed: int, max_ticks: int = 5_000_000) -> tuple[ChainOutcome, Trace]:
+                  seed: int,
+                  max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
     """Run a full bulletin-board election.
 
     Tokens are issued to every voter identity up front (the registration
@@ -505,53 +483,30 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
     as the network is quiet and nothing remains to mine.
     """
     params.validate()
-    if len(choices) != params.n:
-        raise simnet.ConfigError(f"need {params.n} choices, got {len(choices)}")
-    if any(not 0 <= c < params.d for c in choices):
-        raise simnet.ConfigError("choice out of range")
     key = generate_issuer_key(wire.derive_seed(seed, "issuer"), params.issuer_bits)
-    tokens, transcript = issue_tokens(list(range(params.n)), key, seed)
+    tokens, _ = issue_tokens(list(range(params.n)), key, seed)
     ov = build_gossip_mesh(params.n, params.degree, wire.derive_seed(seed, "overlay"))
-    sim = simnet.Simulator(
-        faults,
-        seed,
+
+    def details(voters: list[ChainVoter]) -> dict:
+        return {
+            "proposers": {v.pid for v in voters if v.proposed},
+            "double_spend_serials": _double_spend_serials(voters),
+        }
+
+    return simnet.run_election(
+        "chainvote", params.n, params.d, seed, choices, faults, ov.to_obj(),
+        lambda pid, choice: ChainVoter(pid, params, ov.neighbors(pid), key.public,
+                                       tokens[pid], choice),
+        details,
         params={
-            "protocol": "chainvote",
-            "n": params.n,
-            "d": params.d,
             "degree": params.degree,
             "difficulty": params.difficulty,
             "block_capacity": params.block_capacity,
             "cutoff_height": params.cutoff_height,
             "issuer_bits": params.issuer_bits,
-            "seed": seed,
-            "choices": list(choices),
-            "faults": faults.to_obj(),
-            "overlay": ov.to_obj(),
         },
+        max_ticks=max_ticks,
     )
-    sim.roles.voters = frozenset(range(params.n))
-    voters = [
-        ChainVoter(pid, params, ov.neighbors(pid), key.public, tokens[pid], choices[pid])
-        for pid in range(params.n)
-    ]
-    for v in voters:
-        sim.add_peer(v)
-    trace = sim.run_until_quiescent(max_ticks)
-    tallies = {v.pid: v.tally for v in voters}
-    live = [pid for pid in range(params.n) if pid not in faults.crashed]
-    completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
-    double_serials = _double_spend_serials(voters)
-    outcome = ChainOutcome(
-        tallies=tallies,
-        completion=completion,
-        proposers={v.pid for v in voters if v.proposed},
-        double_spend_serials=double_serials,
-        transcript=transcript,
-        tokens=tokens,
-        roles=sim.roles,
-    )
-    return outcome, trace
 
 
 def _double_spend_serials(voters: list[ChainVoter]) -> set[str]:

@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, scenarios
@@ -44,19 +45,11 @@ _SWEEP_PROTOCOLS = ("mesh", "dpol", "spp", "chainvote", "helios")
 
 
 def _sweep_scenario(protocol: str, n: int, seed: int) -> scenarios.Scenario:
-    if protocol == "dpol":
-        sc = scenarios.Scenario("dpol", n=n, d=2, seed=seed, k=1)
-    elif protocol == "spp":
-        sc = scenarios.Scenario("spp", n=n, d=2, seed=seed, cluster_size=4, t=3)
-    elif protocol == "helios":
-        sc = scenarios.Scenario("helios", n=n, d=2, seed=seed, trustees=3, t=2)
-    elif protocol == "chainvote":
-        sc = scenarios.Scenario("chainvote", n=n, d=2, seed=seed, degree=4,
-                                difficulty=6, block_capacity=max(n, 1))
-    elif protocol == "mesh":
-        sc = scenarios.Scenario("mesh", n=n, d=2, seed=seed)
-    else:
-        raise scenarios.ScenarioError(f"protocol: unknown protocol {protocol!r}")
+    """The canonical scenario at size n; chainvote mines easier blocks that
+    hold every transaction."""
+    sc = replace(scenarios.canonical_scenario(protocol, seed), n=n)
+    if protocol == "chainvote":
+        sc = replace(sc, difficulty=6, block_capacity=max(n, 1))
     scenarios.validate(sc)
     return sc
 

@@ -12,7 +12,6 @@ locally. No cryptography is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import simnet
 from .ballot import (
@@ -35,7 +34,7 @@ from .simnet import (
     PHASE_EVALUATION,
     Trace,
     register_behavior,
-    SendMutator,
+    SendFilter,
     SilentPeer,
 )
 from . import wire
@@ -56,28 +55,11 @@ def cluster_tally(local_sums: list[tuple[int, ...] | None], d: int) -> tuple[int
     return vector_sum(local_sums, d)
 
 
-@dataclass
-class DpolOutcome:
-    tallies: dict[int, tuple[int, ...] | None]
-    flagged: set[int]
-    completion: float
-    inconsistent: set[int]
-    roles: simnet.RoleLog
-    audited: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "protocol": "dpol",
-            "completion": self.completion,
-            "tallies": {
-                str(p): (list(t) if t is not None else None)
-                for p, t in sorted(self.tallies.items())
-            },
-            "flagged": sorted(self.flagged),
-            "inconsistent": sorted(self.inconsistent),
-            "audited": self.audited,
-            "roles": self.roles.to_obj(),
-        }
+def _count_vector(value, d: int) -> tuple[int, ...] | None:
+    """A received share or sum as a d-tuple of ints; None when malformed."""
+    if isinstance(value, list) and len(value) == d and all(type(x) is int for x in value):
+        return tuple(value)
+    return None
 
 
 class DpolVoter(Peer):
@@ -121,13 +103,17 @@ class DpolVoter(Peer):
             return
         kind = msg.get("t")
         if kind == "share":
-            if sender in self.expected_senders and sender not in self.shares_by_sender:
-                self.shares_by_sender[sender] = tuple(msg["v"])
+            share = _count_vector(msg.get("v"), self.params.d)
+            if (share is not None and sender in self.expected_senders
+                    and sender not in self.shares_by_sender):
+                self.shares_by_sender[sender] = share
                 if len(self.shares_by_sender) == self.params.shares_per_voter:
                     self._compute_local_sum(ctx)
         elif kind == "sum":
-            if sender in self.cluster_members and sender not in self.sums_by_member:
-                self.sums_by_member[sender] = tuple(msg["v"])
+            local_sum = _count_vector(msg.get("v"), self.params.d)
+            if (local_sum is not None and sender in self.cluster_members
+                    and sender not in self.sums_by_member):
+                self.sums_by_member[sender] = local_sum
                 self._maybe_cluster_tally(ctx)
         elif kind == "map":
             r = int(msg["r"])
@@ -273,13 +259,14 @@ def _mutate_lying_sum(msg: dict) -> dict:
     return msg
 
 
-register_behavior(BEHAVIOR_INVALID_SHARES, lambda inner: SendMutator(inner, _mutate_invalid_shares))
-register_behavior(BEHAVIOR_LYING_SUM, lambda inner: SendMutator(inner, _mutate_lying_sum))
+register_behavior(BEHAVIOR_INVALID_SHARES, lambda inner: SendFilter(inner, _mutate_invalid_shares))
+register_behavior(BEHAVIOR_LYING_SUM, lambda inner: SendFilter(inner, _mutate_lying_sum))
 register_behavior(BEHAVIOR_SILENT, SilentPeer)
 
 
 def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel, seed: int,
-             audit: bool = False, max_ticks: int = 1_000_000) -> tuple[DpolOutcome, Trace]:
+             audit: bool = False,
+             max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
     """Run one complete DPol election on the simulator.
 
     Incomplete runs (losses, crashes, byzantine stalls) report
@@ -288,51 +275,21 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel, seed: i
     the honest pattern; flagged peers are returned in the outcome.
     """
     params.validate_ring()
-    if len(choices) != params.n:
-        raise simnet.ConfigError(f"need {params.n} choices, got {len(choices)}")
-    if any(not 0 <= c < params.d for c in choices):
-        raise simnet.ConfigError("choice out of range")
     ov = build_ring_clusters(params.n, wire.derive_seed(seed, "overlay"))
     rmap = assign_recipients(ov, params.k, wire.derive_seed(seed, "recipients"))
-    sim = simnet.Simulator(
-        faults,
-        seed,
-        params={
-            "protocol": "dpol",
-            "n": params.n,
-            "k": params.k,
-            "d": params.d,
-            "seed": seed,
-            "audit": audit,
-            "choices": list(choices),
-            "faults": faults.to_obj(),
-            "overlay": ov.to_obj(),
-        },
-    )
-    sim.roles.voters = frozenset(range(params.n))
-    voters = [
-        DpolVoter(pid, params, ov, rmap, choices[pid], seed) for pid in range(params.n)
-    ]
-    for v in voters:
-        sim.add_peer(v)
-    trace = sim.run_until_quiescent(max_ticks)
 
-    tallies: dict[int, tuple[int, ...] | None] = {v.pid: v.tally for v in voters}
-    inconsistent = {v.pid for v in voters if v.decode_failed}
-    flagged: set[int] = set()
-    if audit:
-        flagged = _pooled_audit(params, rmap, voters)
-    live = [pid for pid in range(params.n) if pid not in faults.crashed]
-    completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
-    outcome = DpolOutcome(
-        tallies=tallies,
-        flagged=flagged,
-        completion=completion,
-        inconsistent=inconsistent,
-        roles=sim.roles,
-        audited=audit,
+    def details(voters: list[DpolVoter]) -> dict:
+        return {
+            "flagged": _pooled_audit(params, rmap, voters) if audit else set(),
+            "inconsistent": {v.pid for v in voters if v.decode_failed},
+            "audited": audit,
+        }
+
+    return simnet.run_election(
+        "dpol", params.n, params.d, seed, choices, faults, ov.to_obj(),
+        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed),
+        details, params={"k": params.k, "audit": audit}, max_ticks=max_ticks,
     )
-    return outcome, trace
 
 
 def _pooled_audit(params: DpolParams, rmap: RecipientMap,

@@ -9,17 +9,16 @@ distribution (for sweeps).
 from __future__ import annotations
 
 import json
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import wire
-from .ballot import DpolParams
-from .baselines import HeliosParams, run_helios_like, run_mesh_share
+from .ballot import DpolParams, EncodingError
+from .baselines import HeliosParams, MeshParams, run_helios_like, run_mesh_share
 from .chainvote import ChainParams, run_chainvote
 from .dpol import run_dpol
-from .simnet import FaultModel, Trace
+from .simnet import MAX_TICKS, ConfigError, FaultModel, Outcome, Trace
 from .spp import SppParams, run_spp
 
 SCHEMA = "votesim-scenario/1"
@@ -34,8 +33,8 @@ class ScenarioError(Exception):
 class Scenario:
     protocol: str
     n: int
-    d: int
-    seed: int
+    d: int = 2
+    seed: int = 0
     choices: list[int] | None = None
     choice_weights: list[float] | None = None
     k: int = 1
@@ -48,34 +47,25 @@ class Scenario:
     cutoff_height: int | None = None
     issuer_bits: int = 768
     audit: bool = False
-    max_ticks: int = 1_000_000
+    max_ticks: int = MAX_TICKS
     faults: FaultModel = field(default_factory=FaultModel)
 
     def to_obj(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "protocol": self.protocol,
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-            "choices": list(self.choices) if self.choices is not None else None,
-            "choice_weights": self.choice_weights,
-            "k": self.k,
-            "cluster_size": self.cluster_size,
-            "t": self.t,
-            "trustees": self.trustees,
-            "degree": self.degree,
-            "difficulty": self.difficulty,
-            "block_capacity": self.block_capacity,
-            "cutoff_height": self.cutoff_height,
-            "issuer_bits": self.issuer_bits,
-            "audit": self.audit,
-            "max_ticks": self.max_ticks,
-            "faults": self.faults.to_obj(),
-        }
+        obj: dict = {"schema": SCHEMA}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                value = list(value)
+            obj[f.name] = value.to_obj() if f.name == "faults" else value
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
+
+
+# JSON type each optional Scenario field must have, keyed by the head of its
+# annotation ("list[int] | None" -> "list").
+_JSON_TYPES = {"int": int, "bool": bool, "list": list}
 
 
 def _need(obj: dict, key: str, types, path: str = ""):
@@ -129,29 +119,13 @@ def parse(obj: dict) -> Scenario:
     protocol = _need(obj, "protocol", str)
     if protocol not in PROTOCOLS:
         raise ScenarioError(f"protocol: unknown protocol {protocol!r}")
-    n = _need(obj, "n", int)
-    d = _opt(obj, "d", int, 2)
-    seed = _opt(obj, "seed", int, 0)
-    sc = Scenario(
-        protocol=protocol,
-        n=n,
-        d=d,
-        seed=seed,
-        choices=_opt(obj, "choices", list, None),
-        choice_weights=_opt(obj, "choice_weights", list, None),
-        k=_opt(obj, "k", int, 1),
-        cluster_size=_opt(obj, "cluster_size", int, 4),
-        t=_opt(obj, "t", int, 2),
-        trustees=_opt(obj, "trustees", int, 3),
-        degree=_opt(obj, "degree", int, 4),
-        difficulty=_opt(obj, "difficulty", int, 8),
-        block_capacity=_opt(obj, "block_capacity", int, 64),
-        cutoff_height=_opt(obj, "cutoff_height", int, None),
-        issuer_bits=_opt(obj, "issuer_bits", int, 768),
-        audit=_opt(obj, "audit", bool, False),
-        max_ticks=_opt(obj, "max_ticks", int, 1_000_000),
-        faults=parse_faults(_opt(obj, "faults", dict, {})),
-    )
+    optional = {
+        f.name: _opt(obj, f.name, _JSON_TYPES[f.type.split("[")[0].split(" ")[0]], f.default)
+        for f in fields(Scenario)
+        if f.name not in ("protocol", "n", "faults")
+    }
+    sc = Scenario(protocol=protocol, n=_need(obj, "n", int), **optional,
+                  faults=parse_faults(_opt(obj, "faults", dict, {})))
     validate(sc)
     return sc
 
@@ -171,38 +145,14 @@ def validate(sc: Scenario) -> None:
             raise ScenarioError("choice_weights: need one weight per option")
         if any(w < 0 for w in sc.choice_weights) or sum(sc.choice_weights) <= 0:
             raise ScenarioError("choice_weights: weights must be non-negative, sum > 0")
-    if sc.protocol == "dpol":
-        root = math.isqrt(sc.n)
-        if sc.n < 4 or root * root != sc.n:
-            raise ScenarioError("n: DPol requires n to be a perfect square >= 4")
-        if sc.k < 1:
-            raise ScenarioError("k: must be >= 1")
-        if sc.k % (sc.d - 1) != 0:
-            raise ScenarioError("k: must be divisible by d-1")
-        if 2 * sc.k + 1 > root:
-            raise ScenarioError("k: 2k+1 must not exceed the cluster size sqrt(n)")
-    elif sc.protocol == "spp":
-        if sc.cluster_size < 2:
-            raise ScenarioError("cluster_size: must be >= 2")
-        if sc.n % sc.cluster_size != 0:
-            raise ScenarioError("n: must be divisible by cluster_size")
-        if not 1 <= sc.t <= sc.cluster_size:
-            raise ScenarioError("t: need 1 <= t <= cluster_size")
-    elif sc.protocol == "helios":
-        if sc.trustees < 1:
-            raise ScenarioError("trustees: must be >= 1")
-        if not 1 <= sc.t <= sc.trustees:
-            raise ScenarioError("t: need 1 <= t <= trustees")
-    elif sc.protocol == "chainvote":
-        if not 2 <= sc.degree < sc.n:
-            raise ScenarioError("degree: need 2 <= degree < n")
-        if not 1 <= sc.difficulty <= 24:
-            raise ScenarioError("difficulty: must be in [1, 24]")
-        if sc.block_capacity < 1:
-            raise ScenarioError("block_capacity: must be >= 1")
-    elif sc.protocol == "mesh":
-        if sc.n < 2:
-            raise ScenarioError("n: mesh baseline needs n >= 2")
+    params = _protocol_params(sc)
+    try:
+        if isinstance(params, DpolParams):
+            params.validate_ring()
+        else:
+            params.validate()
+    except (ConfigError, EncodingError) as exc:
+        raise ScenarioError(f"{sc.protocol}: {exc}") from exc
 
 
 def from_file(path: str | Path) -> Scenario:
@@ -224,29 +174,36 @@ def resolve_choices(sc: Scenario) -> list[int]:
     return [rng.randrange(sc.d) for _ in range(sc.n)]
 
 
-def run(sc: Scenario) -> tuple[object, Trace]:
+def _protocol_params(sc: Scenario):
+    """The parameter object the scenario's protocol runner takes."""
+    if sc.protocol == "dpol":
+        return DpolParams(sc.n, sc.k, sc.d)
+    if sc.protocol == "spp":
+        return SppParams(sc.n, sc.cluster_size, sc.t, sc.d)
+    if sc.protocol == "helios":
+        return HeliosParams(sc.n, sc.trustees, sc.t, sc.d)
+    if sc.protocol == "chainvote":
+        return ChainParams(sc.n, sc.d, sc.degree, sc.difficulty, sc.block_capacity,
+                           sc.cutoff_height, sc.issuer_bits)
+    if sc.protocol == "mesh":
+        return MeshParams(sc.n, sc.d)
+    raise ScenarioError(f"protocol: unknown protocol {sc.protocol!r}")
+
+
+def run(sc: Scenario) -> tuple[Outcome, Trace]:
     """Dispatch a validated scenario to its protocol runner."""
     choices = resolve_choices(sc)
+    params = _protocol_params(sc)
     if sc.protocol == "dpol":
-        params = DpolParams(sc.n, sc.k, sc.d)
         return run_dpol(params, choices, sc.faults, sc.seed, audit=sc.audit,
                         max_ticks=sc.max_ticks)
     if sc.protocol == "spp":
-        params = SppParams(sc.n, sc.cluster_size, sc.t, sc.d)
         return run_spp(params, choices, sc.faults, sc.seed, max_ticks=sc.max_ticks)
     if sc.protocol == "helios":
-        params = HeliosParams(sc.n, sc.trustees, sc.t, sc.d)
         return run_helios_like(params, choices, sc.faults, sc.seed, max_ticks=sc.max_ticks)
     if sc.protocol == "chainvote":
-        params = ChainParams(
-            sc.n, sc.d, sc.degree, sc.difficulty, sc.block_capacity, sc.cutoff_height,
-            sc.issuer_bits,
-        )
         return run_chainvote(params, choices, sc.faults, sc.seed, max_ticks=sc.max_ticks)
-    if sc.protocol == "mesh":
-        return run_mesh_share(sc.n, sc.d, choices, sc.seed, sc.faults,
-                              max_ticks=sc.max_ticks)
-    raise ScenarioError(f"protocol: unknown protocol {sc.protocol!r}")
+    return run_mesh_share(sc.n, sc.d, choices, sc.seed, sc.faults, max_ticks=sc.max_ticks)
 
 
 def canonical_scenario(protocol: str, seed: int) -> Scenario:

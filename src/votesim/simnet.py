@@ -35,6 +35,9 @@ KIND_DELIVER = "deliver"
 KIND_DROP = "drop"
 KIND_LOCAL = "local-action"
 
+# Tick budget of a run; a run still busy at this tick ends incomplete.
+MAX_TICKS = 1_000_000
+
 
 class ScenarioError(Exception):
     """A scenario asked the simulator to do something contradictory."""
@@ -117,13 +120,6 @@ class Trace:
 
     def to_jsonl(self) -> str:
         return "".join(wire.dumps(e.to_obj()).decode() + "\n" for e in self.events)
-
-    def sends(self, phases: tuple[str, ...] | None = None) -> list[SimEvent]:
-        return [
-            e
-            for e in self.events
-            if e.kind == KIND_SEND and (phases is None or e.phase in phases)
-        ]
 
     def message_count(self) -> int:
         return sum(1 for e in self.events if e.kind == KIND_SEND)
@@ -300,76 +296,41 @@ class CrashAfterSteps(Peer):
             self.inner.on_idle(ctx)
 
 
-class MutatingContext(PeerContext):
-    """Context wrapper that rewrites outgoing payloads before sending."""
+class _FilteredContext(PeerContext):
+    """Context that passes every outgoing payload through a send filter."""
 
-    def __init__(self, sim, pid, mutate: Callable[[dict], dict]):
-        super().__init__(sim, pid)
-        self._mutate = mutate
-
-    def send(self, dst, msg, phase):
-        return super().send(dst, self._mutate(msg), phase)
-
-
-class SendMutator(Peer):
-    """Wrapper applying a payload mutation to every send of the inner peer."""
-
-    def __init__(self, inner: Peer, mutate: Callable[[dict], dict]):
-        super().__init__(inner.pid)
-        self.inner = inner
-        self.mutate = mutate
-
-    def _ctx(self, ctx: PeerContext) -> PeerContext:
-        return MutatingContext(ctx._sim, ctx.pid, self.mutate)
-
-    def on_start(self, ctx):
-        self.inner.on_start(self._ctx(ctx))
-
-    def on_message(self, ctx, sender, msg):
-        self.inner.on_message(self._ctx(ctx), sender, msg)
-
-    def on_timer(self, ctx, tag, data):
-        self.inner.on_timer(self._ctx(ctx), tag, data)
-
-    def on_idle(self, ctx):
-        self.inner.on_idle(self._ctx(ctx))
-
-
-class SuppressingContext(PeerContext):
-    """Context wrapper that silently swallows sends matching a predicate."""
-
-    def __init__(self, sim, pid, suppress: Callable[[dict], bool]):
-        super().__init__(sim, pid)
-        self._suppress = suppress
+    def __init__(self, ctx: PeerContext, f: Callable[[dict], dict | None]):
+        super().__init__(ctx._sim, ctx.pid)
+        self._ctx = ctx
+        self._f = f
 
     def send(self, dst, msg, phase):
-        if self._suppress(msg):
+        msg = self._f(msg)
+        if msg is None:
             return -1
-        return super().send(dst, msg, phase)
+        return self._ctx.send(dst, msg, phase)
 
 
-class SendSuppressor(Peer):
-    """Wrapper that withholds the inner peer's sends matching a predicate."""
+class SendFilter(Peer):
+    """Wrapper passing every send of the inner peer through ``f``, which
+    returns the message to send (possibly rewritten) or None to withhold it."""
 
-    def __init__(self, inner: Peer, suppress: Callable[[dict], bool]):
+    def __init__(self, inner: Peer, f: Callable[[dict], dict | None]):
         super().__init__(inner.pid)
         self.inner = inner
-        self.suppress = suppress
-
-    def _ctx(self, ctx: PeerContext) -> PeerContext:
-        return SuppressingContext(ctx._sim, ctx.pid, self.suppress)
+        self.f = f
 
     def on_start(self, ctx):
-        self.inner.on_start(self._ctx(ctx))
+        self.inner.on_start(_FilteredContext(ctx, self.f))
 
     def on_message(self, ctx, sender, msg):
-        self.inner.on_message(self._ctx(ctx), sender, msg)
+        self.inner.on_message(_FilteredContext(ctx, self.f), sender, msg)
 
     def on_timer(self, ctx, tag, data):
-        self.inner.on_timer(self._ctx(ctx), tag, data)
+        self.inner.on_timer(_FilteredContext(ctx, self.f), tag, data)
 
     def on_idle(self, ctx):
-        self.inner.on_idle(self._ctx(ctx))
+        self.inner.on_idle(_FilteredContext(ctx, self.f))
 
 
 def resolve_behavior(name: str) -> Callable[[Peer], Peer]:
@@ -418,12 +379,6 @@ class Simulator:
             peer = resolve_behavior(behavior)(peer)
         self._peers[pid] = peer
         self._ctxs[pid] = PeerContext(self, pid)
-
-    def apply_byzantine(self, pid: int, behavior: str) -> None:
-        """Wrap an already-registered peer with a named behavior."""
-        if pid not in self._peers:
-            raise ConfigError(f"unknown peer {pid}")
-        self._peers[pid] = resolve_behavior(behavior)(self._peers[pid])
 
     def peer_rng(self, pid: int) -> random.Random:
         if pid not in self._peer_rngs:
@@ -481,7 +436,7 @@ class Simulator:
 
     # -- event loop ------------------------------------------------------
 
-    def run_until_quiescent(self, max_ticks: int = 1_000_000) -> Trace:
+    def run_until_quiescent(self, max_ticks: int = MAX_TICKS) -> Trace:
         """Drain the event queue, giving idle rounds between bursts.
 
         Returns the trace; ``self.quiescent`` tells whether the run drained
@@ -547,3 +502,70 @@ class Simulator:
 
     def _trace(self) -> Trace:
         return Trace(events=list(self.events), seed=self.seed, params=dict(self.params))
+
+
+@dataclass
+class Outcome:
+    """Result of one election, in the same shape for every protocol.
+
+    ``tallies`` holds the result each voter accepted (None when it did not
+    finish) and ``completion`` the share of live voters that finished.
+    ``details`` holds the protocol's own fields; ``to_obj`` merges them
+    into the top level, rendering sets as sorted lists.
+    """
+
+    protocol: str
+    tallies: dict[int, tuple[int, ...] | None]
+    completion: float
+    roles: RoleLog
+    details: dict[str, Any] = field(default_factory=dict)
+
+    def to_obj(self) -> dict:
+        obj = {
+            "protocol": self.protocol,
+            "completion": self.completion,
+            "tallies": {
+                str(p): (list(t) if t is not None else None)
+                for p, t in sorted(self.tallies.items())
+            },
+            "roles": self.roles.to_obj(),
+        }
+        for key, value in self.details.items():
+            obj[key] = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return obj
+
+
+def run_election(protocol: str, n: int, d: int, seed: int, choices: list[int],
+                 faults: FaultModel, overlay: dict, voter: Callable[[int, int], Peer],
+                 details: Callable[[list], dict] = lambda voters: {}, *,
+                 params: dict | None = None, others: tuple[Peer, ...] = (),
+                 roles: tuple[tuple, ...] = (),
+                 max_ticks: int = MAX_TICKS) -> tuple[Outcome, Trace]:
+    """Run one election and collect its outcome.
+
+    ``voter(pid, choice)`` builds voter ``pid`` for every pid in
+    ``range(n)``; each voter exposes the ``tally`` it accepted. ``others``
+    are non-voter peers, ``roles`` are ``RoleLog.assign`` argument tuples,
+    and ``params`` adds the protocol's own fields to the trace's scenario
+    echo. ``details(voters)`` runs after the simulation and returns the
+    outcome's protocol-specific fields. Completion counts live voters only.
+    """
+    if len(choices) != n:
+        raise ConfigError(f"need {n} choices, got {len(choices)}")
+    if any(not 0 <= c < d for c in choices):
+        raise ConfigError("choice out of range")
+    sim = Simulator(faults, seed, params={
+        "protocol": protocol, "n": n, "d": d, "seed": seed, "choices": list(choices),
+        "faults": faults.to_obj(), "overlay": overlay, **(params or {}),
+    })
+    sim.roles.voters = frozenset(range(n))
+    for role in roles:
+        sim.roles.assign(*role)
+    voters = [voter(pid, choice) for pid, choice in enumerate(choices)]
+    for peer in [*voters, *others]:
+        sim.add_peer(peer)
+    trace = sim.run_until_quiescent(max_ticks)
+    tallies = {v.pid: v.tally for v in voters}
+    live = [pid for pid in range(n) if pid not in faults.crashed]
+    completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
+    return Outcome(protocol, tallies, completion, sim.roles, details(voters)), trace

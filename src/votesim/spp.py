@@ -14,6 +14,7 @@ components sum to the number of accepted ballots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import simnet, wire
 from .crypto import (
@@ -40,7 +41,7 @@ from .simnet import (
     PHASE_EVALUATION,
     PHASE_REGISTRATION,
     PHASE_VERIFICATION,
-    SendMutator,
+    SendFilter,
     SilentPeer,
     Trace,
     register_behavior,
@@ -115,26 +116,6 @@ def root_decrypt(aggregate: list[Ciphertext], shares: list[KeyShare],
         dec = [partial_decrypt(s, ct) for s in shares]
         counts.append(combine(pk, dec, ct, bound))
     return tuple(counts)
-
-
-@dataclass
-class SppOutcome:
-    tallies: dict[int, tuple[int, ...] | None]
-    completion: float
-    accepted: int | None
-    roles: simnet.RoleLog
-
-    def to_obj(self) -> dict:
-        return {
-            "protocol": "spp",
-            "completion": self.completion,
-            "accepted": self.accepted,
-            "tallies": {
-                str(p): (list(t) if t is not None else None)
-                for p, t in sorted(self.tallies.items())
-            },
-            "roles": self.roles.to_obj(),
-        }
 
 
 class SppVoter(Peer):
@@ -268,8 +249,9 @@ class SppVoter(Peer):
                 self.ballots[sender] = (cts, BallotProof.from_obj(msg["proof"]))
                 self._maybe_aggregate(ctx)
         elif kind == "report":
-            subtree = int(msg["subtree"])
-            if subtree in self.reports and sender in self.child_members.get(subtree, ()):
+            subtree = msg.get("subtree")
+            if (type(subtree) is int and subtree in self.reports
+                    and sender in self.child_members[subtree]):
                 if sender not in self.reports[subtree]:
                     cts = tuple(
                         Ciphertext(self.group, int(a), int(b)) for a, b in msg["cts"]
@@ -428,9 +410,8 @@ class SppVoter(Peer):
         ctx.finish()
 
 
-def _mutate_report(msg: dict) -> dict:
+def _mutate_report(group: Group, msg: dict) -> dict:
     if msg.get("t") == "report":
-        group = DEFAULT_GROUP
         cts = [list(pair) for pair in msg["cts"]]
         cts[0][1] = group.mul(int(cts[0][1]), group.g)
         return {**msg, "cts": cts}
@@ -448,8 +429,13 @@ def _mutate_proof(msg: dict) -> dict:
     return msg
 
 
-register_behavior(BEHAVIOR_LYING_AGGREGATE, lambda inner: SendMutator(inner, _mutate_report))
-register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendMutator(inner, _mutate_proof))
+register_behavior(
+    BEHAVIOR_LYING_AGGREGATE,
+    lambda inner: SendFilter(
+        inner, partial(_mutate_report, getattr(inner, "group", DEFAULT_GROUP))
+    ),
+)
+register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendFilter(inner, _mutate_proof))
 register_behavior(
     BEHAVIOR_SILENT_ROOT,
     lambda inner: SilentPeer(inner) if getattr(inner, "is_root", False) else inner,
@@ -458,41 +444,17 @@ register_behavior(
 
 def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int,
             group: Group = DEFAULT_GROUP,
-            max_ticks: int = 1_000_000) -> tuple[SppOutcome, Trace]:
+            max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
     """Run one SPP election; fewer than t live root members means the run
     ends incomplete rather than failing."""
     params.validate()
-    if len(choices) != params.n:
-        raise simnet.ConfigError(f"need {params.n} choices, got {len(choices)}")
-    if any(not 0 <= c < params.d for c in choices):
-        raise simnet.ConfigError("choice out of range")
     ov = build_tree_clusters(params.n, params.cluster_size, wire.derive_seed(seed, "overlay"))
-    sim = simnet.Simulator(
-        faults,
-        seed,
-        params={
-            "protocol": "spp",
-            "n": params.n,
-            "cluster_size": params.cluster_size,
-            "t": params.t,
-            "d": params.d,
-            "seed": seed,
-            "choices": list(choices),
-            "faults": faults.to_obj(),
-            "overlay": ov.to_obj(),
-        },
+    return simnet.run_election(
+        "spp", params.n, params.d, seed, choices, faults, ov.to_obj(),
+        lambda pid, choice: SppVoter(pid, params, ov, choice, seed, group),
+        lambda voters: {"accepted": next((v.accepted for v in voters if v.verified), None)},
+        params={"cluster_size": params.cluster_size, "t": params.t},
+        roles=((ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
+                (ARTIFACT_PUBKEY, ARTIFACT_TALLY)),),
+        max_ticks=max_ticks,
     )
-    sim.roles.voters = frozenset(range(params.n))
-    sim.roles.assign(
-        ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
-        (ARTIFACT_PUBKEY, ARTIFACT_TALLY),
-    )
-    voters = [SppVoter(pid, params, ov, choices[pid], seed, group) for pid in range(params.n)]
-    for v in voters:
-        sim.add_peer(v)
-    trace = sim.run_until_quiescent(max_ticks)
-    tallies = {v.pid: (v.tally if v.verified else None) for v in voters}
-    accepted = next((v.accepted for v in voters if v.verified), None)
-    live = [pid for pid in range(params.n) if pid not in faults.crashed]
-    completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
-    return SppOutcome(tallies, completion, accepted, sim.roles), trace

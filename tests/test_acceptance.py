@@ -404,7 +404,7 @@ def test_c10_byzantine_tolerance():
             choices, FaultModel(max_delay=3, byzantine={spender: "chain:double-spend"}),
             seed=seed,
         )
-        assert len(out.double_spend_serials) == 1
+        assert len(out.details["double_spend_serials"]) == 1
         tallies = {t for pid, t in out.tallies.items() if t is not None}
         assert len(tallies) == 1
         tally = tallies.pop()
@@ -421,7 +421,7 @@ def test_c10_byzantine_tolerance():
                        byzantine={p: BEHAVIOR_INVALID_SHARES for p in bad}),
             seed=seed, audit=True,
         )
-        assert out.flagged == bad
+        assert out.details["flagged"] == bad
     ok("criterion 10 (byzantine tolerance)",
        "spp liars outvoted, 100 double spends rejected, audit exact")
 

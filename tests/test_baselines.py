@@ -14,7 +14,14 @@ from votesim.baselines import (
     run_mesh_share,
 )
 from votesim.crypto import TEST_GROUP
-from votesim.simnet import ConfigError, FaultModel, Simulator
+from votesim.simnet import (
+    ConfigError,
+    FaultModel,
+    SendFilter,
+    Simulator,
+    register_behavior,
+    resolve_behavior,
+)
 
 
 def h_choices(n, d, seed):
@@ -28,8 +35,8 @@ def test_helios_honest_exact_and_verified():
                              FaultModel(max_delay=3), seed=1, group=TEST_GROUP)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)}
-    assert out.verification_failures == set()
-    assert out.accepted == 25
+    assert out.details["verification_failures"] == set()
+    assert out.details["accepted"] == 25
 
 
 def test_helios_hub_crash_completion_zero():
@@ -51,8 +58,31 @@ def test_helios_tampered_bulletin_detected_by_voters():
         FaultModel(max_delay=3, byzantine={params.hub: BEHAVIOR_TAMPER_BULLETIN}),
         seed=3, group=TEST_GROUP,
     )
-    assert len(out.verification_failures) >= 1
-    assert all(out.tallies[pid] is None for pid in out.verification_failures)
+    assert len(out.details["verification_failures"]) >= 1
+    assert all(out.tallies[pid] is None for pid in out.details["verification_failures"])
+
+
+def test_helios_tampered_bulletin_stays_in_the_run_group():
+    bulletins = []
+
+    def record(msg):
+        if msg.get("t") == "bulletin":
+            bulletins.append(msg)
+        return msg
+
+    register_behavior(
+        "test:recorded-tamper-bulletin",
+        lambda inner: SendFilter(resolve_behavior(BEHAVIOR_TAMPER_BULLETIN)(inner), record),
+    )
+    params = HeliosParams(9, 3, 2, 2)
+    run_helios_like(
+        params, h_choices(9, 2, 3),
+        FaultModel(max_delay=3, byzantine={params.hub: "test:recorded-tamper-bulletin"}),
+        seed=3, group=TEST_GROUP,
+    )
+    assert len(bulletins) == 9
+    tampered = [ct for msg in bulletins for ct in msg["ballots"][0][1]]
+    assert all(TEST_GROUP.is_element(int(x)) for ct in tampered for x in ct)
 
 
 def test_helios_crashed_voters_do_not_block_the_rest():

@@ -19,8 +19,10 @@ PINS = {
             "0425c529958d6c614764c38a76f996c0a49a402b9253e1b24791edc7b0efdd7c"),
     "helios": ("45eef3235dac77f4a86dec81e2c04f5b5411a2def555088cef0320ade8b22603",
                "4ff25dde0ff7119bba214e1d76b57b20cd631b7bcc690c707f6e801720c1334c"),
+    # The outcome pin moved once, when chainvote's outcome gained the
+    # double_spend_serials field ([] on this honest run).
     "chainvote": ("8ee4fac618d82f25810feb6ac31e47d76a1372bc859825c9978aea92ae190360",
-                  "d9ab898ac5c4eef583db0210a3e0a0049a2d1b1977fec4f2fd9d8efd66de6e34"),
+                  "7e83490449bb8ee05197b2cbe188a61e0fc68ee6005019830200107ee327002f"),
     "mesh": ("95e4cd385fffa97fe2cfa7e45a0195eb3d34475864040c524e166e5dfcea6cfc",
              "90a468c5f9d01ba05d8a55271757ac413321ccf2252c4acce6b778026ac1a033"),
 }

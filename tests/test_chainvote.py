@@ -74,7 +74,7 @@ def test_honest_run_exact_and_agreed():
     out, trace = run_chainvote(params(), choices, FaultModel(max_delay=3), seed=1)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)}
-    assert len(out.proposers) >= 1
+    assert len(out.details["proposers"]) >= 1
 
 
 def test_determinism():
@@ -99,7 +99,7 @@ def test_double_spender_counted_exactly_once():
         params(), choices, FaultModel(max_delay=3, byzantine={5: BEHAVIOR_DOUBLE_SPEND}),
         seed=3,
     )
-    assert len(out.double_spend_serials) == 1
+    assert len(out.details["double_spend_serials"]) == 1
     # everyone agrees, total counted = 16 (one per token), and the double
     # spender contributed exactly one of its two choices
     tallies = {t for t in out.tallies.values() if t is not None}
@@ -238,7 +238,7 @@ def test_proposers_cover_all_peers_across_seeds():
             ChainParams(n=n, d=2, degree=3, difficulty=5, block_capacity=2),
             choices, FaultModel(max_delay=3), seed=seed,
         )
-        union |= out.proposers
+        union |= out.details["proposers"]
         if union == set(range(n)):
             break
     assert union == set(range(n))

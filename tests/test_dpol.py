@@ -12,7 +12,7 @@ from votesim.dpol import (
     cluster_tally,
     run_dpol,
 )
-from votesim.simnet import FaultModel
+from votesim.simnet import FaultModel, SendFilter, register_behavior
 
 
 def faultless(**kw):
@@ -24,7 +24,7 @@ def test_honest_n9_all_peers_agree_on_exact_tally():
     out, trace = run_dpol(DpolParams(9, 1, 2), choices, faultless(), seed=42)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {(5, 4)}
-    assert out.flagged == set()
+    assert out.details["flagged"] == set()
 
 
 @pytest.mark.parametrize("n,k,d", [(9, 1, 2), (16, 1, 2), (25, 2, 3), (25, 1, 2)])
@@ -74,7 +74,7 @@ def test_byzantine_invalid_shares_flagged_exactly():
         seed=5,
         audit=True,
     )
-    assert out.flagged == {3}
+    assert out.details["flagged"] == {3}
 
 
 def test_audit_no_false_positives_over_seeds():
@@ -82,7 +82,7 @@ def test_audit_no_false_positives_over_seeds():
     for seed in range(10):
         out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(), seed=seed,
                           audit=True)
-        assert out.flagged == set()
+        assert out.details["flagged"] == set()
         assert out.completion == 1.0
 
 
@@ -182,3 +182,17 @@ def test_roles_logged_for_all_voters():
         assert ("aggregation", "aggregate") in acts
         assert ("evaluation", "evaluate") in acts
     assert out.roles.assigned == []
+
+
+def test_share_of_wrong_length_is_ignored():
+    register_behavior(
+        "test:short-share",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "v": msg["v"][:1]} if msg.get("t") == "share" else msg
+        ),
+    )
+    choices = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+    out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(byzantine={4: "test:short-share"}),
+                      seed=9)
+    assert out.completion < 1.0
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())

@@ -131,17 +131,6 @@ def test_unknown_behavior_rejected():
         Simulator(FaultModel(byzantine={0: "no-such-behavior"}), 1).add_peer(Pinger(0, 1))
 
 
-def test_apply_byzantine_wraps_registered_peer():
-    sim = Simulator(FaultModel(), 1)
-    sim.add_peer(Pinger(0, 1))
-    sim.add_peer(Pinger(1, 0))
-    sim.apply_byzantine(0, "crash-after-step 0")
-    trace = sim.run_until_quiescent()
-    assert {e.src for e in trace.events if e.kind == "send"} == {1}
-    with pytest.raises(ConfigError):
-        sim.apply_byzantine(7, "crash-after-step 0")
-
-
 def test_timer_drives_later_action():
     class Delayed(Peer):
         def __init__(self, pid):

@@ -8,7 +8,7 @@ import pytest
 from votesim.ballot import histogram
 from votesim.crypto import TEST_GROUP, encrypt_random, threshold_keygen
 from votesim.overlay import build_tree_clusters
-from votesim.simnet import FaultModel
+from votesim.simnet import FaultModel, SendFilter, register_behavior, resolve_behavior
 from votesim.spp import (
     AggregateReport,
     BEHAVIOR_INVALID_PROOF,
@@ -37,7 +37,7 @@ def test_honest_n28_exact_everywhere():
                      group=TEST_GROUP)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)}
-    assert out.accepted == 28
+    assert out.details["accepted"] == 28
 
 
 def test_honest_n8_two_clusters():
@@ -78,7 +78,7 @@ def test_invalid_proof_ballot_excluded():
         faultless(byzantine={7: BEHAVIOR_INVALID_PROOF}), seed=5, group=TEST_GROUP,
     )
     remaining = [c for pid, c in enumerate(choices) if pid != 7]
-    assert out.accepted == 27
+    assert out.details["accepted"] == 27
     expected = histogram(remaining, 2)
     for pid, tally in out.tallies.items():
         if pid != 7:
@@ -173,4 +173,43 @@ def test_conservation_component_sum_is_accepted_count():
     out, _ = run_spp(SppParams(28, 4, 3, 3), choices, faultless(), seed=10,
                      group=TEST_GROUP)
     tally = next(t for t in out.tallies.values() if t is not None)
-    assert sum(tally) == out.accepted == 28
+    assert sum(tally) == out.details["accepted"] == 28
+
+
+def test_lying_aggregate_stays_in_the_run_group():
+    # The c10 liars, with every report they send recorded after mutation.
+    sent = []
+
+    def record(msg):
+        if msg.get("t") == "report":
+            sent.append(msg)
+        return msg
+
+    register_behavior(
+        "test:recorded-lying-aggregate",
+        lambda inner: SendFilter(resolve_behavior(BEHAVIOR_LYING_AGGREGATE)(inner), record),
+    )
+    choices = spp_choices(28, 2, 101)
+    ov = build_tree_clusters(28, 4, wire.derive_seed(101, "overlay"))
+    byz = {ov.members(ci)[0]: "test:recorded-lying-aggregate" for ci in range(7)}
+    out, _ = run_spp(SppParams(28, 4, 3, 2), choices, faultless(byzantine=byz), seed=101,
+                     group=TEST_GROUP)
+    assert len(sent) == 24  # six non-root liars, four parent members each
+    assert all(TEST_GROUP.is_element(int(x)) for msg in sent for ct in msg["cts"] for x in ct)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)}
+
+
+def test_report_with_non_integer_subtree_is_ignored():
+    register_behavior(
+        "test:subtree-x",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "subtree": "x"} if msg.get("t") == "report" else msg
+        ),
+    )
+    choices = spp_choices(8, 2, 12)
+    ov = build_tree_clusters(8, 4, wire.derive_seed(12, "overlay"))
+    liar = ov.members(1)[0]
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices, faultless(byzantine={liar: "test:subtree-x"}),
+                     seed=12, group=TEST_GROUP)
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
