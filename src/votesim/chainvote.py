@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
 
 from . import simnet, wire
@@ -50,6 +51,9 @@ BEHAVIOR_WITHHOLD = "chain:withhold-block"
 BEHAVIOR_SILENT = "chain:silent"
 
 GENESIS_PARENT = "0" * 64
+
+# Serials, transaction nonces and block hashes: 32 bytes as lowercase hex.
+_HEX32 = re.compile("[0-9a-f]{64}")
 
 
 class ChainError(Exception):
@@ -105,10 +109,6 @@ class Transaction:
     def to_obj(self) -> dict:
         return {"token": self.token.to_obj(), "choice": self.choice, "nonce": self.nonce}
 
-    @classmethod
-    def from_obj(cls, obj) -> "Transaction":
-        return cls(Token.from_obj(obj["token"]), int(obj["choice"]), str(obj["nonce"]))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -118,15 +118,9 @@ class Block:
     proposer: int
     work_nonce: int
 
-    def tx_root(self) -> bytes:
-        return hashlib.sha256(b"".join(t.serialize() for t in self.txs)).digest()
-
     def header_bytes(self) -> bytes:
-        return (
-            bytes.fromhex(self.parent)
-            + wire.ser_ints(self.height, self.proposer, self.work_nonce)
-            + self.tx_root()
-        )
+        head, tail = header_parts(self.parent, self.height, self.proposer, tx_root(self.txs))
+        return head + wire.ser_ints(self.work_nonce) + tail
 
     def block_hash(self) -> str:
         return hashlib.sha256(self.header_bytes()).hexdigest()
@@ -143,15 +137,50 @@ class Block:
             "nonce": self.work_nonce,
         }
 
-    @classmethod
-    def from_obj(cls, obj) -> "Block":
-        return cls(
-            str(obj["parent"]),
-            int(obj["height"]),
-            tuple(Transaction.from_obj(t) for t in obj["txs"]),
-            int(obj["proposer"]),
-            int(obj["nonce"]),
-        )
+
+def tx_root(txs: tuple[Transaction, ...]) -> bytes:
+    return hashlib.sha256(b"".join(t.serialize() for t in txs)).digest()
+
+
+def header_parts(parent: str, height: int, proposer: int, root: bytes) -> tuple[bytes, bytes]:
+    """The block header bytes before and after the work nonce.
+
+    The header is ``head + wire.ser_ints(nonce) + tail``; only the middle
+    changes while a block is mined.
+    """
+    return bytes.fromhex(parent) + wire.ser_ints(height, proposer), root
+
+
+def _nonneg_int(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_hex32(value) -> bool:
+    return isinstance(value, str) and _HEX32.fullmatch(value) is not None
+
+
+def parse_transaction(obj) -> Transaction | None:
+    """A received transaction, or None if any field has the wrong type or form."""
+    if not (isinstance(obj, dict) and _nonneg_int(obj.get("choice"))
+            and _is_hex32(obj.get("nonce"))):
+        return None
+    token = obj.get("token")
+    if not (isinstance(token, dict) and _is_hex32(token.get("serial"))
+            and _nonneg_int(token.get("sig"))):
+        return None
+    return Transaction(Token(token["serial"], token["sig"]), obj["choice"], obj["nonce"])
+
+
+def parse_block(obj) -> Block | None:
+    """A received block, or None if any field has the wrong type or form."""
+    if not (isinstance(obj, dict) and _is_hex32(obj.get("parent"))
+            and all(_nonneg_int(obj.get(k)) for k in ("height", "proposer", "nonce"))
+            and isinstance(obj.get("txs"), list)):
+        return None
+    txs = tuple(parse_transaction(t) for t in obj["txs"])
+    if any(tx is None for tx in txs):
+        return None
+    return Block(obj["parent"], obj["height"], txs, obj["proposer"], obj["nonce"])
 
 
 GENESIS = Block(GENESIS_PARENT, 0, (), 0, 0)
@@ -160,12 +189,20 @@ GENESIS_HASH = GENESIS.block_hash()
 
 def mine_block(parent: str, height: int, txs: tuple[Transaction, ...], proposer: int,
                difficulty: int) -> tuple[Block, int]:
-    """Grind the work nonce; returns the sealed block and the attempt count."""
+    """Grind the work nonce; returns the sealed block and the attempt count.
+
+    The hash state of the fixed header prefix is computed once, so each
+    attempt hashes only the nonce and the transaction root.
+    """
+    head, tail = header_parts(parent, height, proposer, tx_root(txs))
+    prefix = hashlib.sha256(head)
+    shift = 256 - difficulty
     nonce = 0
     while True:
-        block = Block(parent, height, txs, proposer, nonce)
-        if block.meets_difficulty(difficulty):
-            return block, nonce + 1
+        h = prefix.copy()
+        h.update(wire.ser_ints(nonce) + tail)
+        if int.from_bytes(h.digest(), "big") >> shift == 0:
+            return Block(parent, height, txs, proposer, nonce), nonce + 1
         nonce += 1
 
 
@@ -180,16 +217,29 @@ class ChainView:
         self.best = GENESIS_HASH
         self.orphans: dict[str, list[Block]] = {}
         self.mempool: dict[str, Transaction] = {}
+        # Tokens whose signature has checked out; keyed by the whole token, so
+        # a known serial under another signature is verified afresh.
+        self.verified: set[Token] = set()
 
     @property
     def best_height(self) -> int:
         return self.blocks[self.best].height
 
+    def token_valid(self, token: Token) -> bool:
+        """verify_token, run at most once per distinct valid token."""
+        if token in self.verified:
+            return True
+        if not verify_token(token, self.issuer_pk):
+            return False
+        self.verified.add(token)
+        return True
+
     def add_transaction(self, tx: Transaction) -> bool:
         """Admit a transaction to the mempool if its token verifies."""
-        if tx.txid in self.mempool or not verify_token(tx.token, self.issuer_pk):
+        txid = tx.txid
+        if txid in self.mempool or not self.token_valid(tx.token):
             return False
-        self.mempool[tx.txid] = tx
+        self.mempool[txid] = tx
         return True
 
     def add_block(self, block: Block) -> str:
@@ -228,7 +278,7 @@ class ChainView:
         seen = set()
         spent = self.spent[block.parent]
         for tx in block.txs:
-            if not verify_token(tx.token, self.issuer_pk):
+            if not self.token_valid(tx.token):
                 return False
             if tx.token.serial in spent or tx.token.serial in seen:
                 return False
@@ -274,7 +324,7 @@ class ChainView:
             if not block.meets_difficulty(self.difficulty):
                 raise ChainError("insufficient proof of work")
             for tx in block.txs:
-                if not verify_token(tx.token, self.issuer_pk):
+                if not self.token_valid(tx.token):
                     raise ChainError("invalid token in chain")
                 if tx.token.serial in spent:
                     raise ChainError("double spend in chain")
@@ -387,16 +437,20 @@ class ChainVoter(Peer):
     # -- gossip ----------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        if self.done:
+        if self.done or not isinstance(msg, dict):
             return
+        # A malformed payload is ignored like a message from an unexpected
+        # sender, so every Transaction and Block past the parse is well-typed
+        # and its Token hashable.
         kind = msg.get("t")
         if kind == "tx":
-            tx = Transaction.from_obj(msg["tx"])
-            if tx.txid not in self.view.mempool:
-                if self.view.add_transaction(tx):
-                    self._flood(ctx, msg, PHASE_CASTING, skip=sender)
+            tx = parse_transaction(msg.get("tx"))
+            if tx is not None and self.view.add_transaction(tx):
+                self._flood(ctx, msg, PHASE_CASTING, skip=sender)
         elif kind == "block":
-            block = Block.from_obj(msg["block"])
+            block = parse_block(msg.get("block"))
+            if block is None:
+                return
             h = block.block_hash()
             if h in self.seen_blocks:
                 return
@@ -445,13 +499,14 @@ class ChainVoter(Peer):
     def _finalize(self, ctx):
         self.done = True
         try:
+            # tally_chain re-verifies the whole chain before it counts.
             self.tally = tally_chain(self.view, self.params.d, self.params.cutoff_height)
-            ctx.log_action(PHASE_EVALUATION, "evaluate")
-            self.view.verify_chain()
-            ctx.log_action(PHASE_VERIFICATION, "verify")
         except ChainError:
             self.tally = None
             ctx.log_action(PHASE_VERIFICATION, "verify-failed")
+        else:
+            ctx.log_action(PHASE_EVALUATION, "evaluate")
+            ctx.log_action(PHASE_VERIFICATION, "verify")
         ctx.finish()
 
 

@@ -87,10 +87,6 @@ class Token:
     def to_obj(self) -> dict:
         return {"serial": self.serial, "sig": self.signature}
 
-    @classmethod
-    def from_obj(cls, obj) -> "Token":
-        return cls(str(obj["serial"]), int(obj["sig"]))
-
 
 def generate_issuer_key(seed: int, bits: int = 1024) -> IssuerKey:
     """Deterministic RSA keypair with a modulus of roughly `bits` bits."""
@@ -142,5 +138,5 @@ def unblind(blinded_sig: int, r: int, pk: IssuerPublicKey, serial_hex: str) -> T
 def verify_token(token: Token, pk: IssuerPublicKey) -> bool:
     try:
         return pow(token.signature, pk.e, pk.n) == hash_serial(token.serial, pk.n)
-    except Exception:
+    except ValueError:  # the serial is not hex
         return False

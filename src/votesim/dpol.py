@@ -116,8 +116,8 @@ class DpolVoter(Peer):
                 self.sums_by_member[sender] = local_sum
                 self._maybe_cluster_tally(ctx)
         elif kind == "map":
-            r = int(msg["r"])
-            if sender in self.expected_senders and 0 <= r < self.rounds_total:
+            r = msg.get("r")
+            if type(r) is int and sender in self.expected_senders and 0 <= r < self.rounds_total:
                 per_round = self.round_maps.setdefault(r, {})
                 if sender not in per_round:
                     per_round[sender] = {int(ci): tuple(v) for ci, v in msg["m"].items()}

@@ -249,16 +249,14 @@ class SppVoter(Peer):
                 self.ballots[sender] = (cts, BallotProof.from_obj(msg["proof"]))
                 self._maybe_aggregate(ctx)
         elif kind == "report":
-            subtree = msg.get("subtree")
-            if (type(subtree) is int and subtree in self.reports
+            subtree, count = msg.get("subtree"), msg.get("count")
+            if (type(subtree) is int and type(count) is int and subtree in self.reports
                     and sender in self.child_members[subtree]):
                 if sender not in self.reports[subtree]:
                     cts = tuple(
                         Ciphertext(self.group, int(a), int(b)) for a, b in msg["cts"]
                     )
-                    self.reports[subtree][sender] = AggregateReport(
-                        subtree, cts, int(msg["count"]), sender
-                    )
+                    self.reports[subtree][sender] = AggregateReport(subtree, cts, count, sender)
                     self._maybe_resolve(ctx, subtree)
         elif kind == "decshare":
             if self.is_root and sender in self.members:

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votesim.ballot import histogram
 from votesim.chainvote import (
     BEHAVIOR_DOUBLE_SPEND,
+    Block,
     BEHAVIOR_SILENT,
     BEHAVIOR_WITHHOLD,
     ChainParams,
@@ -20,8 +22,8 @@ from votesim.chainvote import (
     run_chainvote,
     tally_chain,
 )
-from votesim.crypto.blindsig import generate_issuer_key, verify_token
-from votesim.simnet import FaultModel
+from votesim.crypto.blindsig import Token, generate_issuer_key, verify_token
+from votesim.simnet import FaultModel, SendFilter, register_behavior
 
 DIFF = 6  # cheap PoW for unit tests
 
@@ -242,3 +244,79 @@ def test_proposers_cover_all_peers_across_seeds():
         if union == set(range(n)):
             break
     assert union == set(range(n))
+
+
+def naive_mine(parent, height, txs, proposer, difficulty):
+    """Reference grind: build every candidate block and test its hash."""
+    nonce = 0
+    while True:
+        block = Block(parent, height, txs, proposer, nonce)
+        if block.meets_difficulty(difficulty):
+            return block, nonce + 1
+        nonce += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 15), unique=True, max_size=6),
+    parent=st.binary(min_size=32, max_size=32).map(bytes.hex),
+    height=st.integers(0, 2 ** 40),
+    proposer=st.integers(0, 2 ** 20),
+    difficulty=st.integers(1, 8),
+)
+def test_mine_block_matches_naive_grind(tokens16, picks, parent, height, proposer, difficulty):
+    tokens, _ = tokens16
+    txs = tuple(Transaction(tokens[i], i % 2, f"{i:064x}") for i in picks)
+    assert mine_block(parent, height, txs, proposer, difficulty) == naive_mine(
+        parent, height, txs, proposer, difficulty
+    )
+
+
+def test_known_serial_with_changed_signature_is_rejected(issuer_key, tokens16):
+    tokens, _ = tokens16
+    tok = tokens[5]
+    view = ChainView(issuer_key.public, DIFF)
+    genuine = Transaction(tok, 0, "66" * 32)
+    assert view.add_transaction(genuine)  # the view has now verified this serial
+    forged = Transaction(Token(tok.serial, tok.signature ^ 1), 0, "77" * 32)
+    assert not view.add_transaction(forged)
+    block, _ = mine_block(GENESIS_HASH, 1, (forged,), 0, DIFF)
+    assert view.add_block(block) == "invalid"
+    block, _ = mine_block(GENESIS_HASH, 1, (genuine,), 0, DIFF)
+    assert view.add_block(block) == "added"
+
+
+def _with_tx(msg, **fields):
+    return {**msg, "tx": {**msg["tx"], **fields}}
+
+
+# One hostile rewrite per malformed payload: a non-hex transaction nonce, a
+# list as the token signature, a non-hex block parent and a list as the
+# whole message.
+HOSTILE_SENDS = {
+    "not-a-dict": lambda msg: [msg] if msg.get("t") == "tx" else msg,
+    "tx-nonce": lambda msg: _with_tx(msg, nonce="zz" * 32) if msg.get("t") == "tx" else msg,
+    "token-sig": lambda msg: (
+        _with_tx(msg, token={**msg["tx"]["token"], "sig": [1]}) if msg.get("t") == "tx" else msg
+    ),
+    "block-parent": lambda msg: (
+        {**msg, "block": {**msg["block"], "parent": "zz" * 32}} if msg.get("t") == "block"
+        else msg
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(HOSTILE_SENDS))
+def test_malformed_payload_is_ignored(field):
+    register_behavior(f"test:chain-{field}", lambda inner: SendFilter(inner, HOSTILE_SENDS[field]))
+    choices = chain_choices(8, 2, 21)
+    out, _ = run_chainvote(
+        ChainParams(n=8, d=2, degree=3, difficulty=5, block_capacity=8), choices,
+        FaultModel(max_delay=3, byzantine={3: f"test:chain-{field}"}), seed=21,
+    )
+    assert out.completion == 1.0
+    # The liar's own vote may not reach the honest peers, but they agree.
+    honest = {t for pid, t in out.tallies.items() if pid != 3}
+    without_liar = histogram([c for pid, c in enumerate(choices) if pid != 3], 2)
+    assert len(honest) == 1
+    assert honest.pop() in (histogram(choices, 2), without_liar)

@@ -196,3 +196,16 @@ def test_share_of_wrong_length_is_ignored():
                       seed=9)
     assert out.completion < 1.0
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+def test_map_with_non_integer_round_is_ignored():
+    register_behavior(
+        "test:map-round-x",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "r": "x"} if msg.get("t") == "map" else msg
+        ),
+    )
+    choices = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+    out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(byzantine={4: "test:map-round-x"}),
+                      seed=9)
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())

@@ -213,3 +213,18 @@ def test_report_with_non_integer_subtree_is_ignored():
     out, _ = run_spp(SppParams(8, 4, 2, 2), choices, faultless(byzantine={liar: "test:subtree-x"}),
                      seed=12, group=TEST_GROUP)
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+def test_report_with_non_integer_count_is_ignored():
+    register_behavior(
+        "test:count-x",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "count": "x"} if msg.get("t") == "report" else msg
+        ),
+    )
+    choices = spp_choices(8, 2, 12)
+    ov = build_tree_clusters(8, 4, wire.derive_seed(12, "overlay"))
+    liar = ov.members(1)[0]
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices, faultless(byzantine={liar: "test:count-x"}),
+                     seed=12, group=TEST_GROUP)
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
