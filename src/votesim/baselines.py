@@ -20,12 +20,15 @@ from functools import partial
 from . import simnet, wire
 from .crypto import (
     Ciphertext,
-    DecryptionShare,
+    CryptoError,
     KeyShare,
     PublicKey,
-    combine,
-    encrypt_zero,
-    hom_add,
+    combine_vector,
+    cts_to_obj,
+    hom_add_vectors,
+    parse_ballot,
+    parse_cts,
+    parse_decshare,
     partial_decrypt,
     prove_ballot,
     threshold_keygen,
@@ -92,54 +95,50 @@ class HeliosVoter(Peer):
         self.verify_failed = False
 
     def on_message(self, ctx, sender, msg):
-        kind = msg.get("t")
-        if kind == "pubkey" and self.pk is None and sender == self.params.hub:
-            self.pk = PublicKey(
-                self.group, int(msg["h"]), t=self.params.t, n_holders=self.params.trustees
-            )
+        kind, h = msg.get("t"), msg.get("h")
+        if (kind == "pubkey" and self.pk is None and sender == self.params.hub
+                and type(h) is int and 0 < h < self.group.p):
+            self.pk = PublicKey(self.group, h, t=self.params.t, n_holders=self.params.trustees)
             ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
             cts, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
-            ctx.send(
-                self.params.hub,
-                {"t": "ballot", "cts": [[c.a, c.b] for c in cts], "proof": proof.to_obj()},
-                PHASE_CASTING,
-            )
+            ctx.send(self.params.hub, {"t": "ballot", "cts": cts_to_obj(cts),
+                                       "proof": proof.to_obj()}, PHASE_CASTING)
         elif kind == "bulletin" and sender == self.params.hub:
             self._verify_bulletin(ctx, msg)
 
+    def _parse_bulletin(self, msg: dict) -> tuple | None:
+        """(ballots, shares by trustee index, tally, accepted), or None when
+        any field of the bulletin is malformed."""
+        group, d = self.group, self.params.d
+        entries, pairs, accepted = msg.get("ballots"), msg.get("shares"), msg.get("accepted")
+        tally = wire.int_vector(msg.get("tally"), d)
+        if not (isinstance(entries, list) and isinstance(pairs, list) and tally is not None
+                and type(accepted) is int
+                and all(isinstance(e, list) and len(e) == 3 for e in entries)
+                and all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in pairs)):
+            return None
+        ballots = [parse_ballot(group, d, cts, proof) if type(voter) is int else None
+                   for voter, cts, proof in entries]
+        shares = {idx: parse_decshare(group, self.params.trustees, idx, vals, d)
+                  for idx, vals in pairs}
+        if None in ballots or None in shares.values():
+            return None
+        return ballots, shares, tally, accepted
+
     def _verify_bulletin(self, ctx, msg):
         """Recompute everything the hub published: proofs, the homomorphic
-        sum, the threshold combination and the claimed tally."""
-        ok = True
-        try:
-            ballots = []
-            for voter, cts_obj, proof_obj in msg["ballots"]:
-                cts = [Ciphertext(self.group, int(a), int(b)) for a, b in cts_obj]
-                ballots.append((int(voter), cts, BallotProof.from_obj(proof_obj)))
-            tally = tuple(int(x) for x in msg["tally"])
-            accepted = int(msg["accepted"])
-            for _, cts, proof in ballots:
-                if len(cts) != self.params.d or not verify_ballot(self.pk, cts, proof):
-                    ok = False
-            if ok:
-                agg = [encrypt_zero(self.pk) for _ in range(self.params.d)]
-                for _, cts, _ in ballots:
-                    agg = [hom_add(a, c) for a, c in zip(agg, cts)]
-                shares = {
-                    int(idx): [int(v) for v in vals] for idx, vals in msg["shares"]
-                }
-                for comp, ct in enumerate(agg):
-                    dec = [
-                        DecryptionShare(idx, vals[comp])
-                        for idx, vals in sorted(shares.items())
-                    ]
-                    if combine(self.pk, dec, ct, self.params.n) != tally[comp]:
-                        ok = False
-                        break
-                if sum(tally) != accepted or accepted != len(ballots):
-                    ok = False
-        except Exception:
-            ok = False
+        sum, the threshold combination and the claimed tally. A malformed
+        bulletin fails verification."""
+        parsed = self._parse_bulletin(msg) if self.pk is not None else None
+        ok = parsed is not None and all(verify_ballot(self.pk, *b) for b in parsed[0])
+        if ok:
+            ballots, shares, tally, accepted = parsed
+            agg = hom_add_vectors(self.pk, self.params.d, (cts for cts, _ in ballots))
+            try:
+                ok = combine_vector(self.pk, shares, agg, self.params.n) == tally
+            except CryptoError:
+                ok = False
+            ok = ok and sum(tally) == accepted == len(ballots)
         ctx.log_action(PHASE_VERIFICATION, "verify")
         if ok:
             self.tally = tally
@@ -155,7 +154,7 @@ class HeliosHub(Peer):
         self.params = params
         self.pk = pk
         self.group = group
-        self.ballots: dict[int, tuple[list[Ciphertext], BallotProof]] = {}
+        self.ballots: dict[int, tuple[list[Ciphertext], BallotProof] | None] = {}
         self.aggregated = False
         self.agg: list[Ciphertext] | None = None
         self.accepted = 0
@@ -169,17 +168,18 @@ class HeliosHub(Peer):
             ctx.send(voter, {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
 
     def on_message(self, ctx, sender, msg):
-        kind = msg.get("t")
+        """A malformed ballot counts as collected and invalid; a malformed
+        decryption share is ignored."""
+        kind, idx, d = msg.get("t"), msg.get("idx"), self.params.d
         if kind == "ballot" and 0 <= sender < self.params.n and sender not in self.ballots:
             ctx.log_action(PHASE_CASTING, "collect")
-            cts = [Ciphertext(self.group, int(a), int(b)) for a, b in msg["cts"]]
-            self.ballots[sender] = (cts, BallotProof.from_obj(msg["proof"]))
+            self.ballots[sender] = parse_ballot(self.group, d, msg.get("cts"), msg.get("proof"))
             if len(self.ballots) == self.params.n:
                 self._aggregate(ctx)
-        elif kind == "decshare" and sender in self.params.trustee_ids:
-            idx = int(msg["idx"])
-            if idx not in self.dec_shares:
-                self.dec_shares[idx] = [int(v) for v in msg["v"]]
+        elif kind == "decshare" and sender in self.params.trustee_ids and self.aggregated:
+            values = parse_decshare(self.group, self.params.trustees, idx, msg.get("v"), d)
+            if values is not None and idx not in self.dec_shares:
+                self.dec_shares[idx] = values
                 if len(self.dec_shares) >= self.params.t and self.tally is None:
                     self._evaluate(ctx)
 
@@ -192,41 +192,27 @@ class HeliosHub(Peer):
         if self.aggregated:
             return
         self.aggregated = True
-        valid = []
-        for voter in sorted(self.ballots):
-            cts, proof = self.ballots[voter]
-            if len(cts) == self.params.d and verify_ballot(self.pk, cts, proof):
-                valid.append((voter, cts, proof))
+        ballots = [(voter, self.ballots[voter]) for voter in sorted(self.ballots)]
+        self.valid = [(voter, *b) for voter, b in ballots
+                      if b is not None and verify_ballot(self.pk, *b)]
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
-        agg = [encrypt_zero(self.pk) for _ in range(self.params.d)]
-        for _, cts, _ in valid:
-            agg = [hom_add(a, c) for a, c in zip(agg, cts)]
-        self.agg = agg
-        self.accepted = len(valid)
-        self.valid = valid
-        payload = {"t": "decrypt", "cts": [[c.a, c.b] for c in agg]}
+        self.agg = hom_add_vectors(self.pk, self.params.d, (cts for _, cts, _ in self.valid))
+        self.accepted = len(self.valid)
+        payload = {"t": "decrypt", "cts": cts_to_obj(self.agg)}
         for trustee in self.params.trustee_ids:
             ctx.send(trustee, payload, PHASE_EVALUATION)
 
     def _evaluate(self, ctx):
-        counts = []
-        for comp, ct in enumerate(self.agg):
-            dec = [
-                DecryptionShare(idx, vals[comp])
-                for idx, vals in sorted(self.dec_shares.items())[: self.params.t]
-            ]
-            counts.append(combine(self.pk, dec, ct, self.params.n))
-        self.tally = tuple(counts)
+        shares = sorted(self.dec_shares.items())[: self.params.t]
+        try:
+            self.tally = combine_vector(self.pk, dict(shares), self.agg, self.params.n)
+        except CryptoError:
+            return  # inconsistent shares: publish nothing
         ctx.log_action(PHASE_EVALUATION, "evaluate")
         bulletin = {
             "t": "bulletin",
-            "ballots": [
-                [voter, [[c.a, c.b] for c in cts], proof.to_obj()]
-                for voter, cts, proof in self.valid
-            ],
-            "shares": [
-                [idx, vals] for idx, vals in sorted(self.dec_shares.items())[: self.params.t]
-            ],
+            "ballots": [[v, cts_to_obj(cts), proof.to_obj()] for v, cts, proof in self.valid],
+            "shares": [[idx, vals] for idx, vals in shares],
             "tally": list(self.tally),
             "accepted": self.accepted,
         }
@@ -243,9 +229,9 @@ class HeliosTrustee(Peer):
         self.group = group
 
     def on_message(self, ctx, sender, msg):
-        if msg.get("t") == "decrypt" and sender == self.params.hub:
+        cts = parse_cts(self.group, msg.get("cts"), self.params.d)
+        if msg.get("t") == "decrypt" and sender == self.params.hub and cts is not None:
             ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
-            cts = [Ciphertext(self.group, int(a), int(b)) for a, b in msg["cts"]]
             values = [partial_decrypt(self.share, ct).value for ct in cts]
             ctx.send(
                 self.params.hub,
@@ -356,12 +342,14 @@ class MeshVoter(Peer):
         self._maybe_column(ctx)
 
     def on_message(self, ctx, sender, msg):
-        kind = msg.get("t")
+        kind, v = msg.get("t"), wire.int_vector(msg.get("v"), self.d)
+        if v is None:
+            return  # not d ints
         if kind == "share" and sender not in self.received:
-            self.received[sender] = tuple(int(x) % MESH_MODULUS for x in msg["v"])
+            self.received[sender] = tuple(x % MESH_MODULUS for x in v)
             self._maybe_column(ctx)
         elif kind == "colsum" and sender not in self.colsums:
-            self.colsums[sender] = tuple(int(x) % MESH_MODULUS for x in msg["v"])
+            self.colsums[sender] = tuple(x % MESH_MODULUS for x in v)
             self._maybe_total(ctx)
 
     def _maybe_column(self, ctx):

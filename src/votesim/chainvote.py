@@ -437,7 +437,7 @@ class ChainVoter(Peer):
     # -- gossip ----------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        if self.done or not isinstance(msg, dict):
+        if self.done:
             return
         # A malformed payload is ignored like a message from an unexpected
         # sender, so every Transaction and Block past the parse is well-typed

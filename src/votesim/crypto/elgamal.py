@@ -95,9 +95,35 @@ def hom_sum(cts: list[Ciphertext]) -> Ciphertext:
     return acc
 
 
-def encrypt_zero(pk: PublicKey) -> Ciphertext:
-    """Deterministic encryption of 0 with r = 0, the homomorphic identity."""
-    return Ciphertext(pk.group, 1, 1)
+def hom_add_vectors(pk: PublicKey, d: int, vectors) -> list[Ciphertext]:
+    """Component-wise sum of ciphertext vectors, starting from d copies of
+    (1, 1): the encryption of 0 with r = 0, the homomorphic identity."""
+    agg = [Ciphertext(pk.group, 1, 1)] * d
+    for cts in vectors:
+        agg = [hom_add(a, c) for a, c in zip(agg, cts)]
+    return agg
+
+
+def cts_to_obj(cts) -> list[list[int]]:
+    return [[c.a, c.b] for c in cts]
+
+
+def _parse_elements(group: Group, obj, d: int) -> tuple[int, ...] | None:
+    """d received ints in (0, p), or None. Subgroup membership is not checked."""
+    values = wire.int_vector(obj, d)
+    return values if values is not None and all(0 < x < group.p for x in values) else None
+
+
+def parse_cts(group: Group, obj, d: int) -> list[Ciphertext] | None:
+    """d received [a, b] pairs (see _parse_elements) as ciphertexts, or None."""
+    ok = isinstance(obj, list) and len(obj) == d
+    pairs = [_parse_elements(group, x, 2) for x in obj] if ok else [None]
+    return None if None in pairs else [Ciphertext(group, a, b) for a, b in pairs]
+
+
+def parse_decshare(group: Group, holders: int, idx, values, d: int) -> tuple[int, ...] | None:
+    """The d decryption-share values of holder index idx in 1..holders, or None."""
+    return _parse_elements(group, values, d) if type(idx) is int and 1 <= idx <= holders else None
 
 
 def decrypt(group: Group, x: int, c: Ciphertext, bound: int) -> int:
@@ -159,6 +185,15 @@ def combine(pk: PublicKey, shares: list[DecryptionShare], c: Ciphertext,
         ax = group.mul(ax, group.exp(s.value, lam))
     gm = group.mul(c.b, group.inv(ax))
     return dlog_recover(group, gm, bound)
+
+
+def combine_vector(pk: PublicKey, shares_by_index: dict[int, list[int]], cts,
+                   bound: int) -> tuple[int, ...]:
+    """Threshold-decrypt each component of cts; shares_by_index maps a
+    holder's index to its decryption-share value for every component."""
+    shares = sorted(shares_by_index.items())
+    return tuple(combine(pk, [DecryptionShare(i, vals[comp]) for i, vals in shares], ct, bound)
+                 for comp, ct in enumerate(cts))
 
 
 _DLOG_TABLES: dict[tuple[int, int], dict[int, int]] = {}

@@ -5,7 +5,7 @@ Per component a two-branch disjunctive Chaum-Pedersen proof (Fiat-Shamir,
 domain-separated); the component sum is tied down by one more
 Chaum-Pedersen proof on the homomorphic sum of the ciphertexts. The
 verifier recomputes every challenge and returns False on any
-inconsistency; it never raises.
+inconsistency in a ballot that parse_ballot accepted.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .. import wire
-from .elgamal import Ciphertext, PublicKey, hom_sum
-from .group import CryptoError
+from .elgamal import Ciphertext, PublicKey, hom_sum, parse_cts
+from .group import CryptoError, Group
 
 _OR_DOMAIN = "votesim/ballot-or/v1"
 _SUM_DOMAIN = "votesim/ballot-sum/v1"
@@ -146,37 +146,48 @@ def prove_vector(pk: PublicKey, ms: list[int],
     return cts, BallotProof(tuple(comps), SumProof(w1, w2, z))
 
 
+def parse_ballot(group: Group, d: int, cts_obj,
+                 proof_obj) -> tuple[list[Ciphertext], BallotProof] | None:
+    """A received ballot, or None unless it has d ciphertexts (see
+    parse_cts) and a proof of d lists of 8 non-negative ints plus 3 for the
+    sum proof."""
+    cts = parse_cts(group, cts_obj, d)
+    comps = proof_obj.get("comp") if isinstance(proof_obj, dict) else None
+    if cts is None or not isinstance(comps, list) or len(comps) != d:
+        return None
+    parts = [wire.int_vector(x, n) for x, n in zip([*comps, proof_obj.get("sum")], [8] * d + [3])]
+    if None in parts or min(map(min, parts)) < 0:
+        return None
+    return cts, BallotProof.from_obj(proof_obj)
+
+
 def verify_ballot(pk: PublicKey, cts: list[Ciphertext], proof: BallotProof) -> bool:
-    """Check the disjunctive proofs and the sum proof. Never raises."""
-    try:
-        group = pk.group
-        g, h, p, q = group.g, pk.h, group.p, group.q
-        if len(cts) != len(proof.components) or not cts:
-            return False
-        for ct in cts:
-            if not (group.is_element(ct.a) and group.is_element(ct.b)):
-                return False
-        stmt = _statement(pk, cts)
-        for j, (ct, c) in enumerate(zip(cts, proof.components)):
-            e = group.hash_scalar(_OR_DOMAIN, *stmt, j, c.a0, c.b0, c.a1, c.b1)
-            if (c.e0 + c.e1) % q != e:
-                return False
-            for v, (av, bv_c, ev, zv) in enumerate(
-                ((c.a0, c.b0, c.e0, c.z0), (c.a1, c.b1, c.e1, c.z1))
-            ):
-                bv = group.mul(ct.b, group.inv(group.exp(g, v)))
-                if group.exp(g, zv) != group.mul(av, group.exp(ct.a, ev)):
-                    return False
-                if group.exp(h, zv) != group.mul(bv_c, group.exp(bv, ev)):
-                    return False
-        total = hom_sum(cts)
-        sp = proof.sum_proof
-        e_s = group.hash_scalar(_SUM_DOMAIN, *stmt, sp.w1, sp.w2)
-        bv = group.mul(total.b, group.inv(g))
-        if group.exp(g, sp.z) != group.mul(sp.w1, group.exp(total.a, e_s)):
-            return False
-        if group.exp(h, sp.z) != group.mul(sp.w2, group.exp(bv, e_s)):
-            return False
-        return True
-    except Exception:
+    """Check the disjunctive proofs and the sum proof. Expects a ballot that
+    parse_ballot accepted or prove_vector made; returns False when it fails."""
+    group = pk.group
+    g, h, q = group.g, pk.h, group.q
+    if len(cts) != len(proof.components) or not cts:
         return False
+    for ct in cts:
+        if not (group.is_element(ct.a) and group.is_element(ct.b)):
+            return False
+    stmt = _statement(pk, cts)
+    for j, (ct, c) in enumerate(zip(cts, proof.components)):
+        e = group.hash_scalar(_OR_DOMAIN, *stmt, j, c.a0, c.b0, c.a1, c.b1)
+        if (c.e0 + c.e1) % q != e:
+            return False
+        for v, (av, bv_c, ev, zv) in enumerate(
+            ((c.a0, c.b0, c.e0, c.z0), (c.a1, c.b1, c.e1, c.z1))
+        ):
+            bv = group.mul(ct.b, group.inv(group.exp(g, v)))
+            if group.exp(g, zv) != group.mul(av, group.exp(ct.a, ev)):
+                return False
+            if group.exp(h, zv) != group.mul(bv_c, group.exp(bv, ev)):
+                return False
+    total = hom_sum(cts)
+    sp = proof.sum_proof
+    e_s = group.hash_scalar(_SUM_DOMAIN, *stmt, sp.w1, sp.w2)
+    bv = group.mul(total.b, group.inv(g))
+    if group.exp(g, sp.z) != group.mul(sp.w1, group.exp(total.a, e_s)):
+        return False
+    return group.exp(h, sp.z) == group.mul(sp.w2, group.exp(bv, e_s))

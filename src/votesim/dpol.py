@@ -11,6 +11,7 @@ locally. No cryptography is involved anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import simnet
@@ -55,11 +56,11 @@ def cluster_tally(local_sums: list[tuple[int, ...] | None], d: int) -> tuple[int
     return vector_sum(local_sums, d)
 
 
-def _count_vector(value, d: int) -> tuple[int, ...] | None:
-    """A received share or sum as a d-tuple of ints; None when malformed."""
-    if isinstance(value, list) and len(value) == d and all(type(x) is int for x in value):
-        return tuple(value)
-    return None
+@functools.lru_cache(maxsize=8)
+def _cluster_keys(clusters: int) -> dict[str, int]:
+    """Map key -> cluster index for every valid key of a map payload. One
+    read-only table serves every voter of a run."""
+    return {str(ci): ci for ci in range(clusters)}
 
 
 class DpolVoter(Peer):
@@ -75,6 +76,7 @@ class DpolVoter(Peer):
         self.recipients = rmap.recipients[pid]
         self.expected_senders = frozenset(rmap.senders[pid])
         self.rounds_total = int(math.isqrt(params.n)) - 1
+        self.cluster_keys = _cluster_keys(math.isqrt(params.n))
         self.shares_by_sender: dict[int, tuple[int, ...]] = {}
         self.local_sum: tuple[int, ...] | None = None
         self.sums_by_member: dict[int, tuple[int, ...]] = {}
@@ -103,14 +105,14 @@ class DpolVoter(Peer):
             return
         kind = msg.get("t")
         if kind == "share":
-            share = _count_vector(msg.get("v"), self.params.d)
+            share = wire.int_vector(msg.get("v"), self.params.d)
             if (share is not None and sender in self.expected_senders
                     and sender not in self.shares_by_sender):
                 self.shares_by_sender[sender] = share
                 if len(self.shares_by_sender) == self.params.shares_per_voter:
                     self._compute_local_sum(ctx)
         elif kind == "sum":
-            local_sum = _count_vector(msg.get("v"), self.params.d)
+            local_sum = wire.int_vector(msg.get("v"), self.params.d)
             if (local_sum is not None and sender in self.cluster_members
                     and sender not in self.sums_by_member):
                 self.sums_by_member[sender] = local_sum
@@ -119,9 +121,19 @@ class DpolVoter(Peer):
             r = msg.get("r")
             if type(r) is int and sender in self.expected_senders and 0 <= r < self.rounds_total:
                 per_round = self.round_maps.setdefault(r, {})
-                if sender not in per_round:
-                    per_round[sender] = {int(ci): tuple(v) for ci, v in msg["m"].items()}
+                tallies = self._parse_map(msg.get("m"))
+                if tallies is not None and sender not in per_round:
+                    per_round[sender] = tallies
                     self._maybe_process_rounds(ctx)
+
+    def _parse_map(self, m) -> dict[int, tuple[int, ...]] | None:
+        """A received map of cluster tallies; None when any key is not a
+        cluster index or any value is not d ints."""
+        if not isinstance(m, dict):
+            return None
+        d, keys = self.params.d, self.cluster_keys
+        tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
+        return None if None in tallies or None in tallies.values() else tallies
 
     def _compute_local_sum(self, ctx):
         self.local_sum = vector_sum(

@@ -481,15 +481,16 @@ class Simulator:
             _, src, dst, phase, payload = entry
             self._record(KIND_DELIVER, src, dst, phase, payload)
             peer = self._peers.get(dst)
-            if peer is not None and not isinstance(peer, SilentPeer):
-                peer.on_message(self._ctxs[dst], src, wire.loads(payload))
+            msg = wire.loads(payload) if peer is not None else None
+            if isinstance(msg, dict):  # recorded as delivered, but peers take only JSON objects
+                peer.on_message(self._ctxs[dst], src, msg)
         elif kind == "drop":
             _, src, dst, phase, payload = entry
             self._record(KIND_DROP, src, dst, phase, payload)
         elif kind == "timer":
             _, pid, tag, data = entry
             peer = self._peers.get(pid)
-            if peer is not None and not isinstance(peer, SilentPeer):
+            if peer is not None:
                 peer.on_timer(self._ctxs[pid], tag, data)
         else:  # pragma: no cover - queue entries are made in this module
             raise AssertionError(f"unknown queue entry {kind!r}")

@@ -19,12 +19,15 @@ from functools import partial
 from . import simnet, wire
 from .crypto import (
     Ciphertext,
-    DecryptionShare,
+    CryptoError,
     KeyShare,
     PublicKey,
-    combine,
-    encrypt_zero,
-    hom_add,
+    combine_vector,
+    cts_to_obj,
+    hom_add_vectors,
+    parse_ballot,
+    parse_cts,
+    parse_decshare,
     partial_decrypt,
     prove_ballot,
     verify_ballot,
@@ -76,46 +79,29 @@ class SppParams:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """One member's claim about a subtree aggregate; compared byte-for-byte."""
+    """One member's claim about a subtree aggregate."""
 
     subtree: int
     cts: tuple[Ciphertext, ...]
     count: int
     reporter: int
 
-    def serialize(self) -> bytes:
-        body = b"".join(ct.serialize() for ct in self.cts)
-        return body + wire.ser_ints(self.subtree, self.count)
-
 
 def resolve_divergence(reports: list[AggregateReport]) -> tuple[tuple[Ciphertext, ...], int] | None:
-    """Majority rule over byte-identical aggregate reports.
+    """Majority rule over identical (ciphertexts, count) claims.
 
     Returns the winning (ciphertexts, count) or None when no strict
     majority exists (the subtree is then incomplete).
     """
     if not reports:
         raise ValueError("resolve_divergence needs at least one report")
-    votes: dict[bytes, int] = {}
-    values: dict[bytes, tuple[tuple[Ciphertext, ...], int]] = {}
+    votes: dict[tuple[tuple[Ciphertext, ...], int], int] = {}
     for r in reports:
-        key = r.serialize()
-        votes[key] = votes.get(key, 0) + 1
-        values.setdefault(key, (r.cts, r.count))
-    for key, count in votes.items():
+        votes[(r.cts, r.count)] = votes.get((r.cts, r.count), 0) + 1
+    for claim, count in votes.items():
         if count * 2 > len(reports):
-            return values[key]
+            return claim
     return None
-
-
-def root_decrypt(aggregate: list[Ciphertext], shares: list[KeyShare],
-                 pk: PublicKey, bound: int) -> tuple[int, ...]:
-    """Threshold-decrypt a component-wise aggregate into per-option counts."""
-    counts = []
-    for ct in aggregate:
-        dec = [partial_decrypt(s, ct) for s in shares]
-        counts.append(combine(pk, dec, ct, bound))
-    return tuple(counts)
 
 
 class SppVoter(Peer):
@@ -145,7 +131,7 @@ class SppVoter(Peer):
         self.pk: PublicKey | None = None
         self.pk_votes: dict[int, set[int]] = {}
         self.cast_done = False
-        self.ballots: dict[int, tuple[list[Ciphertext], BallotProof]] = {}
+        self.ballots: dict[int, tuple[list[Ciphertext], BallotProof] | None] = {}
         self.cluster_agg: list[Ciphertext] | None = None
         self.cluster_accepted = 0
         self.reports: dict[int, dict[int, AggregateReport]] = {c: {} for c in self.children}
@@ -220,11 +206,7 @@ class SppVoter(Peer):
         self.cast_done = True
         ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
         cts, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
-        payload = {
-            "t": "ballot",
-            "cts": [[c.a, c.b] for c in cts],
-            "proof": proof.to_obj(),
-        }
+        payload = {"t": "ballot", "cts": cts_to_obj(cts), "proof": proof.to_obj()}
         self.ballots[self.pid] = (cts, proof)
         for member in self.members:
             if member != self.pid:
@@ -234,50 +216,48 @@ class SppVoter(Peer):
     # -- aggregation --------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
+        """Each field is type-checked here. A malformed ballot counts as
+        received and invalid; any other malformed message is ignored."""
         if self.done:
             return
-        kind = msg.get("t")
-        if kind == "dkg-share" and self.is_root and sender in self.members:
-            self._dkg_receive(ctx, sender, int(msg["v"]), None)
-        elif kind == "dkg-commit" and self.is_root and sender in self.members:
-            self._dkg_receive(ctx, sender, None, int(msg["v"]))
-        elif kind == "pubkey":
-            self._adopt_pubkey(ctx, sender, int(msg["h"]))
+        kind, v, group, d = msg.get("t"), msg.get("v"), self.group, self.params.d
+        root_member = self.is_root and sender in self.members
+        if kind == "dkg-share" and root_member and type(v) is int and 0 <= v < group.q:
+            self._dkg_receive(ctx, sender, v, None)
+        elif kind == "dkg-commit" and root_member and type(v) is int and 0 < v < group.p:
+            self._dkg_receive(ctx, sender, None, v)
+        elif kind == "pubkey" and type(msg.get("h")) is int and 0 < msg["h"] < group.p:
+            self._adopt_pubkey(ctx, sender, msg["h"])
         elif kind == "ballot":
             if sender in self.members and sender not in self.ballots:
-                cts = [Ciphertext(self.group, int(a), int(b)) for a, b in msg["cts"]]
-                self.ballots[sender] = (cts, BallotProof.from_obj(msg["proof"]))
+                self.ballots[sender] = parse_ballot(group, d, msg.get("cts"), msg.get("proof"))
                 self._maybe_aggregate(ctx)
         elif kind == "report":
             subtree, count = msg.get("subtree"), msg.get("count")
-            if (type(subtree) is int and type(count) is int and subtree in self.reports
-                    and sender in self.child_members[subtree]):
-                if sender not in self.reports[subtree]:
-                    cts = tuple(
-                        Ciphertext(self.group, int(a), int(b)) for a, b in msg["cts"]
-                    )
-                    self.reports[subtree][sender] = AggregateReport(subtree, cts, count, sender)
-                    self._maybe_resolve(ctx, subtree)
+            cts = parse_cts(group, msg.get("cts"), d)
+            if (cts is not None and type(subtree) is int and type(count) is int
+                    and subtree in self.reports and sender in self.child_members[subtree]
+                    and sender not in self.reports[subtree]):
+                self.reports[subtree][sender] = AggregateReport(subtree, tuple(cts), count, sender)
+                self._maybe_resolve(ctx, subtree)
         elif kind == "decshare":
-            if self.is_root and sender in self.members:
-                self._collect_decshare(ctx, int(msg["idx"]), msg["v"], str(msg["agg"]))
+            idx, agg = msg.get("idx"), msg.get("agg")
+            values = parse_decshare(group, self.params.cluster_size, idx, v, d)
+            if root_member and values is not None and type(agg) is str:
+                self._collect_decshare(ctx, idx, values, agg)
         elif kind == "result":
-            self._adopt_result(ctx, sender, tuple(int(x) for x in msg["tally"]), int(msg["count"]))
+            tally, count = wire.int_vector(msg.get("tally"), d), msg.get("count")
+            if tally is not None and type(count) is int:
+                self._adopt_result(ctx, sender, tally, count)
 
     def _maybe_aggregate(self, ctx):
         if self.cluster_agg is not None or self.pk is None:
             return
         if len(self.ballots) < self.params.cluster_size:
             return
-        valid = []
-        for member in self.members:
-            cts, proof = self.ballots[member]
-            if len(cts) == self.params.d and verify_ballot(self.pk, cts, proof):
-                valid.append(cts)
-        agg = [encrypt_zero(self.pk) for _ in range(self.params.d)]
-        for cts in valid:
-            agg = [hom_add(a, c) for a, c in zip(agg, cts)]
-        self.cluster_agg = agg
+        ballots = [self.ballots[member] for member in self.members]
+        valid = [b[0] for b in ballots if b is not None and verify_ballot(self.pk, *b)]
+        self.cluster_agg = hom_add_vectors(self.pk, self.params.d, valid)
         self.cluster_accepted = len(valid)
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         self._maybe_send_up(ctx)
@@ -302,14 +282,10 @@ class SppVoter(Peer):
             return
         if len(self.resolved) < len(self.children):
             return
-        agg = list(self.cluster_agg)
-        count = self.cluster_accepted
-        for child in self.children:
-            cts, child_count = self.resolved[child]
-            agg = [hom_add(a, c) for a, c in zip(agg, cts)]
-            count += child_count
-        self.subtree_agg = agg
-        self.subtree_count = count
+        claims = [self.resolved[child] for child in self.children]
+        self.subtree_agg = agg = hom_add_vectors(
+            self.pk, self.params.d, [self.cluster_agg, *(cts for cts, _ in claims)])
+        self.subtree_count = count = self.cluster_accepted + sum(c for _, c in claims)
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         if self.is_root:
             self._start_decryption(ctx)
@@ -317,12 +293,8 @@ class SppVoter(Peer):
                 self._collect_decshare(ctx, idx, values, digest)
             self.pending_decshares.clear()
         else:
-            payload = {
-                "t": "report",
-                "subtree": self.cluster,
-                "cts": [[c.a, c.b] for c in agg],
-                "count": count,
-            }
+            payload = {"t": "report", "subtree": self.cluster, "cts": cts_to_obj(agg),
+                       "count": count}
             for member in self.parent_members:
                 ctx.send(member, payload, PHASE_AGGREGATION)
 
@@ -357,21 +329,13 @@ class SppVoter(Peer):
             return
         if agg_digest != self._agg_digest():
             return  # share computed against a different aggregate
-        if idx not in self.dec_shares:
-            self.dec_shares[idx] = [int(v) for v in values]
+        self.dec_shares.setdefault(idx, values)
         if len(self.dec_shares) < self.params.t:
             return
-        counts = []
         try:
-            for comp, ct in enumerate(self.subtree_agg):
-                shares = [
-                    DecryptionShare(i, vals[comp])
-                    for i, vals in sorted(self.dec_shares.items())
-                ]
-                counts.append(combine(self.pk, shares, ct, self.params.n))
-        except Exception:
+            self.tally = combine_vector(self.pk, self.dec_shares, self.subtree_agg, self.params.n)
+        except CryptoError:
             return  # inconsistent shares: stay incomplete
-        self.tally = tuple(counts)
         self.accepted = self.subtree_count
         ctx.log_action(PHASE_EVALUATION, "evaluate")
         self._spread_result(ctx)

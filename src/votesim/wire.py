@@ -24,6 +24,16 @@ def loads(data: bytes) -> Any:
     return json.loads(data.decode())
 
 
+def int_vector(value: Any, n: int) -> tuple[int, ...] | None:
+    """A received list of n ints as a tuple; None when it is anything else."""
+    if not isinstance(value, list) or len(value) != n:
+        return None
+    for x in value:  # a plain loop: this runs on every DPol share, sum and map entry
+        if type(x) is not int:
+            return None
+    return tuple(value)
+
+
 def digest(data: bytes) -> str:
     """Lowercase hex SHA-256 of raw payload bytes."""
     return hashlib.sha256(data).hexdigest()

@@ -85,6 +85,29 @@ def test_helios_tampered_bulletin_stays_in_the_run_group():
     assert all(TEST_GROUP.is_element(int(x)) for ct in tampered for x in ct)
 
 
+@pytest.mark.parametrize("field,value", [("cts", "x"), ("cts", [[1, 1]]),
+                                         ("proof", {"comp": [[-1] * 8] * 2, "sum": [1, 1, 1]})])
+def test_helios_malformed_ballot_counts_as_invalid(field, value):
+    register_behavior(
+        "test:helios-ballot-malformed",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, field: value} if msg.get("t") == "ballot" else msg
+        ),
+    )
+    choices = h_choices(9, 2, 8)
+    out, _ = run_helios_like(
+        HeliosParams(9, 3, 2, 2), choices,
+        FaultModel(max_delay=3, byzantine={2: "test:helios-ballot-malformed"}),
+        seed=8, group=TEST_GROUP,
+    )
+    assert out.completion == 1.0
+    assert out.details["accepted"] == 8
+    assert out.details["verification_failures"] == set()
+    assert set(out.tallies.values()) == {
+        histogram([c for pid, c in enumerate(choices) if pid != 2], 2)
+    }
+
+
 def test_helios_crashed_voters_do_not_block_the_rest():
     choices = h_choices(9, 2, 4)
     out, _ = run_helios_like(
@@ -185,3 +208,19 @@ def test_mesh_partial_reconstruction_fails():
             total = [(a + s) % MESH_MODULUS for a, s in zip(total, share)]
         hits += tuple(total) == (1, 0)
     assert hits == 0
+
+
+@pytest.mark.parametrize("kind", ["share", "colsum"])
+@pytest.mark.parametrize("rewrite", [lambda v: "x", lambda v: v[:1], lambda v: [*v[:1], "x"]],
+                         ids=["string", "short", "non-int"])
+def test_mesh_malformed_vector_is_ignored(kind, rewrite):
+    register_behavior(
+        "test:mesh-malformed",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "v": rewrite(msg["v"])} if msg.get("t") == kind else msg
+        ),
+    )
+    choices = h_choices(5, 2, 9)
+    out, _ = run_mesh_share(5, 2, choices, seed=9,
+                            faults=FaultModel(byzantine={1: "test:mesh-malformed"}))
+    assert all(out.tallies[pid] is None for pid in range(5) if pid != 1)

@@ -14,6 +14,7 @@ from votesim.crypto import (
     PlaintextOutOfRange,
     TEST_GROUP,
     combine,
+    combine_vector,
     decrypt,
     dlog_recover,
     encrypt_random,
@@ -112,6 +113,20 @@ def test_insufficient_shares_raise():
     c = encrypt_random(pk, 1, rng)
     with pytest.raises(InsufficientShares, match="insufficient shares"):
         combine(pk, [partial_decrypt(shares[0], c)], c, 10)
+
+
+def test_combine_vector_threshold_semantics():
+    pk, shares = threshold_keygen(3, 4, TEST_GROUP, seed=9)
+    rng = random.Random(9)
+    agg = [encrypt_random(pk, 5, rng), encrypt_random(pk, 2, rng)]
+
+    def by_index(holders):
+        return {s.index: [partial_decrypt(s, ct).value for ct in agg] for s in holders}
+
+    assert combine_vector(pk, by_index(shares[:3]), agg, bound=7) == (5, 2)
+    assert combine_vector(pk, by_index(shares[1:]), agg, bound=7) == (5, 2)
+    with pytest.raises(InsufficientShares):
+        combine_vector(pk, by_index(shares[:2]), agg, bound=7)
 
 
 def test_plaintext_bound_violation():

@@ -209,3 +209,28 @@ def test_map_with_non_integer_round_is_ignored():
     out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(byzantine={4: "test:map-round-x"}),
                       seed=9)
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+# Hostile map bodies: a cluster key that is not an index, and a cluster tally
+# that is not d ints. Either way the honest peer ignores the whole map.
+HOSTILE_MAPS = {
+    "key-x": lambda m: {"x": [0, 0]},
+    "nested-tally": lambda m: {ci: [[1], [0]] for ci in m},
+}
+
+
+@pytest.mark.parametrize("body", sorted(HOSTILE_MAPS))
+def test_map_with_malformed_body_is_ignored(body):
+    register_behavior(
+        f"test:map-{body}",
+        lambda inner: SendFilter(
+            inner,
+            lambda msg: (
+                {**msg, "m": HOSTILE_MAPS[body](msg["m"])} if msg.get("t") == "map" else msg
+            ),
+        ),
+    )
+    choices = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+    out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(byzantine={4: f"test:map-{body}"}),
+                      seed=9)
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())

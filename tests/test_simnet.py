@@ -6,6 +6,7 @@ from votesim.simnet import (
     Peer,
     PHASE_CASTING,
     ScenarioError,
+    SendFilter,
     Simulator,
 )
 
@@ -44,6 +45,17 @@ def test_no_faults_exactly_one_deliver_per_send():
     assert kinds(trace).count("deliver") == 2
     assert kinds(trace).count("drop") == 0
     assert b.got == [(0, {"ping": 0})]
+
+
+def test_payload_that_is_not_a_json_object_is_not_handed_to_the_peer():
+    sim = Simulator(FaultModel(), 1)
+    a, b = Pinger(0, 1), Pinger(1, 0)
+    sim.add_peer(SendFilter(a, lambda msg: [msg]))
+    sim.add_peer(b)
+    trace = sim.run_until_quiescent()
+    assert kinds(trace).count("deliver") == 2
+    assert b.got == []
+    assert a.got == [(1, {"ping": 1})]
 
 
 def test_total_loss_drops_everything():

@@ -16,7 +16,6 @@ from votesim.spp import (
     BEHAVIOR_SILENT_ROOT,
     SppParams,
     resolve_divergence,
-    root_decrypt,
     run_spp,
 )
 from votesim import wire
@@ -141,18 +140,6 @@ def test_resolve_empty_is_error():
         resolve_divergence([])
 
 
-def test_root_decrypt_threshold_semantics():
-    pk, shares = threshold_keygen(3, 4, TEST_GROUP, seed=9)
-    rng = random.Random(9)
-    agg = [encrypt_random(pk, 5, rng), encrypt_random(pk, 2, rng)]
-    assert root_decrypt(agg, shares[:3], pk, bound=7) == (5, 2)
-    assert root_decrypt(agg, shares[1:], pk, bound=7) == (5, 2)
-    from votesim.crypto import InsufficientShares
-
-    with pytest.raises(InsufficientShares):
-        root_decrypt(agg, shares[:2], pk, bound=7)
-
-
 def test_single_liar_every_placement_still_exact():
     # Exhaustive placement at desk scale: any single lying aggregator,
     # wherever it sits, cannot move the selected aggregate.
@@ -228,3 +215,36 @@ def test_report_with_non_integer_count_is_ignored():
     out, _ = run_spp(SppParams(8, 4, 2, 2), choices, faultless(byzantine={liar: "test:count-x"}),
                      seed=12, group=TEST_GROUP)
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+def test_malformed_report_is_ignored():
+    register_behavior(
+        "test:report-cts-x",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "cts": "x"} if msg.get("t") == "report" else msg
+        ),
+    )
+    choices = spp_choices(8, 2, 12)
+    ov = build_tree_clusters(8, 4, wire.derive_seed(12, "overlay"))
+    liar = ov.members(1)[0]
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine={liar: "test:report-cts-x"}), seed=12, group=TEST_GROUP)
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+@pytest.mark.parametrize("field,value", [("cts", "x"), ("cts", [[1, "x"], [1, 1]]),
+                                         ("proof", {"comp": [], "sum": []})])
+def test_malformed_ballot_counts_as_invalid(field, value):
+    register_behavior(
+        "test:ballot-malformed",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, field: value} if msg.get("t") == "ballot" else msg
+        ),
+    )
+    choices = spp_choices(8, 2, 12)
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine={5: "test:ballot-malformed"}), seed=12, group=TEST_GROUP)
+    # The liar counts its own ballot, so only the liar may end without a tally.
+    assert out.details["accepted"] == 7
+    expected = histogram([c for pid, c in enumerate(choices) if pid != 5], 2)
+    assert all(t == expected for pid, t in out.tallies.items() if pid != 5)
