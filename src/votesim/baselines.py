@@ -23,6 +23,7 @@ from .crypto import (
     CryptoError,
     KeyShare,
     PublicKey,
+    combine,  # not called here; perfbench's tracer looks it up under this module
     combine_vector,
     cts_to_obj,
     hom_add_vectors,
