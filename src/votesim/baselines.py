@@ -92,6 +92,7 @@ class HeliosVoter(Peer):
         self.choice = choice
         self.group = group
         self.pk: PublicKey | None = None
+        self.cast: list[Ciphertext] | None = None
         self.tally: tuple[int, ...] | None = None
         self.verify_failed = False
 
@@ -101,15 +102,16 @@ class HeliosVoter(Peer):
                 and type(h) is int and 0 < h < self.group.p):
             self.pk = PublicKey(self.group, h, t=self.params.t, n_holders=self.params.trustees)
             ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
-            cts, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
-            ctx.send(self.params.hub, {"t": "ballot", "cts": cts_to_obj(cts),
+            self.cast, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
+            ctx.send(self.params.hub, {"t": "ballot", "cts": cts_to_obj(self.cast),
                                        "proof": proof.to_obj()}, PHASE_CASTING)
         elif kind == "bulletin" and sender == self.params.hub:
             self._verify_bulletin(ctx, msg)
 
     def _parse_bulletin(self, msg: dict) -> tuple | None:
-        """(ballots, shares by trustee index, tally, accepted), or None when
-        any field of the bulletin is malformed."""
+        """(ballots, the ciphertexts listed under this voter's id, shares by
+        trustee index, tally, accepted), or None when any field of the
+        bulletin is malformed."""
         group, d = self.group, self.params.d
         entries, pairs, accepted = msg.get("ballots"), msg.get("shares"), msg.get("accepted")
         tally = wire.int_vector(msg.get("tally"), d)
@@ -124,16 +126,19 @@ class HeliosVoter(Peer):
                   for idx, vals in pairs}
         if None in ballots or None in shares.values():
             return None
-        return ballots, shares, tally, accepted
+        mine = [b[0] for (voter, _, _), b in zip(entries, ballots) if voter == self.pid]
+        return ballots, mine, shares, tally, accepted
 
     def _verify_bulletin(self, ctx, msg):
-        """Recompute everything the hub published: proofs, the homomorphic
-        sum, the threshold combination and the claimed tally. A malformed
-        bulletin fails verification."""
+        """Check that the bulletin lists exactly the ballot this voter cast
+        under its id, and recompute everything the hub published: proofs, the
+        homomorphic sum, the threshold combination and the claimed tally. A
+        malformed bulletin fails verification."""
         parsed = self._parse_bulletin(msg) if self.pk is not None else None
-        ok = parsed is not None and all(verify_ballot(self.pk, *b) for b in parsed[0])
+        ok = (parsed is not None and parsed[1] == [self.cast]
+              and all(verify_ballot(self.pk, *b) for b in parsed[0]))
         if ok:
-            ballots, shares, tally, accepted = parsed
+            ballots, _, shares, tally, accepted = parsed
             agg = hom_add_vectors(self.pk, self.params.d, (cts for cts, _ in ballots))
             try:
                 ok = combine_vector(self.pk, shares, agg, self.params.n) == tally

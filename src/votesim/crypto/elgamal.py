@@ -29,6 +29,9 @@ class PublicKey:
     t: int = 1
     n_holders: int = 1
 
+    def __post_init__(self) -> None:
+        self.group.fix_base(self.h)
+
     def serialize(self) -> bytes:
         return wire.ser_ints(self.h, self.t, self.n_holders)
 

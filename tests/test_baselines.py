@@ -85,6 +85,26 @@ def test_helios_tampered_bulletin_stays_in_the_run_group():
     assert all(TEST_GROUP.is_element(int(x)) for ct in tampered for x in ct)
 
 
+def test_helios_wrong_key_from_hub_is_detected_by_every_voter():
+    # Ballots made under h*g fail at the hub, which then publishes an empty
+    # bulletin with a zero tally; each voter misses its own ballot there.
+    def wrong_key(msg):
+        if msg.get("t") == "pubkey":
+            return {**msg, "h": TEST_GROUP.mul(msg["h"], TEST_GROUP.g)}
+        return msg
+
+    register_behavior("test:helios-wrong-key", lambda inner: SendFilter(inner, wrong_key))
+    params = HeliosParams(9, 3, 2, 2)
+    out, _ = run_helios_like(
+        params, h_choices(9, 2, 3),
+        FaultModel(max_delay=3, byzantine={params.hub: "test:helios-wrong-key"}),
+        seed=3, group=TEST_GROUP,
+    )
+    assert out.details["accepted"] == 0
+    assert out.details["verification_failures"] == set(range(9))
+    assert out.completion == 0.0
+
+
 @pytest.mark.parametrize("field,value", [("cts", "x"), ("cts", [[1, 1]]),
                                          ("proof", {"comp": [[-1] * 8] * 2, "sum": [1, 1, 1]})])
 def test_helios_malformed_ballot_counts_as_invalid(field, value):
@@ -100,10 +120,13 @@ def test_helios_malformed_ballot_counts_as_invalid(field, value):
         FaultModel(max_delay=3, byzantine={2: "test:helios-ballot-malformed"}),
         seed=8, group=TEST_GROUP,
     )
-    assert out.completion == 1.0
+    # Voter 2 cast a valid ballot that its own filter rewrote, so that ballot
+    # is not on the bulletin and voter 2 rejects it; every other voter accepts.
+    assert out.completion == 8 / 9
     assert out.details["accepted"] == 8
-    assert out.details["verification_failures"] == set()
-    assert set(out.tallies.values()) == {
+    assert out.details["verification_failures"] == {2}
+    assert out.tallies[2] is None
+    assert {out.tallies[pid] for pid in range(9) if pid != 2} == {
         histogram([c for pid, c in enumerate(choices) if pid != 2], 2)
     }
 

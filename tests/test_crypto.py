@@ -7,11 +7,14 @@ on the default group to make sure the constants are sound.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votesim.crypto import (
     DEFAULT_GROUP,
+    Group,
     InsufficientShares,
     PlaintextOutOfRange,
+    PublicKey,
     TEST_GROUP,
     combine,
     combine_vector,
@@ -37,15 +40,88 @@ from votesim.crypto.blindsig import (
     unblind,
     verify_token,
 )
-from votesim.crypto.group import CryptoError
+from votesim.crypto.group import _KEY_TABLES, CryptoError
 from votesim.crypto.proofs import BallotProof, ComponentProof
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first 20 primes as bases."""
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x not in (1, n - 1) and all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
+            return False
+    return True
 
 
 def test_group_constants_are_sound():
     for g in (TEST_GROUP, DEFAULT_GROUP):
+        # Safe prime: the subgroup of order q is exactly the quadratic residues.
+        assert g.p == 2 * g.q + 1
+        assert _is_probable_prime(g.p) and _is_probable_prime(g.q)
         assert pow(g.g, g.q, g.p) == 1
         assert g.g != 1
         assert g.is_element(g.exp(g.g, 12345))
+
+
+def test_group_refuses_a_modulus_that_is_not_a_safe_prime():
+    with pytest.raises(CryptoError, match="safe prime"):
+        Group(p=23, q=7, g=4)
+    assert Group(p=23, q=11, g=4).is_element(4)
+
+
+GROUPS = pytest.mark.parametrize("group", [TEST_GROUP, DEFAULT_GROUP], ids=["test", "default"])
+
+
+def _exponents(q: int):
+    return (st.sampled_from([0, 1, -1, q - 1, q, q + 1, -q, 2 * q, q ** 3 + 5])
+            | st.integers(-(q ** 2), q ** 2) | st.integers(0, q - 1))
+
+
+@GROUPS
+@settings(max_examples=80)
+@given(data=st.data())
+def test_exp_matches_pow_for_every_base(group, data):
+    p, q, g = group.p, group.q, group.g
+    key = data.draw(st.integers(1, q - 1).map(lambda x: pow(g, x, p)) | st.integers(1, p - 1))
+    PublicKey(group, key)
+    other = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1, -2]) | st.integers(-p, 2 * p))
+    for e in data.draw(st.lists(_exponents(q), min_size=1, max_size=4)):
+        for base in (g, key, other):
+            assert group.exp(base, e) == pow(base, e % q, p)
+    assert g in group._tables and key in group._tables
+
+
+@GROUPS
+@settings(max_examples=200)
+@given(data=st.data())
+def test_is_element_matches_euler_criterion(group, data):
+    p, q = group.p, group.q
+    a = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1, -1, -p, 2 * p])
+                  | st.integers(-p, 2 * p) | st.integers(1, p - 1))
+    assert group.is_element(a) == (0 < a < p and pow(a, q, p) == 1)
+
+
+def test_is_element_matches_euler_criterion_on_all_of_test_group():
+    p, q = TEST_GROUP.p, TEST_GROUP.q
+    assert all(TEST_GROUP.is_element(a) == (pow(a, q, p) == 1) for a in range(1, p))
+
+
+@settings(max_examples=15)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 2 ** 64)), min_size=1, max_size=12))
+def test_key_table_cache_stays_bounded(keys):
+    for default, x in keys:
+        group = DEFAULT_GROUP if default else TEST_GROUP
+        h = group.exp(group.g, x)
+        PublicKey(group, h)
+        assert len(group._keys) <= _KEY_TABLES
+        assert set(group._tables) <= {group.g, *group._keys}
+        assert h in group._tables
 
 
 def test_encrypt_decrypt_zero():
