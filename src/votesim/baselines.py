@@ -103,8 +103,8 @@ class HeliosVoter(Peer):
             self.pk = PublicKey(self.group, h, t=self.params.t, n_holders=self.params.trustees)
             ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
             self.cast, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
-            ctx.send(self.params.hub, {"t": "ballot", "cts": cts_to_obj(self.cast),
-                                       "proof": proof.to_obj()}, PHASE_CASTING)
+            ctx.send((self.params.hub,), {"t": "ballot", "cts": cts_to_obj(self.cast),
+                                          "proof": proof.to_obj()}, PHASE_CASTING)
         elif kind == "bulletin" and sender == self.params.hub:
             self._verify_bulletin(ctx, msg)
 
@@ -170,8 +170,7 @@ class HeliosHub(Peer):
 
     def on_start(self, ctx):
         ctx.log_action(PHASE_REGISTRATION, "publish-key")
-        for voter in range(self.params.n):
-            ctx.send(voter, {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
+        ctx.send(range(self.params.n), {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
 
     def on_message(self, ctx, sender, msg):
         """A malformed ballot counts as collected and invalid; a malformed
@@ -204,9 +203,8 @@ class HeliosHub(Peer):
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         self.agg = hom_add_vectors(self.pk, self.params.d, (cts for _, cts, _ in self.valid))
         self.accepted = len(self.valid)
-        payload = {"t": "decrypt", "cts": cts_to_obj(self.agg)}
-        for trustee in self.params.trustee_ids:
-            ctx.send(trustee, payload, PHASE_EVALUATION)
+        ctx.send(self.params.trustee_ids, {"t": "decrypt", "cts": cts_to_obj(self.agg)},
+                 PHASE_EVALUATION)
 
     def _evaluate(self, ctx):
         shares = sorted(self.dec_shares.items())[: self.params.t]
@@ -222,8 +220,7 @@ class HeliosHub(Peer):
             "tally": list(self.tally),
             "accepted": self.accepted,
         }
-        for voter in range(self.params.n):
-            ctx.send(voter, bulletin, PHASE_EVALUATION)
+        ctx.send(range(self.params.n), bulletin, PHASE_EVALUATION)
         ctx.finish()
 
 
@@ -240,7 +237,7 @@ class HeliosTrustee(Peer):
             ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
             values = [partial_decrypt(self.share, ct).value for ct in cts]
             ctx.send(
-                self.params.hub,
+                (self.params.hub,),
                 {"t": "decshare", "idx": self.share.index, "v": values},
                 PHASE_EVALUATION,
             )
@@ -340,7 +337,7 @@ class MeshVoter(Peer):
                 continue
             share = tuple(ctx.rng.randrange(q) for _ in range(self.d))
             acc = [(a + s) % q for a, s in zip(acc, share)]
-            ctx.send(peer, {"t": "share", "v": list(share)}, PHASE_CASTING)
+            ctx.send((peer,), {"t": "share", "v": list(share)}, PHASE_CASTING)
         # The balancing share stays with the voter, so every share that
         # leaves the machine is an independent uniform vector.
         self.own_share = tuple((u - a) % q for u, a in zip(unit, acc))
@@ -367,9 +364,8 @@ class MeshVoter(Peer):
             col = [(a + s) % q for a, s in zip(col, self.received[sender])]
         self.column = tuple(col)
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
-        for peer in range(self.n):
-            if peer != self.pid:
-                ctx.send(peer, {"t": "colsum", "v": list(col)}, PHASE_AGGREGATION)
+        ctx.send([p for p in range(self.n) if p != self.pid], {"t": "colsum", "v": list(col)},
+                 PHASE_AGGREGATION)
         self.colsums[self.pid] = self.column
         self._maybe_total(ctx)
 

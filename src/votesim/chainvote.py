@@ -33,6 +33,7 @@ from .crypto.blindsig import (
 )
 from .overlay import build_gossip_mesh
 from .simnet import (
+    CrashAfterSteps,
     FaultModel,
     Peer,
     PHASE_AGGREGATION,
@@ -41,7 +42,6 @@ from .simnet import (
     PHASE_REGISTRATION,
     PHASE_VERIFICATION,
     SendFilter,
-    SilentPeer,
     Trace,
     register_behavior,
 )
@@ -430,9 +430,7 @@ class ChainVoter(Peer):
         return ctx.rng.getrandbits(256).to_bytes(32, "big").hex()
 
     def _flood(self, ctx, payload: dict, phase: str, skip: int | None = None):
-        for nb in self.neighbors:
-            if nb != skip:
-                ctx.send(nb, payload, phase)
+        ctx.send([nb for nb in self.neighbors if nb != skip], payload, phase)
 
     # -- gossip ----------------------------------------------------------
 
@@ -510,7 +508,7 @@ class ChainVoter(Peer):
         ctx.finish()
 
 
-register_behavior(BEHAVIOR_SILENT, SilentPeer)
+register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0))
 register_behavior(
     BEHAVIOR_WITHHOLD,
     lambda inner: SendFilter(inner, lambda msg: None if msg.get("t") == "block" else msg),

@@ -28,6 +28,7 @@ from .ballot import (
 )
 from .overlay import RecipientMap, assign_recipients, build_ring_clusters
 from .simnet import (
+    CrashAfterSteps,
     FaultModel,
     Peer,
     PHASE_AGGREGATION,
@@ -36,7 +37,6 @@ from .simnet import (
     Trace,
     register_behavior,
     SendFilter,
-    SilentPeer,
 )
 from . import wire
 
@@ -96,7 +96,7 @@ class DpolVoter(Peer):
             self.choice, self.params, self.run_seed, owner=self.pid
         )
         for share, recipient in zip(share_set.shares, self.recipients):
-            ctx.send(recipient, {"t": "share", "v": list(share)}, PHASE_CASTING)
+            ctx.send((recipient,), {"t": "share", "v": list(share)}, PHASE_CASTING)
 
     # -- aggregation ------------------------------------------------------
 
@@ -142,9 +142,8 @@ class DpolVoter(Peer):
         )
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         self.sums_by_member[self.pid] = self.local_sum
-        for member in self.cluster_members:
-            if member != self.pid:
-                ctx.send(member, {"t": "sum", "v": list(self.local_sum)}, PHASE_AGGREGATION)
+        ctx.send([m for m in self.cluster_members if m != self.pid],
+                 {"t": "sum", "v": list(self.local_sum)}, PHASE_AGGREGATION)
         self._maybe_cluster_tally(ctx)
 
     def _maybe_cluster_tally(self, ctx):
@@ -167,8 +166,7 @@ class DpolVoter(Peer):
             "r": r,
             "m": {str(ci): list(v) for ci, v in sorted(self.known.items())},
         }
-        for recipient in self.recipients:
-            ctx.send(recipient, payload, PHASE_AGGREGATION)
+        ctx.send(self.recipients, payload, PHASE_AGGREGATION)
 
     def _maybe_process_rounds(self, ctx):
         if self.pred_cluster not in self.known:
@@ -273,7 +271,7 @@ def _mutate_lying_sum(msg: dict) -> dict:
 
 register_behavior(BEHAVIOR_INVALID_SHARES, lambda inner: SendFilter(inner, _mutate_invalid_shares))
 register_behavior(BEHAVIOR_LYING_SUM, lambda inner: SendFilter(inner, _mutate_lying_sum))
-register_behavior(BEHAVIOR_SILENT, SilentPeer)
+register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0))
 
 
 def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel, seed: int,

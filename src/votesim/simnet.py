@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import wire
 
@@ -63,14 +63,12 @@ class SimEvent:
     digest: str
     size: int
 
-    def to_obj(self) -> dict:
-        obj: dict[str, Any] = {"time": self.time, "kind": self.kind, "from": self.src}
-        if self.dst is not None:
-            obj["to"] = self.dst
-        obj["phase"] = self.phase
-        obj["digest"] = self.digest
-        obj["size"] = self.size
-        return obj
+    def to_line(self) -> str:
+        """The event as the JSON line ``wire.dumps`` would make; kind, phase
+        and digest never need escaping, as the simulator rejects other phases."""
+        to = "" if self.dst is None else f',"to":{self.dst}'
+        return (f'{{"digest":"{self.digest}","from":{self.src},"kind":"{self.kind}",'
+                f'"phase":"{self.phase}","size":{self.size},"time":{self.time}{to}}}\n')
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ class Trace:
     params: dict
 
     def to_jsonl(self) -> str:
-        return "".join(wire.dumps(e.to_obj()).decode() + "\n" for e in self.events)
+        return "".join(e.to_line() for e in self.events)
 
     def message_count(self) -> int:
         return sum(1 for e in self.events if e.kind == KIND_SEND)
@@ -231,8 +229,11 @@ class PeerContext:
     def rng(self) -> random.Random:
         return self._sim.peer_rng(self.pid)
 
-    def send(self, dst: int, msg: dict, phase: str) -> int:
-        return self._sim.send(self.pid, dst, wire.dumps(msg), phase)
+    def send(self, dsts: Iterable[int], msg: dict, phase: str) -> None:
+        """Send ``msg`` to each peer of ``dsts`` in order, encoded once."""
+        payload = wire.dumps(msg)
+        for dst in dsts:
+            self._sim.send(self.pid, dst, payload, phase)
 
     def log_action(self, phase: str, action: str,
                    consumes: tuple[str, ...] = (), detail: dict | None = None) -> None:
@@ -256,16 +257,8 @@ def register_behavior(name: str, factory: Callable[[Peer], Peer]) -> None:
     _BEHAVIORS[name] = factory
 
 
-class SilentPeer(Peer):
-    """Wrapper that swallows every activation: the peer emits nothing."""
-
-    def __init__(self, inner: Peer):
-        super().__init__(inner.pid)
-        self.inner = inner
-
-
 class CrashAfterSteps(Peer):
-    """Runs the inner machine for N activations, then goes silent."""
+    """Runs the inner machine for N activations (none if N = 0), then goes silent."""
 
     def __init__(self, inner: Peer, steps: int):
         super().__init__(inner.pid)
@@ -304,11 +297,12 @@ class _FilteredContext(PeerContext):
         self._ctx = ctx
         self._f = f
 
-    def send(self, dst, msg, phase):
-        msg = self._f(msg)
-        if msg is None:
-            return -1
-        return self._ctx.send(dst, msg, phase)
+    def send(self, dsts, msg, phase):
+        # One filter call per destination, so a liar can equivocate.
+        for dst in dsts:
+            out = self._f(msg)
+            if out is not None:
+                self._ctx.send((dst,), out, phase)
 
 
 class SendFilter(Peer):
@@ -390,7 +384,7 @@ class Simulator:
 
     # -- actions peers take --------------------------------------------
 
-    def send(self, src: int, dst: int, payload: bytes, phase: str) -> int:
+    def send(self, src: int, dst: int, payload: bytes, phase: str) -> None:
         if not self._running:
             raise ScenarioError("send outside of a running simulation")
         if self.is_crashed(src):
@@ -414,10 +408,11 @@ class Simulator:
                 dropped = self._net_rng.random() < p
         kind = "drop" if dropped else "deliver"
         self._push(self.now + delay, (kind, src, dst, phase, payload))
-        return msg_id
 
     def local_action(self, pid: int, phase: str, action: str,
                      consumes: tuple[str, ...] = (), detail: dict | None = None) -> None:
+        if phase not in PHASES:
+            raise ConfigError(f"unknown phase {phase!r}")
         payload = wire.dumps({"action": action, **(detail or {})})
         self._record(KIND_LOCAL, pid, None, phase, payload)
         self.roles.record(pid, PerformedAction(phase, action, tuple(consumes)))

@@ -45,8 +45,8 @@ from .simnet import (
     PHASE_EVALUATION,
     PHASE_REGISTRATION,
     PHASE_VERIFICATION,
+    CrashAfterSteps,
     SendFilter,
-    SilentPeer,
     Trace,
     register_behavior,
 )
@@ -162,8 +162,8 @@ class SppVoter(Peer):
             if member == self.pid:
                 self._dkg_receive(ctx, self.pid, share, commit)
             else:
-                ctx.send(member, {"t": "dkg-share", "v": share}, PHASE_REGISTRATION)
-                ctx.send(member, {"t": "dkg-commit", "v": commit}, PHASE_REGISTRATION)
+                ctx.send((member,), {"t": "dkg-share", "v": share}, PHASE_REGISTRATION)
+                ctx.send((member,), {"t": "dkg-commit", "v": commit}, PHASE_REGISTRATION)
 
     def _dkg_receive(self, ctx, dealer: int, share: int | None, commit: int | None):
         if share is not None:
@@ -183,9 +183,8 @@ class SppVoter(Peer):
             self._cast(ctx)
 
     def _spread_pubkey(self, ctx):
-        for child in self.children:
-            for member in self.child_members[child]:
-                ctx.send(member, {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
+        ctx.send([m for c in self.children for m in self.child_members[c]],
+                 {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
 
     def _adopt_pubkey(self, ctx, sender: int, h: int):
         if self.pk is not None or sender not in self.parent_members:
@@ -209,9 +208,7 @@ class SppVoter(Peer):
         cts, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
         payload = {"t": "ballot", "cts": cts_to_obj(cts), "proof": proof.to_obj()}
         self.ballots[self.pid] = (cts, proof)
-        for member in self.members:
-            if member != self.pid:
-                ctx.send(member, payload, PHASE_CASTING)
+        ctx.send([m for m in self.members if m != self.pid], payload, PHASE_CASTING)
         self._maybe_aggregate(ctx)
 
     # -- aggregation --------------------------------------------------------
@@ -296,8 +293,7 @@ class SppVoter(Peer):
         else:
             payload = {"t": "report", "subtree": self.cluster, "cts": cts_to_obj(agg),
                        "count": count}
-            for member in self.parent_members:
-                ctx.send(member, payload, PHASE_AGGREGATION)
+            ctx.send(self.parent_members, payload, PHASE_AGGREGATION)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -320,7 +316,7 @@ class SppVoter(Peer):
             if member == self.pid:
                 self._collect_decshare(ctx, self.key_share.index, values, payload["agg"])
             else:
-                ctx.send(member, payload, PHASE_EVALUATION)
+                ctx.send((member,), payload, PHASE_EVALUATION)
 
     def _collect_decshare(self, ctx, idx: int, values: list[int], agg_digest: str):
         if self.tally is not None:
@@ -344,9 +340,8 @@ class SppVoter(Peer):
 
     def _spread_result(self, ctx):
         payload = {"t": "result", "tally": list(self.tally), "count": self.accepted}
-        for child in self.children:
-            for member in self.child_members[child]:
-                ctx.send(member, payload, PHASE_EVALUATION)
+        ctx.send([m for c in self.children for m in self.child_members[c]], payload,
+                 PHASE_EVALUATION)
 
     def _adopt_result(self, ctx, sender: int, tally: tuple[int, ...], count: int):
         if self.tally is not None or sender not in self.parent_members:
@@ -401,7 +396,7 @@ register_behavior(
 register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendFilter(inner, _mutate_proof))
 register_behavior(
     BEHAVIOR_SILENT_ROOT,
-    lambda inner: SilentPeer(inner) if getattr(inner, "is_root", False) else inner,
+    lambda inner: CrashAfterSteps(inner, 0) if getattr(inner, "is_root", False) else inner,
 )
 
 

@@ -1,20 +1,31 @@
-import pytest
+import itertools
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from votesim import wire
 from votesim.simnet import (
     ConfigError,
     FaultModel,
+    KIND_DELIVER,
+    KIND_DROP,
+    KIND_LOCAL,
+    KIND_SEND,
     Peer,
     PHASE_CASTING,
+    PHASES,
     ScenarioError,
     SendFilter,
+    SimEvent,
     Simulator,
 )
 
 
 class Pinger(Peer):
-    """Sends one message to a fixed peer on start."""
+    """Sends one message to a fixed list of peers on start."""
 
-    def __init__(self, pid, to):
+    def __init__(self, pid, *to):
         super().__init__(pid)
         self.to = to
         self.got = []
@@ -99,17 +110,29 @@ def test_zero_peers_quiescent_empty_trace():
     assert sim.quiescent
 
 
-def test_single_peer_local_actions_only():
-    class Soloist(Peer):
-        def on_start(self, ctx):
-            ctx.log_action(PHASE_CASTING, "cast")
-            ctx.finish()
+class Soloist(Peer):
+    def on_start(self, ctx):
+        ctx.log_action(PHASE_CASTING, "cast")
+        ctx.finish()
 
+
+def test_single_peer_local_actions_only():
     sim = Simulator(FaultModel(), 1)
     sim.add_peer(Soloist(0))
     trace = sim.run_until_quiescent()
     assert [e.kind for e in trace.events] == ["local-action"]
     assert sim.terminated == {0}
+
+
+def test_local_action_in_unknown_phase_is_config_error():
+    class Typo(Peer):
+        def on_start(self, ctx):
+            ctx.log_action("castng", "cast")
+
+    sim = Simulator(FaultModel(), 1)
+    sim.add_peer(Typo(0))
+    with pytest.raises(ConfigError):
+        sim.run_until_quiescent()
 
 
 def test_crashed_peer_never_sends_and_never_receives():
@@ -172,22 +195,83 @@ def test_targeted_message_loss():
 
 def test_trace_jsonl_fields():
     _, _, _, trace = run_pair(FaultModel())
-    import json
-
     lines = [json.loads(l) for l in trace.to_jsonl().splitlines()]
     for obj in lines:
         assert set(obj) == {"time", "kind", "from", "to", "phase", "digest", "size"}
         assert len(obj["digest"]) == 64
+    sim = Simulator(FaultModel(), 1)
+    sim.add_peer(Soloist(0))
+    (local,) = [json.loads(l) for l in sim.run_until_quiescent().to_jsonl().splitlines()]
+    assert local["kind"] == "local-action"
+    assert set(local) == {"time", "kind", "from", "phase", "digest", "size"}
+
+
+def reference_to_obj(e: SimEvent) -> dict:
+    """A trace event as the dict whose ``wire.dumps`` encoding
+    ``SimEvent.to_line`` must reproduce."""
+    obj = {"time": e.time, "kind": e.kind, "from": e.src}
+    if e.dst is not None:
+        obj["to"] = e.dst
+    obj["phase"] = e.phase
+    obj["digest"] = e.digest
+    obj["size"] = e.size
+    return obj
+
+
+_INTS = st.integers(0, 2**63)
+
+
+@settings(max_examples=300)
+@given(st.builds(
+    SimEvent,
+    time=_INTS,
+    kind=st.sampled_from([KIND_SEND, KIND_DELIVER, KIND_DROP, KIND_LOCAL]),
+    src=_INTS,
+    dst=st.none() | _INTS,
+    phase=st.sampled_from(PHASES),
+    digest=st.binary(max_size=8).map(wire.digest),
+    size=_INTS,
+))
+def test_to_line_matches_wire_dumps(e):
+    assert e.to_line() == wire.dumps(reference_to_obj(e)).decode() + "\n"
+
+
+def fan_out(faults, sender):
+    """Run ``sender`` as peer 0 beside silent receivers 1, 2 and 3."""
+    sim = Simulator(faults, 1)
+    receivers = [Pinger(pid) for pid in (1, 2, 3)]
+    for peer in [sender, *receivers]:
+        sim.add_peer(peer)
+    return receivers, sim.run_until_quiescent()
+
+
+def test_filter_runs_once_per_destination_of_a_fan_out():
+    counter = itertools.count()
+    sender = SendFilter(Pinger(0, 1, 2, 3), lambda msg: {"n": next(counter)})
+    receivers, _ = fan_out(FaultModel(), sender)
+    assert [r.got for r in receivers] == [[(0, {"n": 0})], [(0, {"n": 1})], [(0, {"n": 2})]]
+
+
+def test_targeted_loss_hits_one_destination_of_a_fan_out():
+    receivers, trace = fan_out(FaultModel(lose_messages=frozenset({1})), Pinger(0, 1, 2, 3))
+    assert [(e.kind, e.dst) for e in trace.events if e.kind != "send"] == [
+        ("deliver", 1), ("drop", 2), ("deliver", 3)]
+    assert [len(r.got) for r in receivers] == [1, 0, 1]
+
+
+def test_send_to_nobody_records_nothing():
+    _, trace = fan_out(FaultModel(), Pinger(0))
+    assert trace.events == []
 
 
 def test_max_ticks_reports_incomplete():
     class Echo(Peer):
         def on_message(self, ctx, sender, msg):
-            ctx.send(sender, msg, PHASE_CASTING)
+            ctx.send((sender,), msg, PHASE_CASTING)
 
         def on_start(self, ctx):
             if ctx.pid == 0:
-                ctx.send(1, {"x": 1}, PHASE_CASTING)
+                ctx.send((1,), {"x": 1}, PHASE_CASTING)
 
     sim = Simulator(FaultModel(), 1)
     sim.add_peer(Echo(0))
