@@ -31,11 +31,12 @@ class InconsistentAggregate(Exception):
 @dataclass(frozen=True)
 class DpolParams:
     """n voters, privacy parameter k, d options; m = k/(d-1) shares per
-    non-chosen option."""
+    non-chosen option. ``audit`` asks a run for the forensic share audit."""
 
     n: int
     k: int
     d: int
+    audit: bool = False
 
     @property
     def m(self) -> int:

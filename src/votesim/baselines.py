@@ -264,8 +264,7 @@ register_behavior(
 
 
 def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel,
-                    seed: int, group: Group = DEFAULT_GROUP,
-                    max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
+                    seed: int, group: Group = DEFAULT_GROUP) -> tuple[simnet.Outcome, Trace]:
     """Centralized homomorphic election with trustee threshold decryption.
 
     The hub and trustees are distinguished non-voter peers fixed by the
@@ -289,14 +288,12 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
         }
 
     return simnet.run_election(
-        "helios", params.n, params.d, seed, choices, faults, ov.to_obj(),
-        lambda pid, choice: HeliosVoter(pid, params, choice, group),
-        details, params={"trustees": params.trustees, "t": params.t},
+        "helios", params, choices, faults, seed, ov.to_obj(),
+        lambda pid, choice: HeliosVoter(pid, params, choice, group), details,
         others=(hub, *trustees),
         roles=((ROLE_HUB, {params.hub}, "configured"),
                (ROLE_TRUSTEE, set(params.trustee_ids), "configured",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY))),
-        max_ticks=max_ticks,
     )
 
 
@@ -381,15 +378,15 @@ class MeshVoter(Peer):
         ctx.finish()
 
 
-def run_mesh_share(n: int, d: int, choices: list[int], seed: int,
-                   faults: FaultModel | None = None,
-                   max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
+def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
+                   seed: int) -> tuple[simnet.Outcome, Trace]:
     """Additive-sharing baseline; exactly 2n(n-1) messages, no robustness."""
-    MeshParams(n, d).validate()
+    params.validate()
+    n, d = params.n, params.d
     # The baseline talks peer-to-peer over the complete graph.
     links = tuple((a, b) for a in range(n) for b in range(a + 1, n))
     ov = Overlay(GOSSIP_MESH, n, (tuple(range(n)),), links, {"degree": n - 1})
     return simnet.run_election(
-        "mesh", n, d, seed, choices, faults or FaultModel(), ov.to_obj(),
-        lambda pid, choice: MeshVoter(pid, n, d, choice), max_ticks=max_ticks,
+        "mesh", params, choices, faults, seed, ov.to_obj(),
+        lambda pid, choice: MeshVoter(pid, n, d, choice),
     )

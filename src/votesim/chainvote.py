@@ -527,8 +527,7 @@ register_behavior(BEHAVIOR_DOUBLE_SPEND, _enable_double_spend)
 
 
 def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
-                  seed: int,
-                  max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
+                  seed: int) -> tuple[simnet.Outcome, Trace]:
     """Run a full bulletin-board election.
 
     Tokens are issued to every voter identity up front (the registration
@@ -547,18 +546,10 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
         }
 
     return simnet.run_election(
-        "chainvote", params.n, params.d, seed, choices, faults, ov.to_obj(),
+        "chainvote", params, choices, faults, seed, ov.to_obj(),
         lambda pid, choice: ChainVoter(pid, params, ov.neighbors(pid), key.public,
                                        tokens[pid], choice),
         details,
-        params={
-            "degree": params.degree,
-            "difficulty": params.difficulty,
-            "block_capacity": params.block_capacity,
-            "cutoff_height": params.cutoff_height,
-            "issuer_bits": params.issuer_bits,
-        },
-        max_ticks=max_ticks,
     )
 
 

@@ -41,8 +41,6 @@ EXPECTED_TABLE1: dict[str, tuple[str, str, str]] = {
 
 TABLE1_ORDER = ("paper-based", "helios", "spp", "dpol", "chainvote")
 
-_SWEEP_PROTOCOLS = ("mesh", "dpol", "spp", "chainvote", "helios")
-
 
 def _sweep_scenario(protocol: str, n: int, seed: int) -> scenarios.Scenario:
     """The canonical scenario at size n; chainvote mines easier blocks that
@@ -172,7 +170,7 @@ def cmd_sweep(args) -> int:
     if len(set(ns)) < 3:
         print("need at least 3 distinct n values", file=sys.stderr)
         return EXIT_CONFIG
-    if args.protocol not in _SWEEP_PROTOCOLS:
+    if args.protocol not in scenarios.PROTOCOLS:
         print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
         return EXIT_CONFIG
     runs = []

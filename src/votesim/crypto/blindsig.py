@@ -59,9 +59,6 @@ class IssuerPublicKey:
     n: int
     e: int
 
-    def serialize(self) -> bytes:
-        return wire.ser_ints(self.n, self.e)
-
 
 @dataclass(frozen=True)
 class IssuerKey:

@@ -32,9 +32,6 @@ class PublicKey:
     def __post_init__(self) -> None:
         self.group.fix_base(self.h)
 
-    def serialize(self) -> bytes:
-        return wire.ser_ints(self.h, self.t, self.n_holders)
-
 
 @dataclass(frozen=True)
 class Ciphertext:
@@ -59,9 +56,6 @@ class KeyShare:
 class DecryptionShare:
     index: int
     value: int  # a^share
-
-    def serialize(self) -> bytes:
-        return wire.ser_ints(self.index, self.value)
 
 
 def keygen(group: Group, rng: random.Random) -> tuple[PublicKey, int]:

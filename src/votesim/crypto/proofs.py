@@ -61,13 +61,6 @@ class BallotProof:
     components: tuple[ComponentProof, ...]
     sum_proof: SumProof
 
-    def serialize(self) -> bytes:
-        nums: list[int] = []
-        for c in self.components:
-            nums.extend(c.to_obj())
-        nums.extend(self.sum_proof.to_obj())
-        return wire.ser_ints(*nums)
-
     def to_obj(self) -> dict:
         return {
             "comp": [c.to_obj() for c in self.components],

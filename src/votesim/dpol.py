@@ -274,13 +274,12 @@ register_behavior(BEHAVIOR_LYING_SUM, lambda inner: SendFilter(inner, _mutate_ly
 register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0))
 
 
-def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel, seed: int,
-             audit: bool = False,
-             max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
+def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
+             seed: int) -> tuple[simnet.Outcome, Trace]:
     """Run one complete DPol election on the simulator.
 
     Incomplete runs (losses, crashes, byzantine stalls) report
-    completion < 1 instead of failing. With audit=True, each sender's
+    completion < 1 instead of failing. With params.audit, each sender's
     delivered share multiset is pooled after the run and checked against
     the honest pattern; flagged peers are returned in the outcome.
     """
@@ -290,15 +289,14 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel, seed: i
 
     def details(voters: list[DpolVoter]) -> dict:
         return {
-            "flagged": _pooled_audit(params, rmap, voters) if audit else set(),
+            "flagged": _pooled_audit(params, rmap, voters) if params.audit else set(),
             "inconsistent": {v.pid for v in voters if v.decode_failed},
-            "audited": audit,
+            "audited": params.audit,
         }
 
     return simnet.run_election(
-        "dpol", params.n, params.d, seed, choices, faults, ov.to_obj(),
-        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed),
-        details, params={"k": params.k, "audit": audit}, max_ticks=max_ticks,
+        "dpol", params, choices, faults, seed, ov.to_obj(),
+        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed), details,
     )
 
 

@@ -18,11 +18,22 @@ from .ballot import DpolParams, EncodingError
 from .baselines import HeliosParams, MeshParams, run_helios_like, run_mesh_share
 from .chainvote import ChainParams, run_chainvote
 from .dpol import run_dpol
-from .simnet import MAX_TICKS, ConfigError, FaultModel, Outcome, Trace
+from .simnet import ConfigError, FaultModel, Outcome, Trace
 from .spp import SppParams, run_spp
 
 SCHEMA = "votesim-scenario/1"
-PROTOCOLS = ("dpol", "spp", "chainvote", "helios", "mesh")
+
+# Each protocol's parameter dataclass and its runner. Every params field is
+# a Scenario field of the same name, and every runner is called as
+# runner(params, choices, faults, seed).
+RUNNERS = {
+    "dpol": (DpolParams, run_dpol),
+    "spp": (SppParams, run_spp),
+    "chainvote": (ChainParams, run_chainvote),
+    "helios": (HeliosParams, run_helios_like),
+    "mesh": (MeshParams, run_mesh_share),
+}
+PROTOCOLS = tuple(RUNNERS)
 
 
 class ScenarioError(Exception):
@@ -47,7 +58,6 @@ class Scenario:
     cutoff_height: int | None = None
     issuer_bits: int = 768
     audit: bool = False
-    max_ticks: int = MAX_TICKS
     faults: FaultModel = field(default_factory=FaultModel)
 
     def to_obj(self) -> dict:
@@ -68,46 +78,56 @@ class Scenario:
 _JSON_TYPES = {"int": int, "bool": bool, "list": list}
 
 
+def _is(value, types) -> bool:
+    """isinstance, except that a JSON true/false is not a number."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
 def _need(obj: dict, key: str, types, path: str = ""):
     where = f"{path}{key}"
     if key not in obj or obj[key] is None:
         raise ScenarioError(f"{where}: required field missing")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types is int:
+    if not _is(obj[key], types):
         raise ScenarioError(f"{where}: wrong type, expected {types}")
-    return value
+    return obj[key]
 
 
 def _opt(obj: dict, key: str, types, default, path: str = ""):
     if key not in obj or obj[key] is None:
         return default
-    value = obj[key]
-    if not isinstance(value, types):
-        raise ScenarioError(f"{path}{key}: wrong type, expected {types}")
-    return value
+    return _need(obj, key, types, path)
+
+
+def _peer_ids(obj: dict, key: str, default: frozenset[int]) -> frozenset[int]:
+    ids = _opt(obj, key, list, default, "faults.")
+    if not all(_is(x, int) for x in ids):
+        raise ScenarioError(f"faults.{key}: every entry must be an integer")
+    return frozenset(ids)
 
 
 def parse_faults(obj: dict) -> FaultModel:
-    crashed = _opt(obj, "crashed", list, [], "faults.")
-    drop = _opt(obj, "drop_probability", (int, float), 0.0, "faults.")
-    byz = _opt(obj, "byzantine", dict, {}, "faults.")
-    max_delay = _opt(obj, "max_delay", int, 3, "faults.")
-    lose = _opt(obj, "lose_messages", list, [], "faults.")
-    if not 0.0 <= float(drop) <= 1.0:
-        raise ScenarioError("faults.drop_probability: must be within [0, 1]")
-    if max_delay < 1:
-        raise ScenarioError("faults.max_delay: must be >= 1")
+    """A missing key takes FaultModel's own default."""
+    base = FaultModel()
+    byz = _opt(obj, "byzantine", dict, base.byzantine, "faults.")
     try:
-        byz_map = {int(k): str(v) for k, v in byz.items()}
+        byzantine = {int(k): v for k, v in byz.items()}
     except (TypeError, ValueError) as exc:
         raise ScenarioError("faults.byzantine: keys must be peer ids") from exc
-    return FaultModel(
-        crashed=frozenset(int(x) for x in crashed),
-        drop_probability=float(drop),
-        byzantine=byz_map,
-        max_delay=int(max_delay),
-        lose_messages=frozenset(int(x) for x in lose),
+    if not all(isinstance(v, str) for v in byzantine.values()):
+        raise ScenarioError("faults.byzantine: values must be behaviour names")
+    faults = FaultModel(
+        crashed=_peer_ids(obj, "crashed", base.crashed),
+        drop_probability=float(_opt(obj, "drop_probability", (int, float),
+                                    base.drop_probability, "faults.")),
+        byzantine=byzantine,
+        max_delay=_opt(obj, "max_delay", int, base.max_delay, "faults."),
+        lose_messages=_peer_ids(obj, "lose_messages", base.lose_messages),
     )
+    try:
+        faults.validate()
+    except ConfigError as exc:
+        raise ScenarioError(f"faults.{exc}") from exc
+    return faults
 
 
 def parse(obj: dict) -> Scenario:
@@ -117,8 +137,6 @@ def parse(obj: dict) -> Scenario:
     if schema != SCHEMA:
         raise ScenarioError(f"schema: expected {SCHEMA!r}, got {schema!r}")
     protocol = _need(obj, "protocol", str)
-    if protocol not in PROTOCOLS:
-        raise ScenarioError(f"protocol: unknown protocol {protocol!r}")
     optional = {
         f.name: _opt(obj, f.name, _JSON_TYPES[f.type.split("[")[0].split(" ")[0]], f.default)
         for f in fields(Scenario)
@@ -131,6 +149,8 @@ def parse(obj: dict) -> Scenario:
 
 
 def validate(sc: Scenario) -> None:
+    if sc.protocol not in RUNNERS:
+        raise ScenarioError(f"protocol: unknown protocol {sc.protocol!r}")
     if sc.n < 1:
         raise ScenarioError("n: must be positive")
     if sc.d < 2:
@@ -138,11 +158,13 @@ def validate(sc: Scenario) -> None:
     if sc.choices is not None:
         if len(sc.choices) != sc.n:
             raise ScenarioError(f"choices: expected {sc.n} entries, got {len(sc.choices)}")
-        if any(not isinstance(c, int) or not 0 <= c < sc.d for c in sc.choices):
+        if any(not _is(c, int) or not 0 <= c < sc.d for c in sc.choices):
             raise ScenarioError("choices: every entry must be an option index in [0, d)")
     if sc.choice_weights is not None:
         if len(sc.choice_weights) != sc.d:
             raise ScenarioError("choice_weights: need one weight per option")
+        if not all(_is(w, (int, float)) for w in sc.choice_weights):
+            raise ScenarioError("choice_weights: every weight must be a number")
         if any(w < 0 for w in sc.choice_weights) or sum(sc.choice_weights) <= 0:
             raise ScenarioError("choice_weights: weights must be non-negative, sum > 0")
     params = _protocol_params(sc)
@@ -176,50 +198,30 @@ def resolve_choices(sc: Scenario) -> list[int]:
 
 def _protocol_params(sc: Scenario):
     """The parameter object the scenario's protocol runner takes."""
-    if sc.protocol == "dpol":
-        return DpolParams(sc.n, sc.k, sc.d)
-    if sc.protocol == "spp":
-        return SppParams(sc.n, sc.cluster_size, sc.t, sc.d)
-    if sc.protocol == "helios":
-        return HeliosParams(sc.n, sc.trustees, sc.t, sc.d)
-    if sc.protocol == "chainvote":
-        return ChainParams(sc.n, sc.d, sc.degree, sc.difficulty, sc.block_capacity,
-                           sc.cutoff_height, sc.issuer_bits)
-    if sc.protocol == "mesh":
-        return MeshParams(sc.n, sc.d)
-    raise ScenarioError(f"protocol: unknown protocol {sc.protocol!r}")
+    cls, _ = RUNNERS[sc.protocol]
+    return cls(**{f.name: getattr(sc, f.name) for f in fields(cls)})
 
 
 def run(sc: Scenario) -> tuple[Outcome, Trace]:
     """Dispatch a validated scenario to its protocol runner."""
-    choices = resolve_choices(sc)
-    params = _protocol_params(sc)
-    if sc.protocol == "dpol":
-        return run_dpol(params, choices, sc.faults, sc.seed, audit=sc.audit,
-                        max_ticks=sc.max_ticks)
-    if sc.protocol == "spp":
-        return run_spp(params, choices, sc.faults, sc.seed, max_ticks=sc.max_ticks)
-    if sc.protocol == "helios":
-        return run_helios_like(params, choices, sc.faults, sc.seed, max_ticks=sc.max_ticks)
-    if sc.protocol == "chainvote":
-        return run_chainvote(params, choices, sc.faults, sc.seed, max_ticks=sc.max_ticks)
-    return run_mesh_share(sc.n, sc.d, choices, sc.seed, sc.faults, max_ticks=sc.max_ticks)
+    _, runner = RUNNERS[sc.protocol]
+    return runner(_protocol_params(sc), resolve_choices(sc), sc.faults, sc.seed)
+
+
+# Each protocol's canonical fields on top of Scenario(protocol, d=2, seed=seed).
+_CANONICAL = {
+    "dpol": dict(n=9, k=1),
+    "spp": dict(n=28, cluster_size=4, t=3),
+    "chainvote": dict(n=16, degree=4, difficulty=8, block_capacity=32),
+    "helios": dict(n=25, trustees=3, t=2),
+    "mesh": dict(n=16),
+}
 
 
 def canonical_scenario(protocol: str, seed: int) -> Scenario:
     """The honest, fault-free configuration each protocol is classified on."""
-    if protocol == "dpol":
-        sc = Scenario("dpol", n=9, d=2, seed=seed, k=1)
-    elif protocol == "spp":
-        sc = Scenario("spp", n=28, d=2, seed=seed, cluster_size=4, t=3)
-    elif protocol == "helios":
-        sc = Scenario("helios", n=25, d=2, seed=seed, trustees=3, t=2)
-    elif protocol == "chainvote":
-        sc = Scenario("chainvote", n=16, d=2, seed=seed, degree=4, difficulty=8,
-                      block_capacity=32)
-    elif protocol == "mesh":
-        sc = Scenario("mesh", n=16, d=2, seed=seed)
-    else:
+    if protocol not in _CANONICAL:
         raise ScenarioError(f"protocol: unknown protocol {protocol!r}")
+    sc = Scenario(protocol, d=2, seed=seed, **_CANONICAL[protocol])
     validate(sc)
     return sc

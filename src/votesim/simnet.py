@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable
 
 from . import wire
@@ -88,13 +88,13 @@ class FaultModel:
 
     def validate(self) -> None:
         if not 0.0 <= self.drop_probability <= 1.0:
-            raise ConfigError("drop_probability must be within [0, 1]")
+            raise ConfigError("drop_probability: must be within [0, 1]")
         if self.max_delay < 1:
-            raise ConfigError("max_delay must be >= 1")
+            raise ConfigError("max_delay: must be >= 1")
         for pid in self.crashed & set(self.byzantine):
             if not self.byzantine[pid].startswith("crash-after-step"):
                 raise ConfigError(
-                    f"peer {pid} cannot be both crashed and byzantine "
+                    f"byzantine: peer {pid} cannot also be crashed "
                     f"({self.byzantine[pid]!r})"
                 )
 
@@ -531,28 +531,29 @@ class Outcome:
         return obj
 
 
-def run_election(protocol: str, n: int, d: int, seed: int, choices: list[int],
-                 faults: FaultModel, overlay: dict, voter: Callable[[int, int], Peer],
+def run_election(protocol: str, params: Any, choices: list[int], faults: FaultModel,
+                 seed: int, overlay: dict, voter: Callable[[int, int], Peer],
                  details: Callable[[list], dict] = lambda voters: {}, *,
-                 params: dict | None = None, others: tuple[Peer, ...] = (),
-                 roles: tuple[tuple, ...] = (),
-                 max_ticks: int = MAX_TICKS) -> tuple[Outcome, Trace]:
+                 others: tuple[Peer, ...] = (),
+                 roles: tuple[tuple, ...] = ()) -> tuple[Outcome, Trace]:
     """Run one election and collect its outcome.
 
+    ``params`` is the protocol's parameter dataclass; its ``n`` and ``d``
+    size the election and its fields join the trace's scenario echo.
     ``voter(pid, choice)`` builds voter ``pid`` for every pid in
     ``range(n)``; each voter exposes the ``tally`` it accepted. ``others``
-    are non-voter peers, ``roles`` are ``RoleLog.assign`` argument tuples,
-    and ``params`` adds the protocol's own fields to the trace's scenario
-    echo. ``details(voters)`` runs after the simulation and returns the
+    are non-voter peers and ``roles`` are ``RoleLog.assign`` argument
+    tuples. ``details(voters)`` runs after the simulation and returns the
     outcome's protocol-specific fields. Completion counts live voters only.
     """
+    n, d = params.n, params.d
     if len(choices) != n:
         raise ConfigError(f"need {n} choices, got {len(choices)}")
     if any(not 0 <= c < d for c in choices):
         raise ConfigError("choice out of range")
     sim = Simulator(faults, seed, params={
-        "protocol": protocol, "n": n, "d": d, "seed": seed, "choices": list(choices),
-        "faults": faults.to_obj(), "overlay": overlay, **(params or {}),
+        "protocol": protocol, **asdict(params), "seed": seed, "choices": list(choices),
+        "faults": faults.to_obj(), "overlay": overlay,
     })
     sim.roles.voters = frozenset(range(n))
     for role in roles:
@@ -560,7 +561,7 @@ def run_election(protocol: str, n: int, d: int, seed: int, choices: list[int],
     voters = [voter(pid, choice) for pid, choice in enumerate(choices)]
     for peer in [*voters, *others]:
         sim.add_peer(peer)
-    trace = sim.run_until_quiescent(max_ticks)
+    trace = sim.run_until_quiescent()
     tallies = {v.pid: v.tally for v in voters}
     live = [pid for pid in range(n) if pid not in faults.crashed]
     completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)

@@ -401,18 +401,15 @@ register_behavior(
 
 
 def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int,
-            group: Group = DEFAULT_GROUP,
-            max_ticks: int = simnet.MAX_TICKS) -> tuple[simnet.Outcome, Trace]:
+            group: Group = DEFAULT_GROUP) -> tuple[simnet.Outcome, Trace]:
     """Run one SPP election; fewer than t live root members means the run
     ends incomplete rather than failing."""
     params.validate()
     ov = build_tree_clusters(params.n, params.cluster_size, wire.derive_seed(seed, "overlay"))
     return simnet.run_election(
-        "spp", params.n, params.d, seed, choices, faults, ov.to_obj(),
+        "spp", params, choices, faults, seed, ov.to_obj(),
         lambda pid, choice: SppVoter(pid, params, ov, choice, seed, group),
         lambda voters: {"accepted": next((v.accepted for v in voters if v.verified), None)},
-        params={"cluster_size": params.cluster_size, "t": params.t},
         roles=((ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY)),),
-        max_ticks=max_ticks,
     )

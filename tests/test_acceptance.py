@@ -22,7 +22,7 @@ from votesim.ballot import (
     histogram,
     vector_sum,
 )
-from votesim.baselines import HeliosParams, run_helios_like, run_mesh_share
+from votesim.baselines import HeliosParams, MeshParams, run_helios_like, run_mesh_share
 from votesim.chainvote import ChainParams, run_chainvote
 from votesim.cli import EXPECTED_TABLE1, table1_rows
 from votesim.crypto import (
@@ -117,7 +117,7 @@ def test_c02_tally_exactness():
             checked += 1
 
             choices = seeded_choices(n, d, 5000 + n + d)
-            out, _ = run_mesh_share(n, d, choices, seed=60 + n)
+            out, _ = run_mesh_share(MeshParams(n, d), choices, FaultModel(), seed=60 + n)
             assert out.completion == 1.0
             assert set(out.tallies.values()) == {histogram(choices, d)}
             checked += 1
@@ -267,7 +267,7 @@ def test_c07_complexity_exponents():
     mesh_runs = []
     for n in (8, 16, 32, 64):
         choices = seeded_choices(n, 2, n)
-        _, trace = run_mesh_share(n, 2, choices, seed=n)
+        _, trace = run_mesh_share(MeshParams(n, 2), choices, FaultModel(), seed=n)
         assert trace.message_count() == _analytic_mesh(n)
         mesh_runs.append((n, trace))
     fit = analysis.fit_complexity(mesh_runs)
@@ -416,10 +416,10 @@ def test_c10_byzantine_tolerance():
         bad = set(rng.sample(range(16), 2))
         choices = seeded_choices(16, 2, 20_000 + seed)
         out, _ = run_dpol(
-            DpolParams(16, 1, 2), choices,
+            DpolParams(16, 1, 2, audit=True), choices,
             FaultModel(max_delay=3,
                        byzantine={p: BEHAVIOR_INVALID_SHARES for p in bad}),
-            seed=seed, audit=True,
+            seed=seed,
         )
         assert out.details["flagged"] == bad
     ok("criterion 10 (byzantine tolerance)",

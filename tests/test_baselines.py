@@ -9,6 +9,7 @@ from votesim.baselines import (
     BEHAVIOR_TAMPER_BULLETIN,
     HeliosParams,
     MESH_MODULUS,
+    MeshParams,
     MeshVoter,
     run_helios_like,
     run_mesh_share,
@@ -166,26 +167,26 @@ def test_helios_determinism():
 def test_mesh_message_count_closed_form():
     for n in (2, 4, 8):
         choices = h_choices(n, 2, n)
-        out, trace = run_mesh_share(n, 2, choices, seed=n)
+        out, trace = run_mesh_share(MeshParams(n, 2), choices, FaultModel(), seed=n)
         assert trace.message_count() == 2 * n * (n - 1)
         assert out.completion == 1.0
 
 
 def test_mesh_exact_histogram():
     choices = [0, 1, 0, 1, 0, 0, 1, 0]  # 5/3 split
-    out, _ = run_mesh_share(8, 2, choices, seed=1)
+    out, _ = run_mesh_share(MeshParams(8, 2), choices, FaultModel(), seed=1)
     assert set(out.tallies.values()) == {(5, 3)}
 
 
 def test_mesh_rejects_single_peer():
     with pytest.raises(ConfigError):
-        run_mesh_share(1, 2, [0], seed=1)
+        run_mesh_share(MeshParams(1, 2), [0], FaultModel(), seed=1)
 
 
 def test_mesh_missing_share_means_incomplete():
     choices = h_choices(6, 2, 7)
-    out, _ = run_mesh_share(6, 2, choices, seed=7,
-                            faults=FaultModel(lose_messages=frozenset({0})))
+    out, _ = run_mesh_share(MeshParams(6, 2), choices,
+                            FaultModel(lose_messages=frozenset({0})), seed=7)
     assert out.completion < 1.0
 
 
@@ -244,6 +245,6 @@ def test_mesh_malformed_vector_is_ignored(kind, rewrite):
         ),
     )
     choices = h_choices(5, 2, 9)
-    out, _ = run_mesh_share(5, 2, choices, seed=9,
-                            faults=FaultModel(byzantine={1: "test:mesh-malformed"}))
+    out, _ = run_mesh_share(MeshParams(5, 2), choices,
+                            FaultModel(byzantine={1: "test:mesh-malformed"}), seed=9)
     assert all(out.tallies[pid] is None for pid in range(5) if pid != 1)

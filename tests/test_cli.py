@@ -1,7 +1,11 @@
 """Command-line contract: artifacts, exit codes, validation messages."""
 
 import json
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
+
+import pytest
 
 from votesim import scenarios
 from votesim.cli import main
@@ -56,12 +60,39 @@ def test_run_seed_override(tmp_path):
     assert outcome["scenario"]["seed"] == 99
 
 
-def test_scenario_round_trip(tmp_path):
-    sc = scenarios.canonical_scenario("spp", 7)
-    path = tmp_path / "spp.json"
+def _audited_dpol(seed):
+    return replace(scenarios.canonical_scenario("dpol", seed), audit=True)
+
+
+@pytest.mark.parametrize(
+    "make", [*(partial(scenarios.canonical_scenario, p) for p in scenarios.PROTOCOLS),
+             _audited_dpol],
+    ids=[*scenarios.PROTOCOLS, "dpol-audit"])
+def test_scenario_round_trip(tmp_path, make):
+    sc = make(7)
+    path = tmp_path / "scenario.json"
     path.write_text(sc.to_json())
     again = scenarios.from_file(path)
     assert again == sc
+
+
+@pytest.mark.parametrize("protocol", scenarios.PROTOCOLS)
+def test_omitted_faults_take_fault_model_defaults(protocol):
+    sc = scenarios.canonical_scenario(protocol, 1)
+    obj = sc.to_obj()
+    del obj["faults"]
+    assert scenarios.parse(obj) == sc
+
+
+@pytest.mark.parametrize("protocol", scenarios.PROTOCOLS)
+def test_runner_params_are_scenario_fields_echoed_in_trace(protocol):
+    cls, _ = scenarios.RUNNERS[protocol]
+    names = [f.name for f in fields(cls)]
+    assert set(names) <= {f.name for f in fields(scenarios.Scenario)}
+    sc = scenarios.canonical_scenario(protocol, 1)
+    _, trace = scenarios.run(sc)
+    assert {name: trace.params[name] for name in names} == {
+        name: getattr(sc, name) for name in names}
 
 
 def test_missing_scenario_file_is_config_error(tmp_path, capsys):
@@ -74,6 +105,27 @@ def test_bad_field_reports_path(tmp_path, capsys):
     code = main(["run", "--scenario", str(sc)])
     assert code == 1
     assert "faults.drop_probability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, overrides", [
+    pytest.param("faults.crashed", {"faults": {"crashed": ["a"]}}, id="crashed-str"),
+    pytest.param("faults.lose_messages", {"faults": {"lose_messages": [1.7]}},
+                 id="lose-float"),
+    pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": 5}}}, id="behaviour-int"),
+    pytest.param("faults.byzantine",
+                 {"faults": {"crashed": [1], "byzantine": {"1": "dpol:silent"}}},
+                 id="crashed-and-byzantine"),
+    pytest.param("faults.max_delay", {"faults": {"max_delay": True}}, id="max-delay-bool"),
+    pytest.param("choice_weights", {"choice_weights": ["x", 1]}, id="weight-str"),
+    pytest.param("k", {"k": True}, id="k-bool"),
+    pytest.param("choices", {"choices": [True, 0, 0, 1, 0, 1, 0, 1, 0]}, id="choice-bool"),
+])
+def test_malformed_field_is_config_error_naming_its_path(tmp_path, capsys, field, overrides):
+    sc = write_scenario(tmp_path, **overrides)
+    code = main(["run", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_table1_matches_and_writes_files(tmp_path, capsys):

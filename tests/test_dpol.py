@@ -68,11 +68,10 @@ def test_total_casting_loss_means_no_tally():
 def test_byzantine_invalid_shares_flagged_exactly():
     choices = [0, 1] * 8
     out, _ = run_dpol(
-        DpolParams(16, 1, 2),
+        DpolParams(16, 1, 2, audit=True),
         choices,
         faultless(byzantine={3: BEHAVIOR_INVALID_SHARES}),
         seed=5,
-        audit=True,
     )
     assert out.details["flagged"] == {3}
 
@@ -80,8 +79,7 @@ def test_byzantine_invalid_shares_flagged_exactly():
 def test_audit_no_false_positives_over_seeds():
     choices = [0, 1, 0, 1, 0, 1, 0, 1, 0]
     for seed in range(10):
-        out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(), seed=seed,
-                          audit=True)
+        out, _ = run_dpol(DpolParams(9, 1, 2, audit=True), choices, faultless(), seed=seed)
         assert out.details["flagged"] == set()
         assert out.completion == 1.0
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from votesim import wire
 from votesim.ballot import DpolParams
-from votesim.baselines import HeliosParams, run_helios_like, run_mesh_share
+from votesim.baselines import HeliosParams, MeshParams, run_helios_like, run_mesh_share
 from votesim.chainvote import ChainParams, run_chainvote
 from votesim.crypto import TEST_GROUP
 from votesim.dpol import run_dpol
@@ -31,7 +31,7 @@ ELECTIONS = {
     "helios": (4, 8, lambda c, f, s: run_helios_like(HeliosParams(4, 3, 2, 2), c, f, s,
                                                      group=TEST_GROUP)),
     "chainvote": (8, 8, lambda c, f, s: run_chainvote(CHAIN, c, f, s)),
-    "mesh": (4, 4, lambda c, f, s: run_mesh_share(4, 2, c, s, f)),
+    "mesh": (4, 4, lambda c, f, s: run_mesh_share(MeshParams(4, 2), c, f, s)),
 }
 
 

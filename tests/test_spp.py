@@ -89,7 +89,7 @@ def test_silent_root_members_leave_run_incomplete():
     ov = build_tree_clusters(28, 4, wire.derive_seed(6, "overlay"))
     byz = {pid: BEHAVIOR_SILENT_ROOT for pid in ov.members(0)[:2]}
     out, _ = run_spp(SppParams(28, 4, 3, 2), choices, faultless(byzantine=byz),
-                     seed=6, group=TEST_GROUP, max_ticks=50_000)
+                     seed=6, group=TEST_GROUP)
     assert out.completion < 1.0
 
 
