@@ -85,6 +85,8 @@ class ChainParams:
             raise simnet.ConfigError("difficulty must be in [1, 24]")
         if self.block_capacity < 1:
             raise simnet.ConfigError("block_capacity must be >= 1")
+        if self.cutoff_height is not None and self.cutoff_height < 1:
+            raise simnet.ConfigError("cutoff_height must be >= 1 when set")
         if not 512 <= self.issuer_bits <= 4096:
             raise simnet.ConfigError("issuer_bits must be in [512, 4096]")
 

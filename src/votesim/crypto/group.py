@@ -12,12 +12,23 @@ so base^e is one multiply per nonzero 7-bit digit of e mod q. Any other
 base goes through pow. Subgroup membership is a Jacobi symbol: in a
 safe-prime group the subgroup of order q is exactly the quadratic residues
 mod p.
+
+Every voter re-verifies every ballot, so one election asks a group for the
+same powers and the same membership checks once per verifier. A group
+therefore remembers its answers: exp by (base, e mod q), is_element by a
+(only for 0 < a < p; the range check runs first on every call). A
+remembered value is the very result that the table, pow or the Jacobi
+symbol gave for those integers, so every check compares the same numbers
+as without the memo. The memo holds at most _MEMO entries, dropping the
+oldest first, and fix_base empties it whenever it builds a table for a new
+election key, so no memo outlives the key it was filled under.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .. import wire
@@ -34,6 +45,10 @@ _WINDOW = 7
 # Key tables a group keeps beside its generator's, so that a run of
 # elections does not keep one table per election key.
 _KEY_TABLES = 1
+# Entries of a group's memo. One Helios election of 32 voters leaves about
+# 1,100 (0.3 MB); the bound only caps what a long run of elections under one
+# key can hold.
+_MEMO = 1 << 12
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -63,6 +78,10 @@ class Group:
     _tables: dict[int, list[list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _keys: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    # Results under the current election key, oldest first: exp's by
+    # (base, e mod q), is_element's by a.
+    _memo: OrderedDict[int | tuple[int, int], int | bool] = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p != 2 * self.q + 1:
@@ -70,6 +89,14 @@ class Group:
 
     def exp(self, base: int, e: int) -> int:
         e %= self.q
+        key = (base, e)
+        r = self._memo.get(key)
+        if r is None:
+            r = self._remember(key, self._exp(base, e))
+        return r
+
+    def _exp(self, base: int, e: int) -> int:
+        """base^e mod p for 0 <= e < q, not remembered."""
         rows = self._tables.get(base)
         if rows is None:
             if base != self.g:
@@ -85,7 +112,8 @@ class Group:
 
     def fix_base(self, base: int) -> None:
         """Make exp with base (an election key) a table lookup, until
-        _KEY_TABLES other keys have been fixed after it."""
+        _KEY_TABLES other keys have been fixed after it. A new key's table
+        empties the memo."""
         if base == self.g:
             return
         if base in self._keys:
@@ -94,6 +122,7 @@ class Group:
             while len(self._keys) >= _KEY_TABLES:
                 del self._tables[self._keys.pop(0)]
             self._tables[base] = self._fixed_base_table(base)
+            self._memo.clear()
         self._keys.append(base)
 
     def _fixed_base_table(self, base: int) -> list[list[int]]:
@@ -114,7 +143,19 @@ class Group:
         return pow(a, -1, self.p)
 
     def is_element(self, a: int) -> bool:
-        return 0 < a < self.p and _jacobi(a, self.p) == 1
+        if not 0 < a < self.p:
+            return False
+        r = self._memo.get(a)
+        if r is None:
+            r = self._remember(a, _jacobi(a, self.p) == 1)
+        return r
+
+    def _remember(self, key: int | tuple[int, int], value):
+        memo = self._memo
+        if len(memo) >= _MEMO:
+            memo.popitem(last=False)
+        memo[key] = value
+        return value
 
     def rand_scalar(self, rng: random.Random) -> int:
         return rng.randrange(1, self.q)

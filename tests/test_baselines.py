@@ -1,6 +1,7 @@
 """Helios-like and full-mesh baselines."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from votesim.baselines import (
     run_helios_like,
     run_mesh_share,
 )
-from votesim.crypto import TEST_GROUP
+from votesim.crypto import DEFAULT_GROUP, TEST_GROUP, Group
+from votesim.crypto import group as group_mod
 from votesim.simnet import (
     ConfigError,
     FaultModel,
@@ -38,6 +40,35 @@ def test_helios_honest_exact_and_verified():
     assert set(out.tallies.values()) == {histogram(choices, 2)}
     assert out.details["verification_failures"] == set()
     assert out.details["accepted"] == 25
+
+
+def test_helios_memo_is_not_reused_across_elections(monkeypatch):
+    # Every election fixes a fresh key, which empties the group's memo, so
+    # re-running seed A after seed B computes all of A's powers again.
+    computed = Counter()
+    uncached_exp, uncached_jacobi = Group._exp, group_mod._jacobi
+
+    def counting_exp(self, base, e):
+        computed["exp"] += 1
+        return uncached_exp(self, base, e)
+
+    def counting_jacobi(a, n):
+        computed["jacobi"] += 1
+        return uncached_jacobi(a, n)
+
+    monkeypatch.setattr(Group, "_exp", counting_exp)
+    monkeypatch.setattr(group_mod, "_jacobi", counting_jacobi)
+    params = HeliosParams(6, 3, 2, 2)
+    group = Group(DEFAULT_GROUP.p, DEFAULT_GROUP.q, DEFAULT_GROUP.g)
+    runs = []
+    for seed in (1, 2, 1):
+        computed.clear()
+        out, trace = run_helios_like(params, h_choices(6, 2, seed), FaultModel(max_delay=3),
+                                     seed=seed, group=group)
+        assert out.completion == 1.0
+        runs.append((dict(computed), trace.to_jsonl()))
+    assert runs[2] == runs[0]
+    assert runs[0][0]["exp"] > 0 and runs[0][0]["jacobi"] > 0
 
 
 def test_helios_hub_crash_completion_zero():

@@ -23,7 +23,7 @@ from votesim.chainvote import (
     tally_chain,
 )
 from votesim.crypto.blindsig import Token, generate_issuer_key, verify_token
-from votesim.simnet import FaultModel, SendFilter, register_behavior
+from votesim.simnet import ConfigError, FaultModel, SendFilter, register_behavior
 
 DIFF = 6  # cheap PoW for unit tests
 
@@ -47,6 +47,19 @@ def params(n=16, **kw):
 def chain_choices(n, d, seed):
     rng = random.Random(seed)
     return [rng.randrange(d) for _ in range(n)]
+
+
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_cutoff_height_below_one_is_refused(cutoff):
+    # A cutoff of 0 or less counts no block, so the election would look
+    # complete with every tally zero.
+    with pytest.raises(ConfigError, match="cutoff_height"):
+        params(cutoff_height=cutoff).validate()
+
+
+@pytest.mark.parametrize("cutoff", [None, 1, 40])
+def test_cutoff_height_none_or_positive_is_accepted(cutoff):
+    params(cutoff_height=cutoff).validate()
 
 
 def test_issue_distinct_verifying_tokens(issuer_key, tokens16):

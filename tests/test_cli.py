@@ -100,6 +100,14 @@ def test_missing_scenario_file_is_config_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_refuses_chainvote_cutoff_height_zero(tmp_path, capsys):
+    sc = write_scenario(tmp_path, protocol="chainvote", n=8, degree=3, cutoff_height=0)
+    code = main(["run", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "cutoff_height" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_field_reports_path(tmp_path, capsys):
     sc = write_scenario(tmp_path, faults={"drop_probability": 3})
     code = main(["run", "--scenario", str(sc)])

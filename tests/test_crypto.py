@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from votesim.crypto import (
     DEFAULT_GROUP,
+    Ciphertext,
     Group,
     InsufficientShares,
     PlaintextOutOfRange,
@@ -18,6 +19,7 @@ from votesim.crypto import (
     TEST_GROUP,
     combine,
     combine_vector,
+    cts_to_obj,
     decrypt,
     dlog_recover,
     encrypt_random,
@@ -25,6 +27,7 @@ from votesim.crypto import (
     hom_sum,
     keygen,
     lagrange_at_zero,
+    parse_ballot,
     partial_decrypt,
     prove_ballot,
     prove_vector,
@@ -40,7 +43,7 @@ from votesim.crypto.blindsig import (
     unblind,
     verify_token,
 )
-from votesim.crypto.group import _KEY_TABLES, CryptoError
+from votesim.crypto.group import _KEY_TABLES, _MEMO, CryptoError
 from votesim.crypto.proofs import BallotProof, ComponentProof
 
 
@@ -87,13 +90,19 @@ def _exponents(q: int):
 @settings(max_examples=80)
 @given(data=st.data())
 def test_exp_matches_pow_for_every_base(group, data):
+    # A fresh group has an empty memo: each operand is computed, then recalled.
     p, q, g = group.p, group.q, group.g
+    group = Group(p, q, g)
     key = data.draw(st.integers(1, q - 1).map(lambda x: pow(g, x, p)) | st.integers(1, p - 1))
     PublicKey(group, key)
-    other = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1, -2]) | st.integers(-p, 2 * p))
+    other = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1, -2, -p - 3, 2 * p + 5])
+                      | st.integers(-p, 2 * p))
     for e in data.draw(st.lists(_exponents(q), min_size=1, max_size=4)):
         for base in (g, key, other):
-            assert group.exp(base, e) == pow(base, e % q, p)
+            want = pow(base, e % q, p)
+            assert group.exp(base, e) == want
+            assert group._memo[base, e % q] == want
+            assert group.exp(base, e) == want
     assert g in group._tables and key in group._tables
 
 
@@ -102,14 +111,20 @@ def test_exp_matches_pow_for_every_base(group, data):
 @given(data=st.data())
 def test_is_element_matches_euler_criterion(group, data):
     p, q = group.p, group.q
+    group = Group(p, q, group.g)
     a = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1, -1, -p, 2 * p])
                   | st.integers(-p, 2 * p) | st.integers(1, p - 1))
-    assert group.is_element(a) == (0 < a < p and pow(a, q, p) == 1)
+    values = [a, a % p, a + p, a - p]
+    for b in values + values:  # cold, then warm
+        assert group.is_element(b) == (0 < b < p and pow(b, q, p) == 1)
+    # Only in-range values reach the memo; the range check runs on every call.
+    assert set(group._memo) == {a % p} - {0}
 
 
 def test_is_element_matches_euler_criterion_on_all_of_test_group():
     p, q = TEST_GROUP.p, TEST_GROUP.q
     assert all(TEST_GROUP.is_element(a) == (pow(a, q, p) == 1) for a in range(1, p))
+    assert len(TEST_GROUP._memo) == _MEMO
 
 
 @settings(max_examples=15)
@@ -118,10 +133,19 @@ def test_key_table_cache_stays_bounded(keys):
     for default, x in keys:
         group = DEFAULT_GROUP if default else TEST_GROUP
         h = group.exp(group.g, x)
+        new_key = h not in group._tables
         PublicKey(group, h)
         assert len(group._keys) <= _KEY_TABLES
         assert set(group._tables) <= {group.g, *group._keys}
         assert h in group._tables
+        if new_key:
+            assert not group._memo
+            if not default:  # overfill the memo: the oldest entries go first
+                values = [(x + i) % (group.p - 1) + 1 for i in range(_MEMO + 3)]
+                for a in values:
+                    group.is_element(a)
+                assert list(group._memo) == values[3:]
+        assert len(group._memo) <= _MEMO
 
 
 def test_encrypt_decrypt_zero():
@@ -297,6 +321,60 @@ def test_default_group_proof_roundtrip():
     assert verify_ballot(pk, cts, proof)
     dec = [partial_decrypt(s, cts[0]) for s in shares[1:]]
     assert combine(pk, dec, cts[0], 1) == 1
+
+
+def _alter(kind, group, cts, proof, data):
+    """An honest ballot as a byzantine voter alters it."""
+    if kind == "tampered":  # one transcript number, in a component or the sum proof
+        obj = proof.to_obj()
+        rows = [*obj["comp"], obj["sum"]]
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        i = data.draw(st.integers(0, len(row) - 1))
+        row[i] = (row[i] + 1) % group.q
+        return cts, BallotProof.from_obj(obj)
+    if kind == "times p-1":  # leaves the subgroup, keeps the range (0, p)
+        j = data.draw(st.integers(0, len(cts) - 1))
+        a, b = cts[j].a, cts[j].b
+        if data.draw(st.booleans()):
+            a = a * (group.p - 1) % group.p
+        else:
+            b = b * (group.p - 1) % group.p
+        return [*cts[:j], Ciphertext(group, a, b), *cts[j + 1:]], proof
+    return cts, proof
+
+
+@GROUPS
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_warm_memo_gives_the_verdicts_of_a_fresh_group(group, data):
+    p, q, g = group.p, group.q, group.g
+    maker = Group(p, q, g)
+    pk, _ = threshold_keygen(2, 3, maker, seed=data.draw(st.integers(0, 2 ** 32)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    d = data.draw(st.integers(2, 3))
+    kinds = data.draw(st.lists(st.sampled_from(["honest", "two-hot", "tampered", "times p-1"]),
+                               min_size=1, max_size=5))
+    honest, sent = [], []
+    for kind in kinds:
+        cts, proof = prove_ballot(pk, rng.randrange(d), d, rng)
+        honest.append((cts, proof))
+        if kind == "two-hot":
+            sent.append(prove_vector(pk, [1, 1] + [0] * (d - 2), rng))
+        else:
+            sent.append(_alter(kind, maker, cts, proof, data))
+
+    def verdict(verifier, cts, proof):
+        received = parse_ballot(verifier, d, cts_to_obj(cts), proof.to_obj())
+        return received is not None and verify_ballot(PublicKey(verifier, pk.h), *received)
+
+    # Helios order: the hub checks each ballot as it arrives, then a voter
+    # checks the bulletin with what the hub's checks left in the memo.
+    warm = Group(p, q, g)
+    assert all(verdict(warm, *ballot) for ballot in honest)
+    got = [verdict(warm, *ballot) for ballot in sent]
+    assert got == [verdict(Group(p, q, g), *ballot) for ballot in sent]
+    assert all(ok for kind, ok in zip(kinds, got) if kind == "honest")
+    assert not any(ok for kind, ok in zip(kinds, got) if kind == "times p-1")
 
 
 # -- blind signatures ------------------------------------------------------
