@@ -185,7 +185,7 @@ class HeliosHub(Peer):
             values = parse_decshare(self.group, self.params.trustees, idx, msg.get("v"), d)
             if values is not None and idx not in self.dec_shares:
                 self.dec_shares[idx] = values
-                if len(self.dec_shares) >= self.params.t and self.tally is None:
+                if len(self.dec_shares) >= self.params.t:
                     self._evaluate(ctx)
 
     def on_idle(self, ctx):
@@ -367,7 +367,7 @@ class MeshVoter(Peer):
         self._maybe_total(ctx)
 
     def _maybe_total(self, ctx):
-        if self.tally is not None or len(self.colsums) < self.n:
+        if len(self.colsums) < self.n:
             return
         q = MESH_MODULUS
         total = [0] * self.d

@@ -252,7 +252,7 @@ class ChainView:
         if block.parent not in self.blocks:
             self.orphans.setdefault(block.parent, []).append(block)
             return "orphan"
-        if not self._valid_against_parent(block):
+        if self.block_defect(block, self.blocks[block.parent], self.spent[block.parent]):
             return "invalid"
         self.blocks[h] = block
         self.spent[h] = self.spent[block.parent] | {t.token.serial for t in block.txs}
@@ -271,21 +271,22 @@ class ChainView:
         if cand > cur:
             self.best = h
 
-    def _valid_against_parent(self, block: Block) -> bool:
-        parent = self.blocks[block.parent]
+    def block_defect(self, block: Block, parent: Block,
+                     spent: set[str] | frozenset[str]) -> str | None:
+        """Why ``block`` cannot extend ``parent`` once the serials in ``spent``
+        are spent, or None; the caller checks that ``block`` links to ``parent``."""
         if block.height != parent.height + 1:
-            return False
+            return "bad height"
         if not block.meets_difficulty(self.difficulty):
-            return False
+            return "insufficient proof of work"
         seen = set()
-        spent = self.spent[block.parent]
         for tx in block.txs:
             if not self.token_valid(tx.token):
-                return False
+                return "invalid token in chain"
             if tx.token.serial in spent or tx.token.serial in seen:
-                return False
+                return "double spend in chain"
             seen.add(tx.token.serial)
-        return True
+        return None
 
     def best_chain(self) -> list[Block]:
         chain = []
@@ -313,25 +314,14 @@ class ChainView:
 
     def verify_chain(self) -> None:
         """Re-validate the whole best chain; raises ChainError on any defect."""
+        chain = self.best_chain()
         spent: set[str] = set()
-        prev = None
-        for block in self.best_chain():
-            if block.block_hash() == GENESIS_HASH:
-                prev = block
-                continue
-            if prev is None or block.parent != prev.block_hash():
+        for prev, block in zip(chain, chain[1:]):
+            if block.parent != prev.block_hash():
                 raise ChainError("broken parent link")
-            if block.height != prev.height + 1:
-                raise ChainError("bad height")
-            if not block.meets_difficulty(self.difficulty):
-                raise ChainError("insufficient proof of work")
-            for tx in block.txs:
-                if not self.token_valid(tx.token):
-                    raise ChainError("invalid token in chain")
-                if tx.token.serial in spent:
-                    raise ChainError("double spend in chain")
-                spent.add(tx.token.serial)
-            prev = block
+            if defect := self.block_defect(block, prev, spent):
+                raise ChainError(defect)
+            spent.update(tx.token.serial for tx in block.txs)
 
 
 def tally_chain(view: ChainView, d: int, cutoff_height: int | None = None) -> tuple[int, ...]:
@@ -410,7 +400,6 @@ class ChainVoter(Peer):
         self.tally: tuple[int, ...] | None = None
         self.proposed = False
         self.double_spend = False
-        self.done = False
 
     # -- casting -----------------------------------------------------------
 
@@ -437,8 +426,6 @@ class ChainVoter(Peer):
     # -- gossip ----------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        if self.done:
-            return
         # A malformed payload is ignored like a message from an unexpected
         # sender, so every Transaction and Block past the parse is well-typed
         # and its Token hashable.
@@ -466,8 +453,6 @@ class ChainVoter(Peer):
     # -- mining and finalization -------------------------------------------
 
     def on_idle(self, ctx):
-        if self.done:
-            return
         pending = self.view.pending(self.params.block_capacity)
         if pending and self.mining is None:
             parent = self.view.best
@@ -481,7 +466,7 @@ class ChainVoter(Peer):
             self._finalize(ctx)
 
     def on_timer(self, ctx, tag, data):
-        if tag != "mined" or self.done or self.mining is None:
+        if tag != "mined" or self.mining is None:
             return
         candidate, parent = self.mining
         if data != candidate.block_hash():
@@ -497,7 +482,6 @@ class ChainVoter(Peer):
             self._flood(ctx, {"t": "block", "block": candidate.to_obj()}, PHASE_AGGREGATION)
 
     def _finalize(self, ctx):
-        self.done = True
         try:
             # tally_chain re-verifies the whole chain before it counts.
             self.tally = tally_chain(self.view, self.params.d, self.params.cutoff_height)

@@ -11,6 +11,7 @@ locally. No cryptography is involved anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 
@@ -86,7 +87,6 @@ class DpolVoter(Peer):
         self.rounds_done: set[int] = set()
         self.tally: tuple[int, ...] | None = None
         self.decode_failed = False
-        self.done = False
 
     # -- casting --------------------------------------------------------
 
@@ -101,8 +101,6 @@ class DpolVoter(Peer):
     # -- aggregation ------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        if self.done:
-            return
         kind = msg.get("t")
         if kind == "share":
             share = wire.int_vector(msg.get("v"), self.params.d)
@@ -225,21 +223,15 @@ class DpolVoter(Peer):
     # -- evaluation -------------------------------------------------------
 
     def _finalize(self, ctx):
-        if self.done:
-            return
-        self.done = True
         clusters = int(math.isqrt(self.params.n))
         ctx.log_action(PHASE_EVALUATION, "evaluate")
         if len(self.known) == clusters and not self.poisoned:
             total = vector_sum(
                 [self.known[ci] for ci in sorted(self.known)], self.params.d
             )
-            try:
+            with contextlib.suppress(InconsistentAggregate):
                 self.tally = decode_tally(total, self.params)
-            except InconsistentAggregate:
-                self.decode_failed = True
-                ctx.log_action(PHASE_EVALUATION, "tally-inconsistent")
-        else:
+        if self.tally is None:
             self.decode_failed = True
             ctx.log_action(PHASE_EVALUATION, "tally-inconsistent")
         ctx.finish()

@@ -243,6 +243,9 @@ class PeerContext:
         self._sim.set_timer(self.pid, delay, tag, data)
 
     def finish(self) -> None:
+        """End this peer's part in the run: from now on the simulator hands
+        it no deliveries, timers or idle calls. Messages sent to it are
+        still traced as delivered."""
         self._sim.mark_finished(self.pid)
 
 
@@ -475,7 +478,7 @@ class Simulator:
         if kind == "deliver":
             _, src, dst, phase, payload = entry
             self._record(KIND_DELIVER, src, dst, phase, payload)
-            peer = self._peers.get(dst)
+            peer = None if dst in self._finished else self._peers.get(dst)
             msg = wire.loads(payload) if peer is not None else None
             if isinstance(msg, dict):  # recorded as delivered, but peers take only JSON objects
                 peer.on_message(self._ctxs[dst], src, msg)
@@ -484,7 +487,7 @@ class Simulator:
             self._record(KIND_DROP, src, dst, phase, payload)
         elif kind == "timer":
             _, pid, tag, data = entry
-            peer = self._peers.get(pid)
+            peer = None if pid in self._finished else self._peers.get(pid)
             if peer is not None:
                 peer.on_timer(self._ctxs[pid], tag, data)
         else:  # pragma: no cover - queue entries are made in this module
@@ -545,6 +548,7 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     are non-voter peers and ``roles`` are ``RoleLog.assign`` argument
     tuples. ``details(voters)`` runs after the simulation and returns the
     outcome's protocol-specific fields. Completion counts live voters only.
+    A crashed or byzantine id that names no peer is a ``ConfigError``.
     """
     n, d = params.n, params.d
     if len(choices) != n:
@@ -561,6 +565,10 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     voters = [voter(pid, choice) for pid, choice in enumerate(choices)]
     for peer in [*voters, *others]:
         sim.add_peer(peer)
+    for name, pids in (("crashed", faults.crashed), ("byzantine", faults.byzantine)):
+        stray = sorted(set(pids).difference(sim._peers))
+        if stray:
+            raise ConfigError(f"faults.{name}: peer {stray[0]} is not in this election")
     trace = sim.run_until_quiescent()
     tallies = {v.pid: v.tally for v in voters}
     live = [pid for pid in range(n) if pid not in faults.crashed]

@@ -107,12 +107,11 @@ def resolve_divergence(reports: list[AggregateReport]) -> tuple[tuple[Ciphertext
 
 class SppVoter(Peer):
     def __init__(self, pid: int, params: SppParams, ov: Overlay, choice: int,
-                 run_seed: int, group: Group = DEFAULT_GROUP):
+                 group: Group = DEFAULT_GROUP):
         super().__init__(pid)
         self.params = params
         self.group = group
         self.choice = choice
-        self.run_seed = run_seed
         self.cluster = ov.cluster_of(pid)
         self.members = ov.members(self.cluster)
         self.rank = self.members.index(pid)
@@ -146,7 +145,6 @@ class SppVoter(Peer):
         self.tally: tuple[int, ...] | None = None
         self.accepted: int | None = None
         self.verified = False
-        self.done = False
 
     # -- key setup --------------------------------------------------------
 
@@ -216,8 +214,6 @@ class SppVoter(Peer):
     def on_message(self, ctx, sender, msg):
         """Each field is type-checked here. A malformed ballot counts as
         received and invalid; any other malformed message is ignored."""
-        if self.done:
-            return
         kind, v, group, d = msg.get("t"), msg.get("v"), self.group, self.params.d
         root_member = self.is_root and sender in self.members
         if kind == "dkg-share" and root_member and type(v) is int and 0 <= v < group.q:
@@ -344,7 +340,7 @@ class SppVoter(Peer):
                  PHASE_EVALUATION)
 
     def _adopt_result(self, ctx, sender: int, tally: tuple[int, ...], count: int):
-        if self.tally is not None or sender not in self.parent_members:
+        if sender not in self.parent_members:
             return
         key = (tally, count)
         voters = self.result_votes.setdefault(key, set())
@@ -364,7 +360,6 @@ class SppVoter(Peer):
         if not self.verified:
             ctx.log_action(PHASE_VERIFICATION, "verify-failed")
             self.tally = None
-        self.done = True
         ctx.finish()
 
 
@@ -408,7 +403,7 @@ def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int
     ov = build_tree_clusters(params.n, params.cluster_size, wire.derive_seed(seed, "overlay"))
     return simnet.run_election(
         "spp", params, choices, faults, seed, ov.to_obj(),
-        lambda pid, choice: SppVoter(pid, params, ov, choice, seed, group),
+        lambda pid, choice: SppVoter(pid, params, ov, choice, group),
         lambda voters: {"accepted": next((v.accepted for v in voters if v.verified), None)},
         roles=((ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY)),),

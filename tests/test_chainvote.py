@@ -1,6 +1,7 @@
 """Bulletin-board voting: token issuance, gossip, PoW, forks, double spends."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from votesim.chainvote import (
     Block,
     BEHAVIOR_SILENT,
     BEHAVIOR_WITHHOLD,
+    ChainError,
     ChainParams,
     ChainView,
     GENESIS_HASH,
@@ -297,6 +299,54 @@ def test_known_serial_with_changed_signature_is_rejected(issuer_key, tokens16):
     assert view.add_block(block) == "invalid"
     block, _ = mine_block(GENESIS_HASH, 1, (genuine,), 0, DIFF)
     assert view.add_block(block) == "added"
+
+
+def plant(view, blocks, keys=None):
+    """Put ``blocks`` on the best chain under ``keys`` (their hashes by
+    default), bypassing add_block's checks."""
+    for key, block in zip(keys or [b.block_hash() for b in blocks], blocks):
+        view.blocks[key] = block
+    view.best = key
+
+
+def defective_chains(tokens):
+    """For each reason a block can fail against its parent, the blocks after
+    genesis of a chain whose last block fails for that reason."""
+    tok = tokens[6]
+    spend, _ = mine_block(GENESIS_HASH, 1, (Transaction(tok, 0, "88" * 32),), 0, DIFF)
+    respend, _ = mine_block(spend.block_hash(), 2, (Transaction(tok, 1, "99" * 32),), 1, DIFF)
+    forged = Transaction(Token(tok.serial, tok.signature ^ 1), 0, "aa" * 32)
+    unsealed = Block(GENESIS_HASH, 1, (), 0, 0)
+    while unsealed.meets_difficulty(DIFF):
+        unsealed = replace(unsealed, work_nonce=unsealed.work_nonce + 1)
+    return {
+        "bad height": [mine_block(GENESIS_HASH, 2, (), 0, DIFF)[0]],
+        "insufficient proof of work": [unsealed],
+        "invalid token in chain": [mine_block(GENESIS_HASH, 1, (forged,), 0, DIFF)[0]],
+        "double spend in chain": [spend, respend],
+    }
+
+
+@pytest.mark.parametrize("reason", ["bad height", "insufficient proof of work",
+                                    "invalid token in chain", "double spend in chain"])
+def test_verify_chain_and_add_block_refuse_the_same_block(issuer_key, tokens16, reason):
+    *prefix, bad = defective_chains(tokens16[0])[reason]
+    planted = ChainView(issuer_key.public, DIFF)
+    plant(planted, [*prefix, bad])
+    with pytest.raises(ChainError, match=f"^{reason}$"):
+        planted.verify_chain()
+    view = ChainView(issuer_key.public, DIFF)
+    assert [view.add_block(b) for b in prefix] == ["added"] * len(prefix)
+    assert view.add_block(bad) == "invalid"
+
+
+def test_verify_chain_refuses_a_broken_parent_link(issuer_key):
+    b1, _ = mine_block(GENESIS_HASH, 1, (), 0, DIFF)
+    b2, _ = mine_block("ab" * 32, 2, (), 0, DIFF)
+    view = ChainView(issuer_key.public, DIFF)
+    plant(view, [b1, b2], keys=["ab" * 32, b2.block_hash()])
+    with pytest.raises(ChainError, match="^broken parent link$"):
+        view.verify_chain()
 
 
 def _with_tx(msg, **fields):

@@ -123,6 +123,11 @@ def test_bad_field_reports_path(tmp_path, capsys):
     pytest.param("faults.byzantine",
                  {"faults": {"crashed": [1], "byzantine": {"1": "dpol:silent"}}},
                  id="crashed-and-byzantine"),
+    pytest.param("faults.crashed",
+                 {"faults": {"byzantine": {"99": "no-such-behaviour"}, "crashed": [42]}},
+                 id="crashed-stray-id"),
+    pytest.param("faults.byzantine", {"faults": {"byzantine": {"9": "dpol:silent"}}},
+                 id="byzantine-stray-id"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": True}}, id="max-delay-bool"),
     pytest.param("choice_weights", {"choice_weights": ["x", 1]}, id="weight-str"),
     pytest.param("k", {"k": True}, id="k-bool"),

@@ -166,6 +166,35 @@ def test_unknown_behavior_rejected():
         Simulator(FaultModel(byzantine={0: "no-such-behavior"}), 1).add_peer(Pinger(0, 1))
 
 
+class Quitter(Peer):
+    """Sets a timer, then finishes on the first message it receives."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.inputs = []
+
+    def on_start(self, ctx):
+        ctx.set_timer(5, "late")
+
+    def on_message(self, ctx, sender, msg):
+        self.inputs.append(msg)
+        ctx.finish()
+
+    def on_timer(self, ctx, tag, data):
+        self.inputs.append(tag)
+
+
+def test_finished_peer_takes_no_more_input():
+    sim = Simulator(FaultModel(), 1)
+    quitter = Quitter(1)
+    sim.add_peer(Pinger(0, 1, 1, 1))
+    sim.add_peer(quitter)
+    trace = sim.run_until_quiescent()
+    assert quitter.inputs == [{"ping": 0}]
+    assert [(e.kind, e.dst) for e in trace.events if e.kind != "send"] == [("deliver", 1)] * 3
+    assert sim.terminated == {1}
+
+
 def test_timer_drives_later_action():
     class Delayed(Peer):
         def __init__(self, pid):
