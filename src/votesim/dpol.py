@@ -84,6 +84,9 @@ class DpolVoter(Peer):
         self.known: dict[int, tuple[int, ...]] = {}
         self.poisoned: set[int] = set()
         self.round_maps: dict[int, dict[int, dict]] = {}
+        # The last raw map object _parse_map judged and its verdict.
+        self._last_raw: object = None
+        self._last_parsed: dict[int, tuple[int, ...]] | None = None
         self.rounds_done: set[int] = set()
         self.tally: tuple[int, ...] | None = None
         self.decode_failed = False
@@ -119,19 +122,26 @@ class DpolVoter(Peer):
             r = msg.get("r")
             if type(r) is int and sender in self.expected_senders and 0 <= r < self.rounds_total:
                 per_round = self.round_maps.setdefault(r, {})
-                tallies = self._parse_map(msg.get("m"))
-                if tallies is not None and sender not in per_round:
+                tallies = None if sender in per_round else self._parse_map(msg.get("m"))
+                if tallies is not None:
                     per_round[sender] = tallies
                     self._maybe_process_rounds(ctx)
 
     def _parse_map(self, m) -> dict[int, tuple[int, ...]] | None:
         """A received map of cluster tallies; None when any key is not a
-        cluster index or any value is not d ints."""
-        if not isinstance(m, dict):
-            return None
-        d, keys = self.params.d, self.cluster_keys
-        tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
-        return None if None in tallies or None in tallies.values() else tallies
+        cluster index or any value is not d ints. Received messages are
+        shared and read-only, so the agreeing copies of a round are usually
+        one object, judged once."""
+        if m is self._last_raw:
+            return self._last_parsed
+        tallies = None
+        if isinstance(m, dict):
+            d, keys = self.params.d, self.cluster_keys
+            tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
+            if None in tallies or None in tallies.values():
+                tallies = None
+        self._last_raw, self._last_parsed = m, tallies
+        return tallies
 
     def _compute_local_sum(self, ctx):
         self.local_sum = vector_sum(
@@ -186,10 +196,15 @@ class DpolVoter(Peer):
 
     def _merge_round(self, ctx, per_round: dict[int, dict]):
         majority = self.params.k + 1
-        indices = sorted({ci for m in per_round.values() for ci in m})
-        for ci in indices:
+        maps = list(per_round.values())
+        if len(maps) >= majority and all(m is maps[0] or m == maps[0] for m in maps):
+            # Every copy agrees, so each index wins with all its votes.
+            for ci in sorted(maps[0]):
+                self._adopt(ctx, ci, maps[0][ci])
+            return
+        for ci in sorted({ci for m in maps for ci in m}):
             votes: dict[tuple[int, ...], int] = {}
-            for m in per_round.values():
+            for m in maps:
                 if ci in m:
                     votes[m[ci]] = votes.get(m[ci], 0) + 1
             if len(votes) > 1:
@@ -212,13 +227,15 @@ class DpolVoter(Peer):
                     PHASE_AGGREGATION, "tally-divergence", detail={"cluster": ci}
                 )
                 continue
-            if ci in self.known:
-                if self.known[ci] != winner:
-                    ctx.log_action(
-                        PHASE_AGGREGATION, "tally-discrepancy", detail={"cluster": ci}
-                    )
-            else:
-                self.known[ci] = winner
+            self._adopt(ctx, ci, winner)
+
+    def _adopt(self, ctx, ci: int, value: tuple[int, ...]):
+        """Take a cluster tally the round settled, or log that it differs
+        from the one already known."""
+        if ci not in self.known:
+            self.known[ci] = value
+        elif self.known[ci] != value:
+            ctx.log_action(PHASE_AGGREGATION, "tally-discrepancy", detail={"cluster": ci})
 
     # -- evaluation -------------------------------------------------------
 

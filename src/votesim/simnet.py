@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -91,11 +92,10 @@ class FaultModel:
             raise ConfigError("drop_probability: must be within [0, 1]")
         if self.max_delay < 1:
             raise ConfigError("max_delay: must be >= 1")
-        for pid in self.crashed & set(self.byzantine):
-            if not self.byzantine[pid].startswith("crash-after-step"):
+        for pid, name in self.byzantine.items():
+            if crash_steps(name) is None and pid in self.crashed:
                 raise ConfigError(
-                    f"byzantine: peer {pid} cannot also be crashed "
-                    f"({self.byzantine[pid]!r})"
+                    f"byzantine: peer {pid} cannot also be crashed ({name!r})"
                 )
 
     def to_obj(self) -> dict:
@@ -205,7 +205,10 @@ class Peer:
         pass
 
     def on_message(self, ctx: "PeerContext", sender: int, msg: dict) -> None:
-        pass
+        """Handle one delivered JSON object. The simulator decodes equal
+        payload bytes in flight once and hands each of their deliveries the
+        same object, so ``msg`` is shared and read-only: a handler may keep
+        or re-send it but never change it."""
 
     def on_timer(self, ctx: "PeerContext", tag: str, data: Any) -> None:
         pass
@@ -330,13 +333,21 @@ class SendFilter(Peer):
         self.inner.on_idle(_FilteredContext(ctx, self.f))
 
 
+def crash_steps(name: str) -> int | None:
+    """N for a behaviour named ``crash-after-step N`` (N >= 0) or plain
+    ``crash-after-step`` (N = 0); None for a name without that prefix. Any
+    other name with the prefix is a ConfigError."""
+    if not name.startswith("crash-after-step"):
+        return None
+    m = re.fullmatch(r"crash-after-step(?: ([0-9]+))?", name)
+    if m is None:
+        raise ConfigError(f"byzantine: bad crash-after-step name {name!r}")
+    return int(m[1] or 0)
+
+
 def resolve_behavior(name: str) -> Callable[[Peer], Peer]:
-    if name.startswith("crash-after-step"):
-        parts = name.split()
-        try:
-            steps = int(parts[1]) if len(parts) > 1 else 0
-        except ValueError as exc:
-            raise ConfigError(f"bad crash-after-step count in {name!r}") from exc
+    steps = crash_steps(name)
+    if steps is not None:
         return lambda inner: CrashAfterSteps(inner, steps)
     if name not in _BEHAVIORS:
         raise ConfigError(f"unknown byzantine behavior {name!r}")
@@ -361,6 +372,10 @@ class Simulator:
         self._send_seq = 0
         self._net_rng = random.Random(wire.derive_seed(seed, "net"))
         self._peer_rngs: dict[int, random.Random] = {}
+        # Payload bytes -> [deliveries pending, the object decoded from them
+        # or None]: equal bytes in flight are decoded once and share the
+        # object (see Peer.on_message); the entry goes with the last delivery.
+        self._in_flight: dict[bytes, list] = {}
         self._finished: set[int] = set()
         self._running = False
         self.quiescent = False
@@ -409,6 +424,8 @@ class Simulator:
                 dropped = True
             elif p > 0.0:
                 dropped = self._net_rng.random() < p
+        if not dropped:
+            self._in_flight.setdefault(payload, [0, None])[0] += 1
         kind = "drop" if dropped else "deliver"
         self._push(self.now + delay, (kind, src, dst, phase, payload))
 
@@ -479,9 +496,16 @@ class Simulator:
             _, src, dst, phase, payload = entry
             self._record(KIND_DELIVER, src, dst, phase, payload)
             peer = None if dst in self._finished else self._peers.get(dst)
-            msg = wire.loads(payload) if peer is not None else None
-            if isinstance(msg, dict):  # recorded as delivered, but peers take only JSON objects
-                peer.on_message(self._ctxs[dst], src, msg)
+            slot = self._in_flight[payload]
+            slot[0] -= 1
+            if not slot[0]:
+                del self._in_flight[payload]
+            if peer is not None:
+                if slot[1] is None:
+                    slot[1] = wire.loads(payload)
+                msg = slot[1]
+                if isinstance(msg, dict):  # recorded as delivered, but peers take only JSON objects
+                    peer.on_message(self._ctxs[dst], src, msg)
         elif kind == "drop":
             _, src, dst, phase, payload = entry
             self._record(KIND_DROP, src, dst, phase, payload)

@@ -129,6 +129,9 @@ def test_bad_field_reports_path(tmp_path, capsys):
     pytest.param("faults.byzantine", {"faults": {"byzantine": {"9": "dpol:silent"}}},
                  id="byzantine-stray-id"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": True}}, id="max-delay-bool"),
+    *(pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": name}}}, id=name)
+      for name in ("crash-after-steps", "crash-after-stepX 3", "crash-after-step -1",
+                   "crash-after-step 1 2", "crash-after-step  3", "crash-after-step 3 ")),
     pytest.param("choice_weights", {"choice_weights": ["x", 1]}, id="weight-str"),
     pytest.param("k", {"k": True}, id="k-bool"),
     pytest.param("choices", {"choices": [True, 0, 0, 1, 0, 1, 0, 1, 0]}, id="choice-bool"),

@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from votesim import dpol, wire
 from votesim.ballot import DpolParams, histogram
 from votesim.dpol import (
     BEHAVIOR_INVALID_SHARES,
     BEHAVIOR_LYING_SUM,
     BEHAVIOR_SILENT,
+    DpolVoter,
     cluster_tally,
     run_dpol,
 )
-from votesim.simnet import FaultModel, SendFilter, register_behavior
+from votesim.overlay import assign_recipients, build_ring_clusters
+from votesim.simnet import PHASE_AGGREGATION, FaultModel, SendFilter, register_behavior
 
 
 def faultless(**kw):
@@ -232,3 +236,129 @@ def test_map_with_malformed_body_is_ignored(body):
     out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(byzantine={4: f"test:map-{body}"}),
                       seed=9)
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+def make_voter(n: int, k: int) -> DpolVoter:
+    ov = build_ring_clusters(n, 1)
+    return DpolVoter(0, DpolParams(n, k, 2), ov, assign_recipients(ov, k, 1), 0, 1)
+
+
+class RecordingCtx:
+    def __init__(self):
+        self.actions = []
+
+    def log_action(self, phase, action, consumes=(), detail=None):
+        self.actions.append((phase, action, consumes, detail))
+
+
+def merge_by_votes(voter: DpolVoter, ctx, per_round: dict[int, dict]) -> None:
+    """The vote-counting merge of DpolVoter._merge_round, kept as the
+    reference for its one-pass path over agreeing copies."""
+    majority = voter.params.k + 1
+    for ci in sorted({ci for m in per_round.values() for ci in m}):
+        votes = {}
+        for m in per_round.values():
+            if ci in m:
+                votes[m[ci]] = votes.get(m[ci], 0) + 1
+        if len(votes) > 1:
+            ctx.log_action(PHASE_AGGREGATION, "map-conflict", detail={"cluster": ci})
+        winner = None
+        for value, count in votes.items():
+            if count >= majority:
+                winner = value
+        if winner is None:
+            if sum(votes.values()) < majority:
+                continue
+            voter.poisoned.add(ci)
+            ctx.log_action(PHASE_AGGREGATION, "tally-divergence", detail={"cluster": ci})
+            continue
+        if ci in voter.known:
+            if voter.known[ci] != winner:
+                ctx.log_action(PHASE_AGGREGATION, "tally-discrepancy", detail={"cluster": ci})
+        else:
+            voter.known[ci] = winner
+
+
+INDICES = st.integers(0, 4)
+TALLIES = st.tuples(st.integers(0, 2), st.integers(0, 2))
+MAPS = st.dictionaries(INDICES, TALLIES, max_size=5)
+
+
+@st.composite
+def merge_cases(draw):
+    """(k, copies of one round's map, known, poisoned). The copies all agree
+    (one object or equal dicts), or some conflict, miss indices or differ."""
+    k = draw(st.sampled_from([1, 2]))
+    base = draw(MAPS)
+    agree = draw(st.booleans())
+    kinds = ["same", "equal"] + ([] if agree else ["conflict", "missing", "other"])
+    copies = []
+    for _ in range(draw(st.integers(1, 2 * k + 1))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "same":
+            copies.append(base)
+        elif kind == "equal":
+            copies.append(dict(base))
+        elif kind == "conflict":
+            copies.append({**base, draw(INDICES): draw(TALLIES)})
+        elif kind == "missing":
+            copies.append({ci: v for ci, v in base.items() if ci != draw(INDICES)})
+        else:
+            copies.append(draw(MAPS))
+    return k, copies, draw(MAPS), draw(st.sets(INDICES, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=merge_cases())
+def test_merge_fast_path_equals_vote_counting(case):
+    k, copies, known, poisoned = case
+    per_round = dict(enumerate(copies))
+    (fast, fast_ctx), (ref, ref_ctx) = [(make_voter(9 if k == 1 else 25, k), RecordingCtx())
+                                        for _ in range(2)]
+    for voter in (fast, ref):
+        voter.known, voter.poisoned = dict(known), set(poisoned)
+    fast._merge_round(fast_ctx, per_round)
+    merge_by_votes(ref, ref_ctx, per_round)
+    assert list(fast.known.items()) == list(ref.known.items())
+    assert fast.poisoned == ref.poisoned
+    assert fast_ctx.actions == ref_ctx.actions
+
+
+@pytest.mark.parametrize("lie", ["1.0", "true"])
+def test_map_with_other_bytes_is_judged_on_its_own(lie):
+    voter = make_voter(9, 1)
+    first, liar, last = sorted(voter.expected_senders)
+    honest = wire.loads(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
+    voter.on_message(None, first, honest)
+    voter.on_message(None, liar, wire.loads(f'{{"m":{{"0":[{lie},5]}},"r":0,"t":"map"}}'.encode()))
+    voter.on_message(None, last, honest)
+    assert sorted(voter.round_maps[0]) == [first, last]
+
+
+def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
+    """A liar re-sends each map with its ints as floats (4.0 for 4): equal to
+    the honest copies as Python values but not as bytes, so it is dropped even
+    where an honest copy of the same round was parsed just before it."""
+    liar, arrivals, voters = 4, {}, []
+
+    class Recording(DpolVoter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            voters.append(self)
+
+        def on_message(self, ctx, sender, msg):
+            if msg.get("t") == "map":
+                arrivals.setdefault(self.pid, []).append((msg["r"], sender, msg["m"]))
+            super().on_message(ctx, sender, msg)
+
+    monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    register_behavior("test:float-map", lambda inner: SendFilter(
+        inner, lambda msg: {**msg, "m": {ci: [float(x) for x in v] for ci, v in msg["m"].items()}}
+        if msg.get("t") == "map" else msg))
+    run_dpol(DpolParams(9, 1, 2), [0, 1, 1, 0, 1, 0, 0, 1, 1],
+             faultless(byzantine={liar: "test:float-map"}), seed=9)
+    assert all(liar not in per_round for v in voters for per_round in v.round_maps.values())
+    # The precondition: at some voter, the map that arrived right before the
+    # liar's was an honest copy of the same round, equal to the liar's.
+    assert any(a[0] == b[0] and a[1] != liar and b[1] == liar and a[2] == b[2]
+               for seen in arrivals.values() for a, b in zip(seen, seen[1:]))

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import wire
+from votesim import scenarios, simnet, wire
 from votesim.simnet import (
     ConfigError,
     FaultModel,
@@ -19,6 +19,7 @@ from votesim.simnet import (
     SendFilter,
     SimEvent,
     Simulator,
+    crash_steps,
 )
 
 
@@ -159,6 +160,14 @@ def test_crash_after_step_zero_emits_nothing():
     sim.add_peer(Pinger(1, 0))
     trace = sim.run_until_quiescent()
     assert {e.src for e in trace.events if e.kind == "send"} == {1}
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("crash-after-step", 0), ("crash-after-step 0", 0), ("crash-after-step 12", 12),
+    ("dpol:silent", None),
+])
+def test_crash_steps_reads_exact_names(name, steps):
+    assert crash_steps(name) == steps
 
 
 def test_unknown_behavior_rejected():
@@ -307,3 +316,70 @@ def test_max_ticks_reports_incomplete():
     sim.add_peer(Echo(1))
     sim.run_until_quiescent(max_ticks=50)
     assert not sim.quiescent
+
+
+class Mutator(Pinger):
+    """Breaks the read-only rule for received messages."""
+
+    def on_message(self, ctx, sender, msg):
+        msg["seen"] = True
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """(payload, object) for every payload the simulator decodes."""
+    seen, loads = [], wire.loads
+
+    def recording_loads(payload):
+        seen.append((payload, loads(payload)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(wire, "loads", recording_loads)
+    return seen
+
+
+def all_intact(decoded) -> bool:
+    """Every decoded object still equals a fresh decoding of its payload."""
+    return bool(decoded) and all(msg == json.loads(payload) for payload, msg in decoded)
+
+
+def test_equal_payloads_in_flight_are_decoded_once_and_shared(decoded):
+    sim = Simulator(FaultModel(), 1)
+    a, b = Pinger(1), Pinger(2)
+    for peer in (Pinger(0, 1, 2, 1), a, b):
+        sim.add_peer(peer)
+    sim.run_until_quiescent()
+    assert a.got == [(0, {"ping": 0})] * 2 and b.got == [(0, {"ping": 0})]
+    assert a.got[0][1] is a.got[1][1] is b.got[0][1]
+    assert [payload for payload, _ in decoded] == [b'{"ping":0}']
+    assert sim._in_flight == {}
+
+
+def test_mutating_handler_is_caught(decoded):
+    sim = Simulator(FaultModel(), 1)
+    sim.add_peer(Pinger(0, 1))
+    sim.add_peer(Mutator(1))
+    sim.run_until_quiescent()
+    assert not all_intact(decoded)
+
+
+def _package_behaviours() -> list[tuple[str, str]]:
+    """(protocol, behaviour) for every behaviour the package registers."""
+    protocol_of = {"chain": "chainvote", "dpol": "dpol", "helios": "helios", "spp": "spp"}
+    return [(protocol_of[name.split(":")[0]], name) for name in sorted(simnet._BEHAVIORS)
+            if name.split(":")[0] in protocol_of]
+
+
+READ_ONLY_RUNS = [(p, None) for p in sorted(scenarios.RUNNERS)] + _package_behaviours()
+
+
+@pytest.mark.parametrize("protocol, behaviour", READ_ONLY_RUNS)
+def test_no_handler_changes_a_received_message(decoded, protocol, behaviour):
+    sc = scenarios.canonical_scenario(protocol, seed=1)
+    if behaviour is not None:
+        # Every third voter, and the Helios hub, so that each behaviour acts
+        # on peers of every role.
+        liars = [*range(0, sc.n, 3), *([sc.n] if protocol == "helios" else [])]
+        sc.faults = FaultModel(max_delay=3, byzantine=dict.fromkeys(liars, behaviour))
+    scenarios.run(sc)
+    assert all_intact(decoded)
