@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import scenarios, wire
-from .ballot import DpolParams, encode_shares
+from .ballot import DpolParams, encode_shares, histogram
 from .chainvote import TokenIssuer, generate_issuer_key
 from .crypto.blindsig import hash_serial
-from .overlay import RING_CLUSTERS, TREE_CLUSTERS, assign_recipients, build_ring_clusters
+from .dpol import ring_for
+from .overlay import RING_CLUSTERS, TREE_CLUSTERS
 from .simnet import (
     KIND_DELIVER,
     PHASE_AGGREGATION,
@@ -310,8 +311,7 @@ def _dpol_probe(params: dict, coalition: set[int], target: int, trials: int) -> 
     """
     dp = DpolParams(int(params["n"]), int(params["k"]), int(params["d"]))
     base_seed = int(params["seed"])
-    ov = build_ring_clusters(dp.n, wire.derive_seed(base_seed, "overlay"))
-    rmap = assign_recipients(ov, dp.k, wire.derive_seed(base_seed, "recipients"))
+    _, rmap = ring_for(dp, base_seed)
     hits = 0
     for trial in range(trials):
         seed = wire.derive_seed(base_seed, "probe", trial)
@@ -386,18 +386,16 @@ class RobustnessRow:
     exact: bool | None  # None when no peer produced a tally
 
 
-def robustness_report(protocol: str, base: scenarios.Scenario,
+def robustness_report(base: scenarios.Scenario,
                       fault_grid: list[tuple[str, object]]) -> list[RobustnessRow]:
-    """Run one scenario per fault level and report completion and exactness.
+    """Run ``base`` once per fault level and report completion and exactness.
 
     Exactness compares every produced tally against the plaintext
     histogram of the live voters' choices (the ballots actually cast).
     """
-    from .ballot import histogram
-
     rows = []
     for label, faults in fault_grid:
-        sc = scenarios.Scenario(**{**base.__dict__, "faults": faults})
+        sc = replace(base, faults=faults)
         outcome, _ = scenarios.run(sc)
         choices = scenarios.resolve_choices(sc)
         live = [pid for pid in range(sc.n) if pid not in faults.crashed]

@@ -9,19 +9,15 @@ shares can be audited against the honest pattern with no false positives.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from . import wire
+from .simnet import ConfigError
 
 AUDIT_VALID = "valid"
 AUDIT_INVALID = "invalid"
 AUDIT_INCONCLUSIVE = "inconclusive"
-
-
-class EncodingError(Exception):
-    pass
 
 
 class InconsistentAggregate(Exception):
@@ -31,7 +27,9 @@ class InconsistentAggregate(Exception):
 @dataclass(frozen=True)
 class DpolParams:
     """n voters, privacy parameter k, d options; m = k/(d-1) shares per
-    non-chosen option. ``audit`` asks a run for the forensic share audit."""
+    non-chosen option. ``audit`` asks a run for the forensic share audit.
+    Construction checks the encoding rules; the ring's shape rules belong
+    to the overlay builders (``dpol.ring_for``)."""
 
     n: int
     k: int
@@ -46,26 +44,15 @@ class DpolParams:
     def shares_per_voter(self) -> int:
         return 2 * self.k + 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 0:
-            raise EncodingError("n must be non-negative")
+            raise ConfigError("n: must be >= 0")
         if self.d < 2:
-            raise EncodingError("d must be at least 2")
+            raise ConfigError("d: must be >= 2")
         if self.k < 1:
-            raise EncodingError("k must be at least 1")
+            raise ConfigError("k: must be >= 1")
         if self.k % (self.d - 1) != 0:
-            raise EncodingError("k must be divisible by d-1")
-
-    def validate_ring(self) -> None:
-        """Extra feasibility constraints for running on the ring overlay."""
-        self.validate()
-        root = math.isqrt(self.n)
-        if self.n < 4 or root * root != self.n:
-            raise EncodingError("n must be a perfect square")
-        if self.shares_per_voter > root:
-            raise EncodingError(
-                f"2k+1 = {self.shares_per_voter} exceeds the cluster size {root}"
-            )
+            raise ConfigError("k: must be divisible by d-1")
 
 
 @dataclass(frozen=True)
@@ -85,11 +72,9 @@ def encode_shares(choice: int, params: DpolParams, seed: int,
     """Build the share multiset for one ballot and shuffle its order.
 
     The shuffle matters: recipients must not be able to infer anything
-    from the position of the share they receive.
+    from the position of the share they receive. ``choice`` must be in
+    [0, d), as ``simnet.check_election`` makes every election's choices.
     """
-    params.validate()
-    if not 0 <= choice < params.d:
-        raise EncodingError(f"choice {choice} outside [0, {params.d})")
     shares = [unit_vector(choice, params.d)] * (params.k + 1)
     for j in range(params.d):
         if j != choice:
@@ -107,7 +92,6 @@ def decode_tally(total: tuple[int, ...], params: DpolParams) -> tuple[int, ...]:
     InconsistentAggregate when the counts are not non-negative integers
     summing to n.
     """
-    params.validate()
     if len(total) != params.d:
         raise InconsistentAggregate(f"aggregate must have {params.d} components")
     denom = params.k + 1 - params.m
@@ -133,7 +117,6 @@ def audit_share_set(shares: list[tuple[int, ...]], params: DpolParams) -> str:
     on partial data), "valid" iff the multiset is k+1 copies of one unit
     vector plus m copies of every other, else "invalid".
     """
-    params.validate()
     if len(shares) < params.shares_per_voter:
         return AUDIT_INCONCLUSIVE
     if len(shares) > params.shares_per_voter:

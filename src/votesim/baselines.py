@@ -76,13 +76,9 @@ class HeliosParams:
     def trustee_ids(self) -> tuple[int, ...]:
         return tuple(range(self.n + 1, self.n + 1 + self.trustees))
 
-    def validate(self) -> None:
-        if self.n < 1:
-            raise simnet.ConfigError("n must be >= 1")
+    def __post_init__(self) -> None:
         if not 1 <= self.t <= self.trustees:
-            raise simnet.ConfigError("need 1 <= t <= trustees")
-        if self.d < 2:
-            raise simnet.ConfigError("d must be >= 2")
+            raise simnet.ConfigError("t: must be in [1, trustees]")
 
 
 class HeliosVoter(Peer):
@@ -270,7 +266,7 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
     The hub and trustees are distinguished non-voter peers fixed by the
     scenario; a crashed hub takes the whole election down by design.
     """
-    params.validate()
+    ov = build_star(params.n + 1 + params.trustees, params.hub)
     pk, shares = threshold_keygen(
         params.t, params.trustees, group, wire.derive_seed(seed, "trustee-keys")
     )
@@ -279,7 +275,6 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
         HeliosTrustee(tid, params, shares[i], group)
         for i, tid in enumerate(params.trustee_ids)
     )
-    ov = build_star(params.n + 1 + params.trustees, params.hub)
 
     def details(voters: list[HeliosVoter]) -> dict:
         return {
@@ -305,11 +300,9 @@ class MeshParams:
     n: int
     d: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 2:
-            raise simnet.ConfigError("mesh baseline needs n >= 2")
-        if self.d < 2:
-            raise simnet.ConfigError("d must be >= 2")
+            raise simnet.ConfigError("n: the mesh baseline needs n >= 2")
 
 
 class MeshVoter(Peer):
@@ -381,7 +374,6 @@ class MeshVoter(Peer):
 def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
                    seed: int) -> tuple[simnet.Outcome, Trace]:
     """Additive-sharing baseline; exactly 2n(n-1) messages, no robustness."""
-    params.validate()
     n, d = params.n, params.d
     # The baseline talks peer-to-peer over the complete graph.
     links = tuple((a, b) for a in range(n) for b in range(a + 1, n))

@@ -74,21 +74,15 @@ class ChainParams:
     cutoff_height: int | None = None
     issuer_bits: int = 768
 
-    def validate(self) -> None:
-        if self.n < 2:
-            raise simnet.ConfigError("n must be >= 2")
-        if self.d < 2:
-            raise simnet.ConfigError("d must be >= 2")
-        if not 2 <= self.degree < self.n:
-            raise simnet.ConfigError("need 2 <= degree < n")
+    def __post_init__(self) -> None:
         if not 1 <= self.difficulty <= 24:
-            raise simnet.ConfigError("difficulty must be in [1, 24]")
+            raise simnet.ConfigError("difficulty: must be in [1, 24]")
         if self.block_capacity < 1:
-            raise simnet.ConfigError("block_capacity must be >= 1")
+            raise simnet.ConfigError("block_capacity: must be >= 1")
         if self.cutoff_height is not None and self.cutoff_height < 1:
-            raise simnet.ConfigError("cutoff_height must be >= 1 when set")
+            raise simnet.ConfigError("cutoff_height: must be >= 1 when set")
         if not 512 <= self.issuer_bits <= 4096:
-            raise simnet.ConfigError("issuer_bits must be in [512, 4096]")
+            raise simnet.ConfigError("issuer_bits: must be in [512, 4096]")
 
 
 @dataclass(frozen=True)
@@ -520,10 +514,9 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
     phase); crashed peers hold tokens but never cast. Peers tally as soon
     as the network is quiet and nothing remains to mine.
     """
-    params.validate()
+    ov = build_gossip_mesh(params.n, params.degree, wire.derive_seed(seed, "overlay"))
     key = generate_issuer_key(wire.derive_seed(seed, "issuer"), params.issuer_bits)
     tokens, _ = issue_tokens(list(range(params.n)), key, seed)
-    ov = build_gossip_mesh(params.n, params.degree, wire.derive_seed(seed, "overlay"))
 
     def details(voters: list[ChainVoter]) -> dict:
         return {

@@ -4,7 +4,8 @@ Three commands:
 
 * ``run --scenario file [--seed N] [--out DIR]`` runs one experiment and
   writes trace.jsonl, outcome.json and report.csv. Exit 0 on a complete
-  run, 2 on an incomplete one, 1 on configuration errors.
+  run, 2 on an incomplete one, 1 on a configuration error (a ConfigError
+  naming the field; nothing is written).
 * ``table1 [--seed N] [--out DIR]`` runs the canonical honest scenario of
   every protocol, classifies the traces, prints the five-row taxonomy
   table and fails (nonzero) on any mismatch with the expected rows.
@@ -23,7 +24,6 @@ from pathlib import Path
 
 from . import analysis, scenarios
 from .analysis import TaxonomyRow, UnclassifiableTrace, classify, static_paper_row
-from .overlay import OverlayError
 from .simnet import ConfigError, ScenarioError as SimScenarioError
 
 EXIT_OK = 0
@@ -68,7 +68,6 @@ def cmd_run(args) -> int:
     sc = scenarios.from_file(args.scenario)
     if args.seed is not None:
         sc.seed = args.seed
-        scenarios.validate(sc)
     out = Path(args.out)
     outcome, trace = scenarios.run(sc)
     row = _classify_or_none(trace, outcome.roles)
@@ -228,8 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (scenarios.ScenarioError, ConfigError, OverlayError, SimScenarioError,
-            analysis.AnalysisError) as exc:
+    except (ConfigError, SimScenarioError, analysis.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .. import wire
 from .elgamal import Ciphertext, PublicKey, hom_sum, parse_cts
-from .group import CryptoError, Group
+from .group import Group
 
 _OR_DOMAIN = "votesim/ballot-or/v1"
 _SUM_DOMAIN = "votesim/ballot-sum/v1"
@@ -84,9 +84,9 @@ def _statement(pk: PublicKey, cts: list[Ciphertext]) -> list[int]:
 
 def prove_ballot(pk: PublicKey, choice: int, d: int,
                  rng: random.Random) -> tuple[list[Ciphertext], BallotProof]:
-    """Encrypt the unit vector for `choice` and prove it well-formed."""
-    if not 0 <= choice < d:
-        raise CryptoError(f"choice {choice} outside [0, {d})")
+    """Encrypt the unit vector for `choice` and prove it well-formed;
+    `choice` must be in [0, d), as ``simnet.check_election`` makes every
+    election's choices."""
     ms = [1 if j == choice else 0 for j in range(d)]
     return prove_vector(pk, ms, rng)
 

@@ -27,7 +27,7 @@ from .ballot import (
     vector_sum,
     AUDIT_INVALID,
 )
-from .overlay import RecipientMap, assign_recipients, build_ring_clusters
+from .overlay import Overlay, RecipientMap, assign_recipients, build_ring_clusters
 from .simnet import (
     CrashAfterSteps,
     FaultModel,
@@ -283,6 +283,14 @@ register_behavior(BEHAVIOR_LYING_SUM, lambda inner: SendFilter(inner, _mutate_ly
 register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0))
 
 
+def ring_for(params: DpolParams, seed: int) -> tuple[Overlay, RecipientMap]:
+    """The ring and recipient map of the DPol election run with ``seed``.
+    Raises an OverlayError when n is not a perfect square >= 4 or 2k+1
+    exceeds the cluster size."""
+    ov = build_ring_clusters(params.n, wire.derive_seed(seed, "overlay"))
+    return ov, assign_recipients(ov, params.k, wire.derive_seed(seed, "recipients"))
+
+
 def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
              seed: int) -> tuple[simnet.Outcome, Trace]:
     """Run one complete DPol election on the simulator.
@@ -292,9 +300,7 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
     delivered share multiset is pooled after the run and checked against
     the honest pattern; flagged peers are returned in the outcome.
     """
-    params.validate_ring()
-    ov = build_ring_clusters(params.n, wire.derive_seed(seed, "overlay"))
-    rmap = assign_recipients(ov, params.k, wire.derive_seed(seed, "recipients"))
+    ov, rmap = ring_for(params, seed)
 
     def details(voters: list[DpolVoter]) -> dict:
         return {

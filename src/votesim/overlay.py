@@ -3,6 +3,8 @@
 Four kinds: a ring of equal clusters, a binary tree of equal clusters, a
 connected gossip mesh, and a star around one hub. Construction is purely
 functional and seeded; the same (n, seed) always yields the same overlay.
+Each builder owns its shape rules and raises an OverlayError, a
+ConfigError naming the field, when they fail.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import wire
+from .simnet import ConfigError
 
 RING_CLUSTERS = "ring-clusters"
 TREE_CLUSTERS = "tree-clusters"
@@ -20,8 +23,8 @@ GOSSIP_MESH = "gossip-mesh"
 STAR = "star"
 
 
-class OverlayError(Exception):
-    pass
+class OverlayError(ConfigError):
+    """An overlay shape rule failed, or an operation its kind lacks."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def build_ring_clusters(n: int, seed: int) -> Overlay:
     """
     root = math.isqrt(n)
     if n < 4 or root * root != n:
-        raise OverlayError("n must be a perfect square >= 4")
+        raise OverlayError("n: must be a perfect square >= 4")
     rng = random.Random(wire.derive_seed(seed, "ring", n))
     order = list(range(n))
     rng.shuffle(order)
@@ -129,8 +132,8 @@ def assign_recipients(overlay: Overlay, k: int, seed: int) -> RecipientMap:
         raise OverlayError("recipient maps are only defined on ring overlays")
     size = len(overlay.clusters[0])
     r = 2 * k + 1
-    if k < 1 or r > size:
-        raise OverlayError(f"2k+1 = {r} exceeds the cluster size {size}")
+    if r > size:
+        raise OverlayError(f"k: 2k+1 = {r} exceeds the cluster size {size}")
     rng = random.Random(wire.derive_seed(seed, "recipients", overlay.n, k))
     recipients: dict[int, tuple[int, ...]] = {}
     senders: dict[int, list[int]] = {pid: [] for pid in range(overlay.n)}
@@ -152,9 +155,9 @@ def build_tree_clusters(n: int, cluster_size: int, seed: int) -> Overlay:
     deterministic assignment); cluster 0 is the root.
     """
     if cluster_size < 2:
-        raise OverlayError("cluster_size must be >= 2")
-    if n % cluster_size != 0:
-        raise OverlayError("n must be divisible by cluster_size")
+        raise OverlayError("cluster_size: must be >= 2")
+    if n < 1 or n % cluster_size != 0:
+        raise OverlayError("n: must be positive and divisible by cluster_size")
     m = n // cluster_size
     keyed = sorted(
         range(n),
@@ -174,8 +177,10 @@ def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
     Built from a ring plus seeded augmentation edges; connectivity is
     verified by traversal before returning.
     """
-    if n < 2 or degree < 2 or degree >= n:
-        raise OverlayError("need n >= 2 and 2 <= degree < n")
+    if n < 2:
+        raise OverlayError("n: must be >= 2")
+    if not 2 <= degree < n:
+        raise OverlayError("degree: must be in [2, n)")
     rng = random.Random(wire.derive_seed(seed, "mesh", n, degree))
     edges: set[tuple[int, int]] = set()
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -201,9 +206,9 @@ def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
         pool = [v for v in candidates if len(adj[v]) == least]
         connect(u, rng.choice(pool))
     if not _connected(adj, n):
-        raise OverlayError("constructed mesh is not connected")
+        raise OverlayError("degree: constructed mesh is not connected")
     if min(len(adj[i]) for i in range(n)) < degree:
-        raise OverlayError("could not satisfy the degree requirement")
+        raise OverlayError("degree: could not satisfy the degree requirement")
     clusters = (tuple(range(n)),)
     return Overlay(GOSSIP_MESH, n, clusters, tuple(sorted(edges)), {"degree": degree})
 
@@ -211,7 +216,7 @@ def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
 def build_star(n: int, hub: int) -> Overlay:
     """One hub connected to every other peer."""
     if not 0 <= hub < n:
-        raise OverlayError("hub must be one of the peers")
+        raise OverlayError("hub: must be one of the peers")
     links = tuple((min(hub, i), max(hub, i)) for i in range(n) if i != hub)
     return Overlay(STAR, n, (tuple(range(n)),), tuple(sorted(links)), {"hub": hub})
 

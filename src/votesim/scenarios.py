@@ -1,9 +1,15 @@
 """Scenario files: a single JSON document describing one experiment.
 
-The schema is versioned; validation reports field paths so a bad file
-fails before any simulation starts. Choices may be listed explicitly (for
-reproducing worked examples) or drawn from a seeded categorical
-distribution (for sweeps).
+The schema is versioned. Every bad configuration raises a
+``simnet.ConfigError`` whose message starts with the field's path. Field
+types, the rules every protocol shares (``simnet.check_election``) and
+each protocol's parameter rules (checked when its params dataclass is
+built) fail when the file is read. Overlay shape rules (a DPol n that is
+not a perfect square, an SPP n that is not a multiple of
+``cluster_size``, a chainvote ``degree`` >= n) fail when ``run`` builds
+the overlay, still before any message is sent. Choices may be listed
+explicitly (for reproducing worked examples) or drawn from a seeded
+categorical distribution (for sweeps).
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import wire
-from .ballot import DpolParams, EncodingError
+from .ballot import DpolParams
 from .baselines import HeliosParams, MeshParams, run_helios_like, run_mesh_share
 from .chainvote import ChainParams, run_chainvote
 from .dpol import run_dpol
-from .simnet import ConfigError, FaultModel, Outcome, Trace
+from .simnet import ConfigError, FaultModel, Outcome, Trace, check_election
 from .spp import SppParams, run_spp
 
 SCHEMA = "votesim-scenario/1"
@@ -34,10 +40,6 @@ RUNNERS = {
     "mesh": (MeshParams, run_mesh_share),
 }
 PROTOCOLS = tuple(RUNNERS)
-
-
-class ScenarioError(Exception):
-    """Invalid scenario document; the message names the offending field."""
 
 
 @dataclass
@@ -86,9 +88,9 @@ def _is(value, types) -> bool:
 def _need(obj: dict, key: str, types, path: str = ""):
     where = f"{path}{key}"
     if key not in obj or obj[key] is None:
-        raise ScenarioError(f"{where}: required field missing")
+        raise ConfigError(f"{where}: required field missing")
     if not _is(obj[key], types):
-        raise ScenarioError(f"{where}: wrong type, expected {types}")
+        raise ConfigError(f"{where}: wrong type, expected {types}")
     return obj[key]
 
 
@@ -101,7 +103,7 @@ def _opt(obj: dict, key: str, types, default, path: str = ""):
 def _peer_ids(obj: dict, key: str, default: frozenset[int]) -> frozenset[int]:
     ids = _opt(obj, key, list, default, "faults.")
     if not all(_is(x, int) for x in ids):
-        raise ScenarioError(f"faults.{key}: every entry must be an integer")
+        raise ConfigError(f"faults.{key}: every entry must be an integer")
     return frozenset(ids)
 
 
@@ -112,10 +114,10 @@ def parse_faults(obj: dict) -> FaultModel:
     try:
         byzantine = {int(k): v for k, v in byz.items()}
     except (TypeError, ValueError) as exc:
-        raise ScenarioError("faults.byzantine: keys must be peer ids") from exc
+        raise ConfigError("faults.byzantine: keys must be peer ids") from exc
     if not all(isinstance(v, str) for v in byzantine.values()):
-        raise ScenarioError("faults.byzantine: values must be behaviour names")
-    faults = FaultModel(
+        raise ConfigError("faults.byzantine: values must be behaviour names")
+    return FaultModel(
         crashed=_peer_ids(obj, "crashed", base.crashed),
         drop_probability=float(_opt(obj, "drop_probability", (int, float),
                                     base.drop_probability, "faults.")),
@@ -123,19 +125,14 @@ def parse_faults(obj: dict) -> FaultModel:
         max_delay=_opt(obj, "max_delay", int, base.max_delay, "faults."),
         lose_messages=_peer_ids(obj, "lose_messages", base.lose_messages),
     )
-    try:
-        faults.validate()
-    except ConfigError as exc:
-        raise ScenarioError(f"faults.{exc}") from exc
-    return faults
 
 
 def parse(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
-        raise ScenarioError("scenario: document must be a JSON object")
+        raise ConfigError("scenario: document must be a JSON object")
     schema = _need(obj, "schema", str)
     if schema != SCHEMA:
-        raise ScenarioError(f"schema: expected {SCHEMA!r}, got {schema!r}")
+        raise ConfigError(f"schema: expected {SCHEMA!r}, got {schema!r}")
     protocol = _need(obj, "protocol", str)
     optional = {
         f.name: _opt(obj, f.name, _JSON_TYPES[f.type.split("[")[0].split(" ")[0]], f.default)
@@ -149,41 +146,27 @@ def parse(obj: dict) -> Scenario:
 
 
 def validate(sc: Scenario) -> None:
+    """Check every rule but the overlay shapes, which ``run`` checks."""
     if sc.protocol not in RUNNERS:
-        raise ScenarioError(f"protocol: unknown protocol {sc.protocol!r}")
-    if sc.n < 1:
-        raise ScenarioError("n: must be positive")
-    if sc.d < 2:
-        raise ScenarioError("d: must be >= 2")
-    if sc.choices is not None:
-        if len(sc.choices) != sc.n:
-            raise ScenarioError(f"choices: expected {sc.n} entries, got {len(sc.choices)}")
-        if any(not _is(c, int) or not 0 <= c < sc.d for c in sc.choices):
-            raise ScenarioError("choices: every entry must be an option index in [0, d)")
+        raise ConfigError(f"protocol: unknown protocol {sc.protocol!r}")
+    check_election(sc.n, sc.d, sc.choices)
     if sc.choice_weights is not None:
         if len(sc.choice_weights) != sc.d:
-            raise ScenarioError("choice_weights: need one weight per option")
+            raise ConfigError("choice_weights: need one weight per option")
         if not all(_is(w, (int, float)) for w in sc.choice_weights):
-            raise ScenarioError("choice_weights: every weight must be a number")
+            raise ConfigError("choice_weights: every weight must be a number")
         if any(w < 0 for w in sc.choice_weights) or sum(sc.choice_weights) <= 0:
-            raise ScenarioError("choice_weights: weights must be non-negative, sum > 0")
-    params = _protocol_params(sc)
-    try:
-        if isinstance(params, DpolParams):
-            params.validate_ring()
-        else:
-            params.validate()
-    except (ConfigError, EncodingError) as exc:
-        raise ScenarioError(f"{sc.protocol}: {exc}") from exc
+            raise ConfigError("choice_weights: weights must be non-negative, sum > 0")
+    _protocol_params(sc)  # each params dataclass checks its own fields
 
 
 def from_file(path: str | Path) -> Scenario:
     try:
         obj = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
+        raise ConfigError(f"scenario: file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"scenario: not valid JSON: {exc}") from exc
     return parse(obj)
 
 
@@ -203,7 +186,8 @@ def _protocol_params(sc: Scenario):
 
 
 def run(sc: Scenario) -> tuple[Outcome, Trace]:
-    """Dispatch a validated scenario to its protocol runner."""
+    """Dispatch a validated scenario to its protocol runner, whose overlay
+    builder checks the shape rules before any message is sent."""
     _, runner = RUNNERS[sc.protocol]
     return runner(_protocol_params(sc), resolve_choices(sc), sc.faults, sc.seed)
 
@@ -221,7 +205,7 @@ _CANONICAL = {
 def canonical_scenario(protocol: str, seed: int) -> Scenario:
     """The honest, fault-free configuration each protocol is classified on."""
     if protocol not in _CANONICAL:
-        raise ScenarioError(f"protocol: unknown protocol {protocol!r}")
+        raise ConfigError(f"protocol: unknown protocol {protocol!r}")
     sc = Scenario(protocol, d=2, seed=seed, **_CANONICAL[protocol])
     validate(sc)
     return sc

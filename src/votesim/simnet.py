@@ -45,7 +45,24 @@ class ScenarioError(Exception):
 
 
 class ConfigError(Exception):
-    """Bad simulator configuration (unknown behavior, invalid fault model)."""
+    """A bad configuration: the one error every config rule raises. The
+    message starts with the path of the field it names, e.g. ``d: ...``."""
+
+
+def check_election(n: int, d: int, choices: list | None) -> None:
+    """The rules every protocol shares: n >= 1 voters, d >= 2 options and,
+    when given, one choice per voter, each an int in [0, d) (not a bool)."""
+    if n < 1:
+        raise ConfigError("n: must be >= 1")
+    if d < 2:
+        raise ConfigError("d: must be >= 2")
+    if choices is None:
+        return
+    if len(choices) != n:
+        raise ConfigError(f"choices: expected {n} entries, got {len(choices)}")
+    if any(not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < d
+           for c in choices):
+        raise ConfigError("choices: every entry must be an option index in [0, d)")
 
 
 @dataclass(frozen=True)
@@ -87,15 +104,15 @@ class FaultModel:
     max_delay: int = 1
     lose_messages: frozenset[int] = frozenset()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability <= 1.0:
-            raise ConfigError("drop_probability: must be within [0, 1]")
+            raise ConfigError("faults.drop_probability: must be within [0, 1]")
         if self.max_delay < 1:
-            raise ConfigError("max_delay: must be >= 1")
+            raise ConfigError("faults.max_delay: must be >= 1")
         for pid, name in self.byzantine.items():
             if crash_steps(name) is None and pid in self.crashed:
                 raise ConfigError(
-                    f"byzantine: peer {pid} cannot also be crashed ({name!r})"
+                    f"faults.byzantine: peer {pid} cannot also be crashed ({name!r})"
                 )
 
     def to_obj(self) -> dict:
@@ -341,7 +358,7 @@ def crash_steps(name: str) -> int | None:
         return None
     m = re.fullmatch(r"crash-after-step(?: ([0-9]+))?", name)
     if m is None:
-        raise ConfigError(f"byzantine: bad crash-after-step name {name!r}")
+        raise ConfigError(f"faults.byzantine: bad crash-after-step name {name!r}")
     return int(m[1] or 0)
 
 
@@ -350,7 +367,7 @@ def resolve_behavior(name: str) -> Callable[[Peer], Peer]:
     if steps is not None:
         return lambda inner: CrashAfterSteps(inner, steps)
     if name not in _BEHAVIORS:
-        raise ConfigError(f"unknown byzantine behavior {name!r}")
+        raise ConfigError(f"faults.byzantine: unknown behaviour {name!r}")
     return _BEHAVIORS[name]
 
 
@@ -358,7 +375,6 @@ class Simulator:
     """Single-threaded deterministic event loop for one protocol run."""
 
     def __init__(self, faults: FaultModel, seed: int, params: dict | None = None):
-        faults.validate()
         self.faults = faults
         self.seed = seed
         self.params = dict(params or {})
@@ -572,13 +588,12 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     are non-voter peers and ``roles`` are ``RoleLog.assign`` argument
     tuples. ``details(voters)`` runs after the simulation and returns the
     outcome's protocol-specific fields. Completion counts live voters only.
-    A crashed or byzantine id that names no peer is a ``ConfigError``.
+    A crashed or byzantine id that names no peer is a ``ConfigError``, as
+    is any breach of ``check_election``. The simulator is freed when this
+    returns, without waiting for the cycle collector.
     """
-    n, d = params.n, params.d
-    if len(choices) != n:
-        raise ConfigError(f"need {n} choices, got {len(choices)}")
-    if any(not 0 <= c < d for c in choices):
-        raise ConfigError("choice out of range")
+    n = params.n
+    check_election(n, params.d, choices)
     sim = Simulator(faults, seed, params={
         "protocol": protocol, **asdict(params), "seed": seed, "choices": list(choices),
         "faults": faults.to_obj(), "overlay": overlay,
@@ -594,6 +609,7 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
         if stray:
             raise ConfigError(f"faults.{name}: peer {stray[0]} is not in this election")
     trace = sim.run_until_quiescent()
+    sim._ctxs.clear()  # each context refers back to sim: break the cycle
     tallies = {v.pid: v.tally for v in voters}
     live = [pid for pid in range(n) if pid not in faults.crashed]
     completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)

@@ -67,15 +67,9 @@ class SppParams:
     t: int
     d: int
 
-    def validate(self) -> None:
-        if self.cluster_size < 2:
-            raise simnet.ConfigError("cluster_size must be >= 2")
-        if self.n < self.cluster_size or self.n % self.cluster_size != 0:
-            raise simnet.ConfigError("n must be a positive multiple of cluster_size")
+    def __post_init__(self) -> None:
         if not 1 <= self.t <= self.cluster_size:
-            raise simnet.ConfigError("need 1 <= t <= cluster_size")
-        if self.d < 2:
-            raise simnet.ConfigError("d must be >= 2")
+            raise simnet.ConfigError("t: must be in [1, cluster_size]")
 
 
 @dataclass(frozen=True)
@@ -399,7 +393,6 @@ def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int
             group: Group = DEFAULT_GROUP) -> tuple[simnet.Outcome, Trace]:
     """Run one SPP election; fewer than t live root members means the run
     ends incomplete rather than failing."""
-    params.validate()
     ov = build_tree_clusters(params.n, params.cluster_size, wire.derive_seed(seed, "overlay"))
     return simnet.run_election(
         "spp", params, choices, faults, seed, ov.to_obj(),

@@ -48,8 +48,8 @@ from votesim.crypto.blindsig import (
     verify_token,
 )
 from votesim.crypto.proofs import BallotProof, ComponentProof
-from votesim.dpol import BEHAVIOR_INVALID_SHARES, run_dpol
-from votesim.overlay import assign_recipients, build_gossip_mesh, build_ring_clusters, build_tree_clusters
+from votesim.dpol import BEHAVIOR_INVALID_SHARES, ring_for, run_dpol
+from votesim.overlay import build_gossip_mesh, build_tree_clusters
 from votesim.simnet import FaultModel
 from votesim.spp import BEHAVIOR_LYING_AGGREGATE, SppParams, run_spp
 
@@ -307,8 +307,7 @@ def test_c08_dpol_leakage():
         sc = scenarios.Scenario("dpol", n=n, d=2, seed=8, k=k)
         scenarios.validate(sc)
         out, trace = scenarios.run(sc)
-        ov = build_ring_clusters(n, wire.derive_seed(8, "overlay"))
-        rmap = assign_recipients(ov, k, wire.derive_seed(8, "recipients"))
+        _, rmap = ring_for(DpolParams(n, k, 2), 8)
         coalition = {rmap.recipients[0][0]}  # one recipient of the target
         acc = analysis.privacy_probe(trace, coalition, target=0, trials=2000)
         expected = (k + 1) / (2 * k + 1)

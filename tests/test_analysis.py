@@ -151,7 +151,7 @@ def test_robustness_report_contrasts_protocols():
     helios = scenarios.canonical_scenario("helios", 5)
     hub = helios.n  # hub peer id
     rows = robustness_report(
-        "helios", helios,
+        helios,
         [("hub-crash", FaultModel(crashed=frozenset({hub}), max_delay=3))],
     )
     assert rows[0].completion == 0.0
@@ -159,7 +159,7 @@ def test_robustness_report_contrasts_protocols():
 
     dpol = scenarios.canonical_scenario("dpol", 5)
     rows = robustness_report(
-        "dpol", dpol, [("one-crash", FaultModel(crashed=frozenset({3}), max_delay=3))]
+        dpol, [("one-crash", FaultModel(crashed=frozenset({3}), max_delay=3))]
     )
     assert rows[0].completion < 1.0
     assert rows[0].exact in (None, True)  # never a silently wrong tally

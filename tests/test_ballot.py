@@ -9,7 +9,6 @@ from votesim.ballot import (
     AUDIT_INVALID,
     AUDIT_VALID,
     DpolParams,
-    EncodingError,
     InconsistentAggregate,
     audit_share_set,
     decode_tally,
@@ -18,6 +17,7 @@ from votesim.ballot import (
     unit_vector,
     vector_sum,
 )
+from votesim.simnet import ConfigError
 
 
 def multiset(shares):
@@ -35,7 +35,7 @@ def test_encode_d3_k2_multiset():
 
 
 def test_encode_rejects_indivisible_k():
-    with pytest.raises(EncodingError, match="divisible"):
+    with pytest.raises(ConfigError, match="divisible"):
         encode_shares(0, DpolParams(4, 1, 3), seed=1)
 
 
@@ -147,11 +147,3 @@ def test_audit_rejects_non_unit_vectors():
     p = DpolParams(9, 1, 2)
     assert audit_share_set([(1, 1), (1, 0), (0, 1)], p) == AUDIT_INVALID
     assert audit_share_set([(2, 0), (1, 0), (0, 1)], p) == AUDIT_INVALID
-
-
-def test_ring_validation():
-    DpolParams(9, 1, 2).validate_ring()
-    with pytest.raises(EncodingError, match="perfect square"):
-        DpolParams(10, 1, 2).validate_ring()
-    with pytest.raises(EncodingError, match="2k\\+1"):
-        DpolParams(9, 4, 2).validate_ring()

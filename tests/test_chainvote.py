@@ -56,12 +56,12 @@ def test_cutoff_height_below_one_is_refused(cutoff):
     # A cutoff of 0 or less counts no block, so the election would look
     # complete with every tally zero.
     with pytest.raises(ConfigError, match="cutoff_height"):
-        params(cutoff_height=cutoff).validate()
+        params(cutoff_height=cutoff)
 
 
 @pytest.mark.parametrize("cutoff", [None, 1, 40])
 def test_cutoff_height_none_or_positive_is_accepted(cutoff):
-    params(cutoff_height=cutoff).validate()
+    params(cutoff_height=cutoff)
 
 
 def test_issue_distinct_verifying_tokens(issuer_key, tokens16):

@@ -9,6 +9,7 @@ import pytest
 
 from votesim import scenarios
 from votesim.cli import main
+from votesim.simnet import ConfigError, FaultModel
 
 
 def write_scenario(tmp_path: Path, **overrides) -> Path:
@@ -115,6 +116,31 @@ def test_bad_field_reports_path(tmp_path, capsys):
     assert "faults.drop_probability" in capsys.readouterr().err
 
 
+# One scenario per configuration rule, on top of write_scenario's dpol n=9,
+# each breaking only that rule, with the field its error must name.
+RULE_BREAKS = [
+    pytest.param("d", {"d": 1}, id="d-1"),
+    pytest.param("d", {"protocol": "mesh", "n": 4, "d": 1}, id="mesh-d-1"),
+    pytest.param("choices", {"choices": [0, 1, 0]}, id="choices-short"),
+    pytest.param("k", {"d": 3}, id="dpol-k-indivisible"),
+    pytest.param("n", {"n": 10}, id="dpol-n-not-square"),
+    pytest.param("k", {"k": 4}, id="dpol-2k+1-over-cluster"),
+    pytest.param("n", {"protocol": "spp", "n": 10, "cluster_size": 4, "t": 2},
+                 id="spp-n-indivisible"),
+    pytest.param("cluster_size", {"protocol": "spp", "n": 8, "cluster_size": 1, "t": 1},
+                 id="spp-cluster-size-1"),
+    pytest.param("t", {"protocol": "spp", "n": 8, "cluster_size": 4, "t": 5},
+                 id="spp-t-over-cluster"),
+    pytest.param("t", {"protocol": "helios", "n": 4, "trustees": 3, "t": 4},
+                 id="helios-t-over-trustees"),
+    pytest.param("n", {"protocol": "mesh", "n": 1}, id="mesh-n-1"),
+    *(pytest.param(field, {"protocol": "chainvote", "n": 8, "degree": 3, field: value},
+                   id=f"chainvote-{field}")
+      for field, value in (("degree", 8), ("difficulty", 0), ("block_capacity", 0),
+                           ("issuer_bits", 256))),
+]
+
+
 @pytest.mark.parametrize("field, overrides", [
     pytest.param("faults.crashed", {"faults": {"crashed": ["a"]}}, id="crashed-str"),
     pytest.param("faults.lose_messages", {"faults": {"lose_messages": [1.7]}},
@@ -135,6 +161,7 @@ def test_bad_field_reports_path(tmp_path, capsys):
     pytest.param("choice_weights", {"choice_weights": ["x", 1]}, id="weight-str"),
     pytest.param("k", {"k": True}, id="k-bool"),
     pytest.param("choices", {"choices": [True, 0, 0, 1, 0, 1, 0, 1, 0]}, id="choice-bool"),
+    *RULE_BREAKS,
 ])
 def test_malformed_field_is_config_error_naming_its_path(tmp_path, capsys, field, overrides):
     sc = write_scenario(tmp_path, **overrides)
@@ -142,6 +169,18 @@ def test_malformed_field_is_config_error_naming_its_path(tmp_path, capsys, field
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, overrides", RULE_BREAKS)
+def test_runner_refuses_what_the_scenario_refuses(field, overrides):
+    # The scenario only fills in defaults here: the params dataclass and the
+    # runner must find the broken rule on their own.
+    sc = scenarios.Scenario(**{"protocol": "dpol", "n": 9, "d": 2, "k": 1, "seed": 11,
+                               **overrides})
+    cls, runner = scenarios.RUNNERS[sc.protocol]
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        params = cls(**{f.name: getattr(sc, f.name) for f in fields(cls)})
+        runner(params, scenarios.resolve_choices(sc), FaultModel(), sc.seed)
 
 
 def test_table1_matches_and_writes_files(tmp_path, capsys):

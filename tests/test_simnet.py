@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -383,3 +385,23 @@ def test_no_handler_changes_a_received_message(decoded, protocol, behaviour):
         sc.faults = FaultModel(max_delay=3, byzantine=dict.fromkeys(liars, behaviour))
     scenarios.run(sc)
     assert all_intact(decoded)
+
+
+@pytest.mark.parametrize("protocol", scenarios.PROTOCOLS)
+def test_finished_election_is_freed_without_the_cycle_collector(monkeypatch, protocol):
+    sims = []
+
+    class Recorded(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(weakref.ref(self))
+
+    monkeypatch.setattr(simnet, "Simulator", Recorded)
+    sc = scenarios.canonical_scenario(protocol, 1)
+    gc.disable()
+    try:
+        scenarios.run(sc)
+        assert len(sims) == 1
+        assert sims[0]() is None
+    finally:
+        gc.enable()
