@@ -66,7 +66,7 @@ def _cluster_keys(clusters: int) -> dict[str, int]:
 
 class DpolVoter(Peer):
     def __init__(self, pid: int, params: DpolParams, overlay, rmap: RecipientMap,
-                 choice: int, run_seed: int):
+                 choice: int, run_seed: int, map_memo: dict | None = None):
         super().__init__(pid)
         self.params = params
         self.choice = choice
@@ -83,11 +83,11 @@ class DpolVoter(Peer):
         self.sums_by_member: dict[int, tuple[int, ...]] = {}
         self.known: dict[int, tuple[int, ...]] = {}
         self.poisoned: set[int] = set()
+        # Maps of the rounds not merged yet; a round is dropped once merged.
         self.round_maps: dict[int, dict[int, dict]] = {}
-        # The last raw map object _parse_map judged and its verdict.
-        self._last_raw: object = None
-        self._last_parsed: dict[int, tuple[int, ...]] | None = None
-        self.rounds_done: set[int] = set()
+        # id(raw map) -> (raw map, verdict), shared by every voter of a run.
+        self.map_memo = {} if map_memo is None else map_memo
+        self.merged = 0
         self.tally: tuple[int, ...] | None = None
         self.decode_failed = False
 
@@ -120,7 +120,8 @@ class DpolVoter(Peer):
                 self._maybe_cluster_tally(ctx)
         elif kind == "map":
             r = msg.get("r")
-            if type(r) is int and sender in self.expected_senders and 0 <= r < self.rounds_total:
+            if (type(r) is int and sender in self.expected_senders
+                    and self.merged <= r < self.rounds_total):
                 per_round = self.round_maps.setdefault(r, {})
                 tallies = None if sender in per_round else self._parse_map(msg.get("m"))
                 if tallies is not None:
@@ -129,18 +130,20 @@ class DpolVoter(Peer):
 
     def _parse_map(self, m) -> dict[int, tuple[int, ...]] | None:
         """A received map of cluster tallies; None when any key is not a
-        cluster index or any value is not d ints. Received messages are
-        shared and read-only, so the agreeing copies of a round are usually
-        one object, judged once."""
-        if m is self._last_raw:
-            return self._last_parsed
+        cluster index or any value is not d ints. Received messages are shared
+        and read-only and the verdict depends only on m, d and the cluster
+        count, so the run's memo judges each map object once (holding m, so
+        no id is reused while the run lasts)."""
+        hit = self.map_memo.get(id(m))
+        if hit is not None:
+            return hit[1]
         tallies = None
         if isinstance(m, dict):
             d, keys = self.params.d, self.cluster_keys
             tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
             if None in tallies or None in tallies.values():
                 tallies = None
-        self._last_raw, self._last_parsed = m, tallies
+        self.map_memo[id(m)] = (m, tallies)
         return tallies
 
     def _compute_local_sum(self, ctx):
@@ -181,17 +184,13 @@ class DpolVoter(Peer):
             return
         # Rounds are processed in order so the forwarded map grows
         # monotonically hop by hop.
-        while True:
-            r = len(self.rounds_done)
-            if r >= self.rounds_total:
-                break
-            per_round = self.round_maps.get(r, {})
-            if len(per_round) < self.params.shares_per_voter:
+        while self.merged < self.rounds_total:
+            if len(self.round_maps.get(self.merged, ())) < self.params.shares_per_voter:
                 return
-            self._merge_round(ctx, per_round)
-            self.rounds_done.add(r)
-            if r + 1 < self.rounds_total:
-                self._send_map(ctx, r + 1)
+            self._merge_round(ctx, self.round_maps.pop(self.merged))
+            self.merged += 1
+            if self.merged < self.rounds_total:
+                self._send_map(ctx, self.merged)
         self._finalize(ctx)
 
     def _merge_round(self, ctx, per_round: dict[int, dict]):
@@ -301,6 +300,7 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
     the honest pattern; flagged peers are returned in the outcome.
     """
     ov, rmap = ring_for(params, seed)
+    map_memo: dict = {}
 
     def details(voters: list[DpolVoter]) -> dict:
         return {
@@ -311,7 +311,7 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
 
     return simnet.run_election(
         "dpol", params, choices, faults, seed, ov.to_obj(),
-        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed), details,
+        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed, map_memo), details,
     )
 
 

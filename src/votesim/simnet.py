@@ -13,7 +13,7 @@ import heapq
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import wire
 
@@ -65,12 +65,12 @@ def check_election(n: int, d: int, choices: list | None) -> None:
         raise ConfigError("choices: every entry must be an option index in [0, d)")
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """One line of the trace.
 
     ``dst`` is None for local actions; ``digest`` is the lowercase hex
-    SHA-256 of the payload bytes and ``size`` their length.
+    SHA-256 of the payload bytes and ``size`` their length. As a tuple it
+    compares equal to a plain tuple of its fields in this order.
     """
 
     time: int

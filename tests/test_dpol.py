@@ -339,17 +339,17 @@ def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
     """A liar re-sends each map with its ints as floats (4.0 for 4): equal to
     the honest copies as Python values but not as bytes, so it is dropped even
     where an honest copy of the same round was parsed just before it."""
-    liar, arrivals, voters = 4, {}, []
+    liar, arrivals, merged = 4, {}, []
 
     class Recording(DpolVoter):
-        def __init__(self, *args):
-            super().__init__(*args)
-            voters.append(self)
-
         def on_message(self, ctx, sender, msg):
             if msg.get("t") == "map":
                 arrivals.setdefault(self.pid, []).append((msg["r"], sender, msg["m"]))
             super().on_message(ctx, sender, msg)
+
+        def _merge_round(self, ctx, per_round):
+            merged.append(set(per_round))
+            super()._merge_round(ctx, per_round)
 
     monkeypatch.setattr(dpol, "DpolVoter", Recording)
     register_behavior("test:float-map", lambda inner: SendFilter(
@@ -357,8 +357,103 @@ def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
         if msg.get("t") == "map" else msg))
     run_dpol(DpolParams(9, 1, 2), [0, 1, 1, 0, 1, 0, 0, 1, 1],
              faultless(byzantine={liar: "test:float-map"}), seed=9)
-    assert all(liar not in per_round for v in voters for per_round in v.round_maps.values())
+    assert merged and all(liar not in senders for senders in merged)
     # The precondition: at some voter, the map that arrived right before the
     # liar's was an honest copy of the same round, equal to the liar's.
     assert any(a[0] == b[0] and a[1] != liar and b[1] == liar and a[2] == b[2]
                for seen in arrivals.values() for a, b in zip(seen, seen[1:]))
+
+
+class StubCtx(RecordingCtx):
+    def __init__(self):
+        super().__init__()
+        self.rounds_sent = []
+
+    def send(self, dsts, msg, phase):
+        self.rounds_sent.append(msg["r"])
+
+    def finish(self):
+        pass
+
+
+def test_map_for_a_merged_round_is_ignored():
+    voter, ctx = make_voter(9, 1), StubCtx()
+    voter.known[voter.pred_cluster] = (3, 0)
+    honest = wire.loads(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
+    for sender in sorted(voter.expected_senders):
+        voter.on_message(ctx, sender, honest)
+    assert ctx.rounds_sent == [1]  # round 0 merged, so the voter forwards round 1
+    voter.on_message(ctx, min(voter.expected_senders), honest)
+    assert 0 not in voter.round_maps
+
+
+def record_map_runs(monkeypatch):
+    """Patch run_dpol's voters and wire.int_vector so each run records its
+    voters, the distinct map objects they received, and how many map values
+    were judged."""
+    runs = []
+    int_vector = wire.int_vector
+
+    class Recording(DpolVoter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if not runs or runs[-1]["memo"] is not self.map_memo:
+                runs.append({"memo": self.map_memo, "voters": [], "maps": {}, "judged": 0})
+            runs[-1]["voters"].append(self)
+
+        def on_message(self, ctx, sender, msg):
+            if msg.get("t") == "map":
+                runs[-1]["maps"][id(msg["m"])] = msg["m"]
+            super().on_message(ctx, sender, msg)
+
+    def counting(v, d):
+        if any(v is value for m in runs[-1]["maps"].values() for value in m.values()):
+            runs[-1]["judged"] += 1
+        return int_vector(v, d)
+
+    monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    monkeypatch.setattr(wire, "int_vector", counting)
+    return runs
+
+
+def test_each_map_object_is_judged_once_per_run(monkeypatch):
+    runs = record_map_runs(monkeypatch)
+    choices = [i % 2 for i in range(49)]
+    for seed in (5, 6):
+        out, _ = run_dpol(DpolParams(49, 1, 2), choices, faultless(), seed=seed)
+        assert set(out.tallies.values()) == {histogram(choices, 2)}
+    for run in runs:
+        assert len(run["voters"]) == 49
+        assert all(v.map_memo is run["memo"] for v in run["voters"])
+        # Each distinct decoded map (every value a fresh list) is judged once.
+        assert run["judged"] == sum(len(m) for m in run["maps"].values())
+        assert set(run["memo"]) == set(run["maps"])
+    # The second run judged its own maps: no verdict came from the first.
+    assert runs[0]["memo"] is not runs[1]["memo"]
+    assert runs[1]["judged"] > 0
+
+
+@pytest.mark.parametrize("body", sorted(HOSTILE_MAPS))
+def test_malformed_map_is_malformed_for_every_voter(monkeypatch, body):
+    liar, merged, recipients = 4, [], []
+
+    class Recording(DpolVoter):
+        def on_message(self, ctx, sender, msg):
+            if msg.get("t") == "map" and sender == liar:
+                recipients.append(self.pid)
+            super().on_message(ctx, sender, msg)
+
+        def _merge_round(self, ctx, per_round):
+            merged.append(set(per_round))
+            super()._merge_round(ctx, per_round)
+
+    monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    register_behavior(f"test:map-{body}", lambda inner: SendFilter(
+        inner, lambda msg: {**msg, "m": HOSTILE_MAPS[body](msg["m"])}
+        if msg.get("t") == "map" else msg))
+    run_dpol(DpolParams(9, 1, 2), [0, 1, 1, 0, 1, 0, 0, 1, 1],
+             faultless(byzantine={liar: f"test:map-{body}"}), seed=9)
+    # One decoded copy of each hostile map reaches several voters; the
+    # first to judge it drops it, and so does every later one.
+    assert len(set(recipients)) > 1
+    assert merged and all(liar not in senders for senders in merged)
