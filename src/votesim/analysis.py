@@ -2,7 +2,11 @@
 and robustness tables.
 
 The distribution taxonomy is verbal in origin, so this module pins down
-computable stand-ins and applies them uniformly:
+computable stand-ins and applies them uniformly. Every rule reads one
+of two structures, each built once per trace: the flow count (deliveries
+per (src, dst) pair in casting and aggregation) and the action index
+((phase, action) -> the peers that performed it, and -> the artifacts
+voters' actions of that kind consumed).
 
 * specialisation: "selected-authorities" when a configured role holds a
   proper subset of peers, "random-authorities" when a runtime-assigned
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from . import scenarios, wire
@@ -116,118 +121,95 @@ def classify(trace: Trace, roles: RoleLog) -> TaxonomyRow:
     for needed in (PHASE_CASTING, PHASE_AGGREGATION, PHASE_EVALUATION):
         if needed not in present:
             raise UnclassifiableTrace(f"no {needed} events in trace")
-    evaluators = roles.performers(PHASE_EVALUATION, "evaluate")
-    if not evaluators:
+    performers, consumed = _action_index(roles, voters)
+    if (PHASE_EVALUATION, "evaluate") not in performers:
         raise UnclassifiableTrace("no peer completed evaluation")
+    flow = Counter(
+        (e.src, e.dst)
+        for e in trace.events
+        if e.kind == KIND_DELIVER and e.phase in (PHASE_CASTING, PHASE_AGGREGATION)
+    )
+    if not flow:
+        raise UnclassifiableTrace("no casting or aggregation messages delivered")
 
-    specialisation = _classify_specialisation(roles, voters)
-    topology = _classify_topology(trace, voters)
-    phases = _classify_phases(roles, voters, present)
+    specialisation = _classify_specialisation(roles, voters, performers)
+    topology = _classify_topology(flow, trace.params.get("overlay") or {})
+    phases = _classify_phases(roles, voters, present, performers, consumed)
     return TaxonomyRow(protocol, specialisation, topology,
                        render_phases(phases, present))
 
 
-def _classify_specialisation(roles: RoleLog, voters: set[int]) -> str:
+def _action_index(roles: RoleLog, voters: set[int]):
+    """(phase, action) -> the peers that performed it, and (phase, action) ->
+    the artifacts voters' actions of that kind consumed."""
+    performers: dict[tuple[str, str], set[int]] = defaultdict(set)
+    consumed: dict[tuple[str, str], set[str]] = defaultdict(set)
+    for pid, acts in roles.performed.items():
+        for a in acts:
+            performers[a.phase, a.action].add(pid)
+            if pid in voters:
+                consumed[a.phase, a.action].update(a.consumes)
+    return performers, consumed
+
+
+def _classify_specialisation(roles: RoleLog, voters: set[int], performers) -> str:
     all_peers = voters | {p for r in roles.assigned for p in r.holders}
     for origin, label in (("configured", SPEC_SELECTED), ("runtime", SPEC_RANDOM)):
         for role in roles.assigned:
             if role.origin == origin and role.holders and role.holders < all_peers:
                 return label
-    action_sets = {roles.action_types(pid) for pid in voters}
-    return SPEC_NONE if len(action_sets) == 1 else SPEC_NONE_FLEXIBLE
+    # Voters share one action set exactly when each action is done by all or none.
+    equipotent = all(voters <= pids or not voters & pids for pids in performers.values())
+    return SPEC_NONE if equipotent else SPEC_NONE_FLEXIBLE
 
 
-def _classify_topology(trace: Trace, voters: set[int]) -> str:
-    flow = [
-        e
-        for e in trace.events
-        if e.kind == KIND_DELIVER and e.phase in (PHASE_CASTING, PHASE_AGGREGATION)
-    ]
-    if not flow:
-        raise UnclassifiableTrace("no casting or aggregation messages delivered")
-    indegree: dict[int, int] = {}
-    for e in flow:
-        indegree[e.dst] = indegree.get(e.dst, 0) + 1
-    top = max(indegree.values())
-    if top * 2 > len(flow):
+def _classify_topology(flow: Counter, overlay: dict) -> str:
+    indegree: Counter = Counter()
+    for (_, dst), count in flow.items():
+        indegree[dst] += count
+    if max(indegree.values()) * 2 > flow.total():
         return TOPO_CENTRALISED
 
-    overlay = trace.params.get("overlay") or {}
     kind = overlay.get("kind")
-    if kind in (RING_CLUSTERS, TREE_CLUSTERS):
-        cluster_of: dict[int, int] = {}
-        for ci, members in enumerate(overlay.get("clusters", [])):
-            for pid in members:
-                cluster_of[pid] = ci
-        links = {tuple(l) for l in overlay.get("links", [])}
-        if _structure_matches(flow, cluster_of, links, kind):
-            return TOPO_RING if kind == RING_CLUSTERS else TOPO_TREE
-    return TOPO_DISTRIBUTED
-
-
-def _structure_matches(flow, cluster_of, links, kind) -> bool:
-    m = len({ci for ci in cluster_of.values()})
-    for e in flow:
-        a, b = cluster_of.get(e.src), cluster_of.get(e.dst)
+    if kind not in (RING_CLUSTERS, TREE_CLUSTERS):
+        return TOPO_DISTRIBUTED
+    cluster_of = {pid: ci for ci, members in enumerate(overlay.get("clusters", []))
+                  for pid in members}
+    m = len(set(cluster_of.values()))
+    links = {tuple(l) for l in overlay.get("links", [])}
+    for src, dst in flow:
+        a, b = cluster_of.get(src), cluster_of.get(dst)
         if a is None or b is None:
-            return False
+            return TOPO_DISTRIBUTED
         if a == b:
             continue
         if kind == RING_CLUSTERS:
-            if (a + 1) % m == b or (b + 1) % m == a:
-                continue
-            return False
-        if (a, b) in links or (b, a) in links:
-            continue
-        return False
-    return True
+            adjacent = (a + 1) % m == b or (b + 1) % m == a
+        else:
+            adjacent = (a, b) in links or (b, a) in links
+        if not adjacent:
+            return TOPO_DISTRIBUTED
+    return TOPO_RING if kind == RING_CLUSTERS else TOPO_TREE
 
 
-def _classify_phases(roles: RoleLog, voters: set[int], present: set[str]) -> set[str]:
+def _classify_phases(roles: RoleLog, voters: set[int], present: set[str],
+                     performers, consumed) -> set[str]:
     authority_artifacts = {a for r in roles.assigned for a in r.artifacts}
-    assigned_holders = [set(r.holders) for r in roles.assigned]
+    # Phases in which an assigned authority did something the voters did not.
+    exclusive = {
+        phase
+        for (phase, _), pids in performers.items()
+        if pids != voters and any(pids <= r.holders for r in roles.assigned)
+    }
     distributed = set()
-    for phase in present:
+    for phase in present - exclusive:
         core = _CORE_ACTIONS.get(phase)
-        if core is None:
+        if core is None or not voters <= performers.get((phase, core), set()):
             continue
-        performers = roles.performers(phase, core)
-        if not voters <= performers:
-            continue
-        if _authority_exclusive_action_in(roles, phase, voters, assigned_holders):
-            continue
-        if _core_consumes_authority_input(roles, phase, core, voters, authority_artifacts):
+        if consumed.get((phase, core), set()) & authority_artifacts:
             continue
         distributed.add(phase)
     return distributed
-
-
-def _authority_exclusive_action_in(roles: RoleLog, phase: str, voters: set[int],
-                                   assigned_holders: list[set[int]]) -> bool:
-    actions = {
-        a.action
-        for acts in roles.performed.values()
-        for a in acts
-        if a.phase == phase
-    }
-    for action in actions:
-        performers = set(roles.performers(phase, action))
-        if performers == voters:
-            continue
-        for holders in assigned_holders:
-            if performers and performers <= holders:
-                return True
-    return False
-
-
-def _core_consumes_authority_input(roles: RoleLog, phase: str, core: str,
-                                   voters: set[int], artifacts: set[str]) -> bool:
-    for pid in voters:
-        for act in roles.performed.get(pid, ()):
-            if act.phase == phase and act.action == core:
-                if set(act.consumes) & artifacts:
-                    return True
-    return False
 
 
 # -- message-complexity fits ---------------------------------------------------

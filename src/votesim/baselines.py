@@ -251,11 +251,12 @@ def _tamper_bulletin(group: Group, msg: dict) -> dict:
     return msg
 
 
+# Only the hub sends bulletins; a voter may run the behaviour, to no effect,
+# but no peer of another protocol may.
 register_behavior(
     BEHAVIOR_TAMPER_BULLETIN,
-    lambda inner: SendFilter(
-        inner, partial(_tamper_bulletin, getattr(inner, "group", DEFAULT_GROUP))
-    ),
+    lambda inner: SendFilter(inner, partial(_tamper_bulletin, inner.group)),
+    (HeliosHub, HeliosVoter),
 )
 
 

@@ -488,22 +488,20 @@ class ChainVoter(Peer):
         ctx.finish()
 
 
-register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0))
+register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0), ChainVoter)
 register_behavior(
     BEHAVIOR_WITHHOLD,
     lambda inner: SendFilter(inner, lambda msg: None if msg.get("t") == "block" else msg),
+    ChainVoter,
 )
 
 
-def _enable_double_spend(inner: Peer) -> Peer:
-    target = inner
-    while not hasattr(target, "double_spend") and hasattr(target, "inner"):
-        target = target.inner
-    target.double_spend = True
+def _enable_double_spend(inner: ChainVoter) -> ChainVoter:
+    inner.double_spend = True
     return inner
 
 
-register_behavior(BEHAVIOR_DOUBLE_SPEND, _enable_double_spend)
+register_behavior(BEHAVIOR_DOUBLE_SPEND, _enable_double_spend, ChainVoter)
 
 
 def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,

@@ -57,11 +57,13 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _classify_or_none(trace, roles) -> TaxonomyRow | None:
+def _classify_row(protocol: str, trace, roles) -> TaxonomyRow:
+    """The run's taxonomy row; every cell reads "unclassifiable" when the
+    trace cannot be classified."""
     try:
         return classify(trace, roles)
     except UnclassifiableTrace:
-        return None
+        return TaxonomyRow(protocol, *["unclassifiable"] * 3)
 
 
 def cmd_run(args) -> int:
@@ -70,7 +72,8 @@ def cmd_run(args) -> int:
         sc.seed = args.seed
     out = Path(args.out)
     outcome, trace = scenarios.run(sc)
-    row = _classify_or_none(trace, outcome.roles)
+    row = _classify_row(sc.protocol, trace, outcome.roles)
+    messages, nbytes = trace.message_count(), trace.byte_count()
     _write_text(out / "trace.jsonl", trace.to_jsonl())
     _write_text(
         out / "outcome.json",
@@ -78,15 +81,14 @@ def cmd_run(args) -> int:
             {
                 "scenario": sc.to_obj(),
                 "outcome": outcome.to_obj(),
-                "messages": trace.message_count(),
-                "bytes": trace.byte_count(),
+                "messages": messages,
+                "bytes": nbytes,
             },
             indent=2,
             sort_keys=True,
         )
         + "\n",
     )
-    out.mkdir(parents=True, exist_ok=True)
     with (out / "report.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -96,14 +98,11 @@ def cmd_run(args) -> int:
         w.writerow(
             [
                 sc.protocol, sc.n, sc.seed, f"{outcome.completion:.4f}",
-                trace.message_count(), trace.byte_count(),
-                row.specialisation if row else "unclassifiable",
-                row.topology if row else "unclassifiable",
-                row.distributed_phases if row else "unclassifiable",
+                messages, nbytes, *row.as_tuple(),
             ]
         )
     print(f"completion {outcome.completion:.3f}, "
-          f"{trace.message_count()} messages, artifacts in {out}/")
+          f"{messages} messages, artifacts in {out}/")
     return EXIT_OK if outcome.completion == 1.0 else EXIT_INCOMPLETE
 
 
@@ -113,12 +112,7 @@ def table1_rows(seed: int) -> list[TaxonomyRow]:
     for protocol in TABLE1_ORDER[1:]:
         sc = scenarios.canonical_scenario(protocol, seed)
         outcome, trace = scenarios.run(sc)
-        row = _classify_or_none(trace, outcome.roles)
-        if row is None:
-            rows.append(TaxonomyRow(protocol, "unclassifiable", "unclassifiable",
-                                    "unclassifiable"))
-        else:
-            rows.append(row)
+        rows.append(_classify_row(protocol, trace, outcome.roles))
     return rows
 
 
@@ -142,7 +136,6 @@ def cmd_table1(args) -> int:
     print(text, end="")
     out = Path(args.out)
     _write_text(out / "table1.txt", text)
-    out.mkdir(parents=True, exist_ok=True)
     with (out / "table1.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["protocol", "specialisation", "topology", "distributed_phases"])
@@ -168,9 +161,6 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     if len(set(ns)) < 3:
         print("need at least 3 distinct n values", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.protocol not in scenarios.PROTOCOLS:
-        print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
         return EXIT_CONFIG
     runs = []
     records = []

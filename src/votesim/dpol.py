@@ -277,9 +277,11 @@ def _mutate_lying_sum(msg: dict) -> dict:
     return msg
 
 
-register_behavior(BEHAVIOR_INVALID_SHARES, lambda inner: SendFilter(inner, _mutate_invalid_shares))
-register_behavior(BEHAVIOR_LYING_SUM, lambda inner: SendFilter(inner, _mutate_lying_sum))
-register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0))
+register_behavior(BEHAVIOR_INVALID_SHARES,
+                  lambda inner: SendFilter(inner, _mutate_invalid_shares), DpolVoter)
+register_behavior(BEHAVIOR_LYING_SUM,
+                  lambda inner: SendFilter(inner, _mutate_lying_sum), DpolVoter)
+register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0), DpolVoter)
 
 
 def ring_for(params: DpolParams, seed: int) -> tuple[Overlay, RecipientMap]:

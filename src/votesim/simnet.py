@@ -183,16 +183,6 @@ class RoleLog:
             raise ConfigError(f"unknown role origin {origin!r}")
         self.assigned.append(AssignedRole(name, frozenset(holders), origin, artifacts))
 
-    def action_types(self, pid: int) -> frozenset[tuple[str, str]]:
-        return frozenset((a.phase, a.action) for a in self.performed.get(pid, ()))
-
-    def performers(self, phase: str, action: str) -> frozenset[int]:
-        return frozenset(
-            pid
-            for pid, acts in self.performed.items()
-            if any(a.phase == phase and a.action == action for a in acts)
-        )
-
     def to_obj(self) -> dict:
         return {
             "voters": sorted(self.voters),
@@ -269,15 +259,17 @@ class PeerContext:
         self._sim.mark_finished(self.pid)
 
 
-# Registry of named byzantine behaviors. A factory receives the wrapped
-# peer instance and returns the state machine to run in its place (it may
-# return the same instance after reconfiguring it). Protocol modules
-# register their behaviors at import time.
-_BEHAVIORS: dict[str, Callable[[Peer], Peer]] = {}
+# Registry of named byzantine behaviors: name -> (factory, the peer class
+# or classes it acts on). A factory receives the wrapped peer instance and
+# returns the state machine to run in its place (it may return the same
+# instance after reconfiguring it). Protocol modules register their
+# behaviors at import time.
+_BEHAVIORS: dict[str, tuple[Callable[[Peer], Peer], type | tuple[type, ...]]] = {}
 
 
-def register_behavior(name: str, factory: Callable[[Peer], Peer]) -> None:
-    _BEHAVIORS[name] = factory
+def register_behavior(name: str, factory: Callable[[Peer], Peer],
+                      acts_on: type | tuple[type, ...] = Peer) -> None:
+    _BEHAVIORS[name] = (factory, acts_on)
 
 
 class CrashAfterSteps(Peer):
@@ -362,13 +354,19 @@ def crash_steps(name: str) -> int | None:
     return int(m[1] or 0)
 
 
-def resolve_behavior(name: str) -> Callable[[Peer], Peer]:
+def resolve_behavior(name: str, peer: Peer | None = None) -> Callable[[Peer], Peer]:
+    """The factory of behaviour ``name``; given ``peer``, a behaviour
+    registered for another class of peer is a ConfigError too."""
     steps = crash_steps(name)
     if steps is not None:
         return lambda inner: CrashAfterSteps(inner, steps)
     if name not in _BEHAVIORS:
         raise ConfigError(f"faults.byzantine: unknown behaviour {name!r}")
-    return _BEHAVIORS[name]
+    factory, acts_on = _BEHAVIORS[name]
+    if peer is not None and not isinstance(peer, acts_on):
+        raise ConfigError(f"faults.byzantine: behaviour {name!r} does not act on "
+                          f"peer {peer.pid} ({type(peer).__name__})")
+    return factory
 
 
 class Simulator:
@@ -404,7 +402,7 @@ class Simulator:
             raise ConfigError(f"duplicate peer id {pid}")
         behavior = self.faults.byzantine.get(pid)
         if behavior is not None:
-            peer = resolve_behavior(behavior)(peer)
+            peer = resolve_behavior(behavior, peer)(peer)
         self._peers[pid] = peer
         self._ctxs[pid] = PeerContext(self, pid)
 

@@ -378,14 +378,15 @@ def _mutate_proof(msg: dict) -> dict:
 
 register_behavior(
     BEHAVIOR_LYING_AGGREGATE,
-    lambda inner: SendFilter(
-        inner, partial(_mutate_report, getattr(inner, "group", DEFAULT_GROUP))
-    ),
+    lambda inner: SendFilter(inner, partial(_mutate_report, inner.group)),
+    SppVoter,
 )
-register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendFilter(inner, _mutate_proof))
+register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendFilter(inner, _mutate_proof),
+                  SppVoter)
 register_behavior(
     BEHAVIOR_SILENT_ROOT,
-    lambda inner: CrashAfterSteps(inner, 0) if getattr(inner, "is_root", False) else inner,
+    lambda inner: CrashAfterSteps(inner, 0) if inner.is_root else inner,
+    SppVoter,
 )
 
 

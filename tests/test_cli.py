@@ -154,6 +154,8 @@ RULE_BREAKS = [
                  id="crashed-stray-id"),
     pytest.param("faults.byzantine", {"faults": {"byzantine": {"9": "dpol:silent"}}},
                  id="byzantine-stray-id"),
+    pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": "chain:double-spend"}}},
+                 id="behaviour-of-another-protocol"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": True}}, id="max-delay-bool"),
     *(pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": name}}}, id=name)
       for name in ("crash-after-steps", "crash-after-stepX 3", "crash-after-step -1",

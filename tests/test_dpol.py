@@ -179,7 +179,7 @@ def test_roles_logged_for_all_voters():
     choices = [0] * 9
     out, _ = run_dpol(DpolParams(9, 1, 2), choices, faultless(), seed=10)
     for pid in range(9):
-        acts = out.roles.action_types(pid)
+        acts = {(a.phase, a.action) for a in out.roles.performed[pid]}
         assert ("casting", "cast") in acts
         assert ("aggregation", "aggregate") in acts
         assert ("evaluation", "evaluate") in acts

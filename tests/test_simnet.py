@@ -405,3 +405,19 @@ def test_finished_election_is_freed_without_the_cycle_collector(monkeypatch, pro
         assert sims[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("protocol, behaviour, peer", [
+    ("spp", "dpol:lying-sum", "SppVoter"),
+    ("dpol", "chain:double-spend", "DpolVoter"),
+    ("chainvote", "helios:tamper-bulletin", "ChainVoter"),
+])
+def test_behaviour_of_another_protocol_is_refused(monkeypatch, protocol, behaviour, peer):
+    sends = []
+    monkeypatch.setattr(Simulator, "send", lambda self, *args: sends.append(args))
+    sc = scenarios.canonical_scenario(protocol, 1)
+    sc.faults = FaultModel(byzantine={0: behaviour})
+    with pytest.raises(ConfigError, match=rf"^faults\.byzantine: behaviour '{behaviour}'"
+                                          rf" does not act on peer 0 \({peer}\)$"):
+        scenarios.run(sc)
+    assert sends == []  # refused before any message

@@ -98,7 +98,9 @@ def test_decryption_confined_to_root_cluster():
     out, _ = run_spp(SppParams(28, 4, 3, 2), choices, faultless(), seed=7,
                      group=TEST_GROUP)
     ov = build_tree_clusters(28, 4, wire.derive_seed(7, "overlay"))
-    decrypters = out.roles.performers("evaluation", "partial-decrypt")
+    decrypters = {pid for pid, acts in out.roles.performed.items()
+                  if any((a.phase, a.action) == ("evaluation", "partial-decrypt")
+                         for a in acts)}
     assert decrypters <= set(ov.members(0))
     assert len(decrypters) == 3
 
