@@ -17,6 +17,7 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import simnet, wire
 from .crypto.blindsig import (
@@ -98,7 +99,7 @@ class Transaction:
             + bytes.fromhex(self.nonce)
         )
 
-    @property
+    @cached_property
     def txid(self) -> str:
         return hashlib.sha256(self.serialize()).hexdigest()
 
@@ -119,6 +120,10 @@ class Block:
         return head + wire.ser_ints(self.work_nonce) + tail
 
     def block_hash(self) -> str:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:
         return hashlib.sha256(self.header_bytes()).hexdigest()
 
     def meets_difficulty(self, bits: int) -> bool:
@@ -205,7 +210,8 @@ def mine_block(parent: str, height: int, txs: tuple[Transaction, ...], proposer:
 class ChainView:
     """One peer's copy of the block tree plus the longest-chain choice."""
 
-    def __init__(self, issuer_pk: IssuerPublicKey, difficulty: int):
+    def __init__(self, issuer_pk: IssuerPublicKey, difficulty: int,
+                 verified: set[Token] | None = None):
         self.issuer_pk = issuer_pk
         self.difficulty = difficulty
         self.blocks: dict[str, Block] = {GENESIS_HASH: GENESIS}
@@ -213,16 +219,17 @@ class ChainView:
         self.best = GENESIS_HASH
         self.orphans: dict[str, list[Block]] = {}
         self.mempool: dict[str, Transaction] = {}
-        # Tokens whose signature has checked out; keyed by the whole token, so
-        # a known serial under another signature is verified afresh.
-        self.verified: set[Token] = set()
+        # Tokens whose signature has checked out under issuer_pk, shared by
+        # the views of one election; keyed by the whole token, so a known
+        # serial under another signature is verified afresh.
+        self.verified = set() if verified is None else verified
 
     @property
     def best_height(self) -> int:
         return self.blocks[self.best].height
 
     def token_valid(self, token: Token) -> bool:
-        """verify_token, run at most once per distinct valid token."""
+        """verify_token, run at most once per distinct valid token per verdict set."""
         if token in self.verified:
             return True
         if not verify_token(token, self.issuer_pk):
@@ -382,13 +389,15 @@ def issue_tokens(voters: list[int], key: IssuerKey,
 
 class ChainVoter(Peer):
     def __init__(self, pid: int, params: ChainParams, neighbors: tuple[int, ...],
-                 issuer_pk: IssuerPublicKey, token: Token | None, choice: int):
+                 issuer_pk: IssuerPublicKey, token: Token | None, choice: int,
+                 verified: set[Token], parsed: dict):
         super().__init__(pid)
         self.params = params
         self.neighbors = neighbors
         self.token = token
         self.choice = choice
-        self.view = ChainView(issuer_pk, params.difficulty)
+        self.view = ChainView(issuer_pk, params.difficulty, verified)
+        self.parsed = parsed
         self.seen_blocks: set[str] = {GENESIS_HASH}
         self.mining: tuple[Block, str] | None = None  # (candidate, parent at start)
         self.tally: tuple[int, ...] | None = None
@@ -419,24 +428,33 @@ class ChainVoter(Peer):
 
     # -- gossip ----------------------------------------------------------
 
+    def _parse(self, msg) -> Transaction | Block | None:
+        """The transaction or block a received payload carries, or None.
+        Received messages are shared and read-only, so the run's memo parses
+        each payload object once (holding msg, so no id is reused while the
+        run lasts) and every peer shares the frozen result."""
+        hit = self.parsed.get(id(msg))
+        if hit is None:
+            kind = msg.get("t")
+            obj = (parse_transaction(msg.get("tx")) if kind == "tx"
+                   else parse_block(msg.get("block")) if kind == "block" else None)
+            hit = self.parsed[id(msg)] = (msg, obj)
+        return hit[1]
+
     def on_message(self, ctx, sender, msg):
         # A malformed payload is ignored like a message from an unexpected
         # sender, so every Transaction and Block past the parse is well-typed
         # and its Token hashable.
-        kind = msg.get("t")
-        if kind == "tx":
-            tx = parse_transaction(msg.get("tx"))
-            if tx is not None and self.view.add_transaction(tx):
+        obj = self._parse(msg)
+        if isinstance(obj, Transaction):
+            if self.view.add_transaction(obj):
                 self._flood(ctx, msg, PHASE_CASTING, skip=sender)
-        elif kind == "block":
-            block = parse_block(msg.get("block"))
-            if block is None:
-                return
-            h = block.block_hash()
+        elif isinstance(obj, Block):
+            h = obj.block_hash()
             if h in self.seen_blocks:
                 return
             self.seen_blocks.add(h)
-            status = self.view.add_block(block)
+            status = self.view.add_block(obj)
             if status in ("added", "orphan"):
                 self._flood(ctx, msg, PHASE_AGGREGATION, skip=sender)
             if status == "added":
@@ -515,6 +533,10 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
     ov = build_gossip_mesh(params.n, params.degree, wire.derive_seed(seed, "overlay"))
     key = generate_issuer_key(wire.derive_seed(seed, "issuer"), params.issuer_bits)
     tokens, _ = issue_tokens(list(range(params.n)), key, seed)
+    # One token verdict set and one parse memo per election, shared by its
+    # voters; both die with the run.
+    verified: set[Token] = set()
+    parsed: dict = {}
 
     def details(voters: list[ChainVoter]) -> dict:
         return {
@@ -525,7 +547,7 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
     return simnet.run_election(
         "chainvote", params, choices, faults, seed, ov.to_obj(),
         lambda pid, choice: ChainVoter(pid, params, ov.neighbors(pid), key.public,
-                                       tokens[pid], choice),
+                                       tokens[pid], choice, verified, parsed),
         details,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import wire
 from .group import CryptoError
@@ -64,7 +64,10 @@ class IssuerPublicKey:
 class IssuerKey:
     n: int
     e: int
-    d: int
+    # The secrets stay out of repr, so a logged or asserted key never shows them.
+    d: int = field(repr=False)
+    p: int = field(repr=False)
+    q: int = field(repr=False)
 
     @property
     def public(self) -> IssuerPublicKey:
@@ -97,7 +100,7 @@ def generate_issuer_key(seed: int, bits: int = 1024) -> IssuerKey:
         phi = (p - 1) * (q - 1)
         if math.gcd(e, phi) != 1:
             continue
-        return IssuerKey(p * q, e, pow(e, -1, phi))
+        return IssuerKey(p * q, e, pow(e, -1, phi), p, q)
 
 
 def hash_serial(serial_hex: str, n: int) -> int:
@@ -124,7 +127,11 @@ def blind(serial_hex: str, pk: IssuerPublicKey, r: int) -> int:
 
 
 def sign_blinded(blinded: int, key: IssuerKey) -> int:
-    return pow(blinded, key.d, key.n)
+    """pow(blinded, d, n), computed mod p and mod q and recombined (CRT)."""
+    p, q = key.p, key.q
+    sp = pow(blinded, key.d % (p - 1), p)
+    sq = pow(blinded, key.d % (q - 1), q)
+    return sq + q * ((sp - sq) * pow(q, -1, p) % p)
 
 
 def unblind(blinded_sig: int, r: int, pk: IssuerPublicKey, serial_hex: str) -> Token:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votesim import chainvote
 from votesim.ballot import histogram
 from votesim.chainvote import (
     BEHAVIOR_DOUBLE_SPEND,
@@ -381,5 +382,65 @@ def test_malformed_payload_is_ignored(field):
     # The liar's own vote may not reach the honest peers, but they agree.
     honest = {t for pid, t in out.tallies.items() if pid != 3}
     without_liar = histogram([c for pid, c in enumerate(choices) if pid != 3], 2)
+    assert len(honest) == 1
+    assert honest.pop() in (histogram(choices, 2), without_liar)
+
+
+SMALL = ChainParams(n=8, d=2, degree=3, difficulty=5, block_capacity=8)
+
+
+def test_verify_token_runs_once_per_token_per_election(monkeypatch):
+    # The voters of a run share one verdict set, and the next run starts a
+    # new one: a set carried over would leave the repeated seed unchecked.
+    checked = []
+    monkeypatch.setattr(chainvote, "verify_token",
+                        lambda token, pk: checked.append(token) or verify_token(token, pk))
+    counts = []
+    for seed in (1, 2, 1):
+        checked.clear()
+        out, _ = run_chainvote(SMALL, chain_choices(8, 2, seed), FaultModel(max_delay=3), seed)
+        assert out.completion == 1.0
+        counts.append(len(checked))
+    assert counts == [8, 8, 8]
+
+
+def test_each_payload_object_is_parsed_once_per_run(monkeypatch):
+    parsed = []  # every object handed to a parser, kept alive so ids stay distinct
+    for name in ("parse_transaction", "parse_block"):
+        original = getattr(chainvote, name)
+        monkeypatch.setattr(chainvote, name,
+                            lambda obj, original=original: parsed.append(obj) or original(obj))
+    out, trace = run_chainvote(SMALL, chain_choices(8, 2, 3), FaultModel(max_delay=3), 3)
+    assert out.completion == 1.0
+    assert len({id(obj) for obj in parsed}) == len(parsed)
+    assert 0 < len(parsed) < sum(e.kind == "deliver" for e in trace.events)
+
+
+def test_forged_token_on_fresh_serial_is_rejected_beside_accepted_ones():
+    liar, fresh = 7, "ab" * 32
+    voters, verdicts_at_forgery = [], []
+
+    def forge(inner):
+        voters.append(inner)
+
+        def rewrite(msg):
+            if msg.get("t") != "tx":
+                return msg
+            verdicts_at_forgery.append(set(inner.view.verified))
+            return {**msg, "tx": {**msg["tx"], "token": {**msg["tx"]["token"], "serial": fresh}}}
+        return SendFilter(inner, rewrite)
+
+    register_behavior("test:chain-forge-fresh-serial", forge)
+    choices = chain_choices(8, 2, 22)
+    out, _ = run_chainvote(SMALL, choices, FaultModel(
+        max_delay=3, byzantine={liar: "test:chain-forge-fresh-serial"}), seed=22)
+    # Every voter's genuine token was in the election's shared verdict set
+    # before the forgery left the liar.
+    assert verdicts_at_forgery and len(verdicts_at_forgery[0]) == 8
+    verified = voters[0].view.verified
+    assert len(verified) == 8 and fresh not in {t.serial for t in verified}
+    assert out.completion == 1.0
+    honest = {t for pid, t in out.tallies.items() if pid != liar}
+    without_liar = histogram([c for pid, c in enumerate(choices) if pid != liar], 2)
     assert len(honest) == 1
     assert honest.pop() in (histogram(choices, 2), without_liar)

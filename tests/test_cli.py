@@ -156,6 +156,10 @@ RULE_BREAKS = [
                  id="byzantine-stray-id"),
     pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": "chain:double-spend"}}},
                  id="behaviour-of-another-protocol"),
+    pytest.param("faults.byzantine",
+                 {"protocol": "helios", "n": 4, "trustees": 3, "t": 2,
+                  "faults": {"byzantine": {"1": "helios:tamper-bulletin"}}},
+                 id="behaviour-on-the-wrong-helios-peer"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": True}}, id="max-delay-bool"),
     *(pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": name}}}, id=name)
       for name in ("crash-after-steps", "crash-after-stepX 3", "crash-after-step -1",

@@ -422,3 +422,28 @@ def test_issuer_transcript_disjoint_from_tokens(issuer):
         transcript |= {blinded, bsig}
         issued |= {int(token.serial, 16), token.signature}
     assert transcript & issued == set()
+
+
+@pytest.fixture(scope="module")
+def issuer_keys(issuer):
+    return {512: generate_issuer_key(seed=101, bits=512), 768: issuer}
+
+
+@pytest.mark.parametrize("bits", [512, 768])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_crt_signing_matches_pow(issuer_keys, bits, data):
+    key = issuer_keys[bits]
+    p, q, n = key.p, key.q, key.n
+    assert p * q == n and key.e * key.d % ((p - 1) * (q - 1)) == 1
+    x = data.draw(st.one_of(
+        st.sampled_from([0, 1, p, q, n - p, n - q, n - 1]),
+        st.integers(0, q - 1).map(lambda i: i * p),
+        st.integers(0, p - 1).map(lambda i: i * q),
+        st.integers(0, n - 1),
+    ))
+    assert sign_blinded(x, key) == pow(x, key.d, n)
+
+
+def test_issuer_key_repr_hides_the_secrets(issuer):
+    assert repr(issuer) == f"IssuerKey(n={issuer.n}, e={issuer.e})"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votesim import scenarios, simnet, wire
+from votesim.baselines import HeliosHub
 from votesim.simnet import (
     ConfigError,
     FaultModel,
@@ -379,9 +380,10 @@ READ_ONLY_RUNS = [(p, None) for p in sorted(scenarios.RUNNERS)] + _package_behav
 def test_no_handler_changes_a_received_message(decoded, protocol, behaviour):
     sc = scenarios.canonical_scenario(protocol, seed=1)
     if behaviour is not None:
-        # Every third voter, and the Helios hub, so that each behaviour acts
-        # on peers of every role.
-        liars = [*range(0, sc.n, 3), *([sc.n] if protocol == "helios" else [])]
+        # Each behaviour on every class of peer it acts on: a hub-only one on
+        # the Helios hub, every other one on every third voter.
+        hub_only = simnet._BEHAVIORS[behaviour][1] is HeliosHub
+        liars = [sc.n] if hub_only else range(0, sc.n, 3)
         sc.faults = FaultModel(max_delay=3, byzantine=dict.fromkeys(liars, behaviour))
     scenarios.run(sc)
     assert all_intact(decoded)
