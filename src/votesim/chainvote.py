@@ -184,6 +184,19 @@ def parse_block(obj) -> Block | None:
     return Block(obj["parent"], obj["height"], txs, obj["proposer"], obj["nonce"])
 
 
+def decode(payload: bytes) -> tuple[dict, Transaction | Block | None] | None:
+    """The payload decoder of a chainvote run: the JSON object and the
+    transaction or block it carries (None when malformed), or None for any
+    other JSON value. The simulator decodes each payload in flight once, so
+    every peer it reaches shares one frozen Transaction or Block."""
+    msg = simnet.json_object(payload)
+    if msg is None:
+        return None
+    kind = msg.get("t")
+    return msg, (parse_transaction(msg.get("tx")) if kind == "tx"
+                 else parse_block(msg.get("block")) if kind == "block" else None)
+
+
 GENESIS = Block(GENESIS_PARENT, 0, (), 0, 0)
 GENESIS_HASH = GENESIS.block_hash()
 
@@ -202,8 +215,10 @@ def mine_block(parent: str, height: int, txs: tuple[Transaction, ...], proposer:
     while True:
         h = prefix.copy()
         h.update(wire.ser_ints(nonce) + tail)
-        if int.from_bytes(h.digest(), "big") >> shift == 0:
-            return Block(parent, height, txs, proposer, nonce), nonce + 1
+        if int.from_bytes(digest := h.digest(), "big") >> shift == 0:
+            block = Block(parent, height, txs, proposer, nonce)
+            block.__dict__["_hash"] = digest.hex()  # what block_hash() would compute
+            return block, nonce + 1
         nonce += 1
 
 
@@ -257,20 +272,12 @@ class ChainView:
             return "invalid"
         self.blocks[h] = block
         self.spent[h] = self.spent[block.parent] | {t.token.serial for t in block.txs}
-        self._maybe_rebest(h)
+        # The longest chain wins; the lower tip hash breaks a tie.
+        if (block.height, -int(h, 16)) > (self.best_height, -int(self.best, 16)):
+            self.best = h
         for child in self.orphans.pop(h, []):
             self.add_block(child)
         return "added"
-
-    def _tip_rank(self, h: str) -> int:
-        # Lower hash wins ties, so rank by the negated integer value.
-        return -int(h, 16)
-
-    def _maybe_rebest(self, h: str) -> None:
-        cand = (self.blocks[h].height, self._tip_rank(h))
-        cur = (self.best_height, self._tip_rank(self.best))
-        if cand > cur:
-            self.best = h
 
     def block_defect(self, block: Block, parent: Block,
                      spent: set[str] | frozenset[str]) -> str | None:
@@ -390,14 +397,13 @@ def issue_tokens(voters: list[int], key: IssuerKey,
 class ChainVoter(Peer):
     def __init__(self, pid: int, params: ChainParams, neighbors: tuple[int, ...],
                  issuer_pk: IssuerPublicKey, token: Token | None, choice: int,
-                 verified: set[Token], parsed: dict):
+                 verified: set[Token]):
         super().__init__(pid)
         self.params = params
         self.neighbors = neighbors
         self.token = token
         self.choice = choice
         self.view = ChainView(issuer_pk, params.difficulty, verified)
-        self.parsed = parsed
         self.seen_blocks: set[str] = {GENESIS_HASH}
         self.mining: tuple[Block, str] | None = None  # (candidate, parent at start)
         self.tally: tuple[int, ...] | None = None
@@ -428,24 +434,11 @@ class ChainVoter(Peer):
 
     # -- gossip ----------------------------------------------------------
 
-    def _parse(self, msg) -> Transaction | Block | None:
-        """The transaction or block a received payload carries, or None.
-        Received messages are shared and read-only, so the run's memo parses
-        each payload object once (holding msg, so no id is reused while the
-        run lasts) and every peer shares the frozen result."""
-        hit = self.parsed.get(id(msg))
-        if hit is None:
-            kind = msg.get("t")
-            obj = (parse_transaction(msg.get("tx")) if kind == "tx"
-                   else parse_block(msg.get("block")) if kind == "block" else None)
-            hit = self.parsed[id(msg)] = (msg, obj)
-        return hit[1]
-
-    def on_message(self, ctx, sender, msg):
-        # A malformed payload is ignored like a message from an unexpected
-        # sender, so every Transaction and Block past the parse is well-typed
-        # and its Token hashable.
-        obj = self._parse(msg)
+    def on_message(self, ctx, sender, decoded):
+        # decoded is decode(payload); a malformed payload is ignored like one
+        # from an unexpected sender, so every Transaction and Block past the
+        # parse is well-typed and its Token hashable.
+        msg, obj = decoded
         if isinstance(obj, Transaction):
             if self.view.add_transaction(obj):
                 self._flood(ctx, msg, PHASE_CASTING, skip=sender)
@@ -533,10 +526,8 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
     ov = build_gossip_mesh(params.n, params.degree, wire.derive_seed(seed, "overlay"))
     key = generate_issuer_key(wire.derive_seed(seed, "issuer"), params.issuer_bits)
     tokens, _ = issue_tokens(list(range(params.n)), key, seed)
-    # One token verdict set and one parse memo per election, shared by its
-    # voters; both die with the run.
+    # One token verdict set per election, shared by its voters.
     verified: set[Token] = set()
-    parsed: dict = {}
 
     def details(voters: list[ChainVoter]) -> dict:
         return {
@@ -547,8 +538,8 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
     return simnet.run_election(
         "chainvote", params, choices, faults, seed, ov.to_obj(),
         lambda pid, choice: ChainVoter(pid, params, ov.neighbors(pid), key.public,
-                                       tokens[pid], choice, verified, parsed),
-        details,
+                                       tokens[pid], choice, verified),
+        details, decode=decode,
     )
 
 

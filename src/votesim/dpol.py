@@ -12,8 +12,8 @@ locally. No cryptography is involved anywhere.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
+from typing import Callable
 
 from . import simnet
 from .ballot import (
@@ -57,16 +57,30 @@ def cluster_tally(local_sums: list[tuple[int, ...] | None], d: int) -> tuple[int
     return vector_sum(local_sums, d)
 
 
-@functools.lru_cache(maxsize=8)
-def _cluster_keys(clusters: int) -> dict[str, int]:
-    """Map key -> cluster index for every valid key of a map payload. One
-    read-only table serves every voter of a run."""
-    return {str(ci): ci for ci in range(clusters)}
+def decoder(params: DpolParams) -> Callable[[bytes], dict | None]:
+    """The payload decoder of a DPol run: the JSON object, its map ``m``
+    parsed into {cluster index: d ints}, or ``m`` None when any key is not a
+    cluster index or any value is not d ints. The simulator decodes each
+    payload in flight once, so every voter it reaches shares one parse."""
+    d, keys = params.d, {str(ci): ci for ci in range(math.isqrt(params.n))}
+
+    def decode(payload: bytes) -> dict | None:
+        msg = simnet.json_object(payload)
+        if msg is None or "m" not in msg:
+            return msg
+        m, tallies = msg["m"], None
+        if isinstance(m, dict):
+            tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
+            if None in tallies or None in tallies.values():
+                tallies = None
+        return {**msg, "m": tallies}
+
+    return decode
 
 
 class DpolVoter(Peer):
     def __init__(self, pid: int, params: DpolParams, overlay, rmap: RecipientMap,
-                 choice: int, run_seed: int, map_memo: dict | None = None):
+                 choice: int, run_seed: int):
         super().__init__(pid)
         self.params = params
         self.choice = choice
@@ -77,7 +91,6 @@ class DpolVoter(Peer):
         self.recipients = rmap.recipients[pid]
         self.expected_senders = frozenset(rmap.senders[pid])
         self.rounds_total = int(math.isqrt(params.n)) - 1
-        self.cluster_keys = _cluster_keys(math.isqrt(params.n))
         self.shares_by_sender: dict[int, tuple[int, ...]] = {}
         self.local_sum: tuple[int, ...] | None = None
         self.sums_by_member: dict[int, tuple[int, ...]] = {}
@@ -85,8 +98,6 @@ class DpolVoter(Peer):
         self.poisoned: set[int] = set()
         # Maps of the rounds not merged yet; a round is dropped once merged.
         self.round_maps: dict[int, dict[int, dict]] = {}
-        # id(raw map) -> (raw map, verdict), shared by every voter of a run.
-        self.map_memo = {} if map_memo is None else map_memo
         self.merged = 0
         self.tally: tuple[int, ...] | None = None
         self.decode_failed = False
@@ -123,28 +134,10 @@ class DpolVoter(Peer):
             if (type(r) is int and sender in self.expected_senders
                     and self.merged <= r < self.rounds_total):
                 per_round = self.round_maps.setdefault(r, {})
-                tallies = None if sender in per_round else self._parse_map(msg.get("m"))
-                if tallies is not None:
+                tallies = msg.get("m")  # parsed by decoder(params)
+                if tallies is not None and sender not in per_round:
                     per_round[sender] = tallies
                     self._maybe_process_rounds(ctx)
-
-    def _parse_map(self, m) -> dict[int, tuple[int, ...]] | None:
-        """A received map of cluster tallies; None when any key is not a
-        cluster index or any value is not d ints. Received messages are shared
-        and read-only and the verdict depends only on m, d and the cluster
-        count, so the run's memo judges each map object once (holding m, so
-        no id is reused while the run lasts)."""
-        hit = self.map_memo.get(id(m))
-        if hit is not None:
-            return hit[1]
-        tallies = None
-        if isinstance(m, dict):
-            d, keys = self.params.d, self.cluster_keys
-            tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
-            if None in tallies or None in tallies.values():
-                tallies = None
-        self.map_memo[id(m)] = (m, tallies)
-        return tallies
 
     def _compute_local_sum(self, ctx):
         self.local_sum = vector_sum(
@@ -302,7 +295,6 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
     the honest pattern; flagged peers are returned in the outcome.
     """
     ov, rmap = ring_for(params, seed)
-    map_memo: dict = {}
 
     def details(voters: list[DpolVoter]) -> dict:
         return {
@@ -313,7 +305,8 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
 
     return simnet.run_election(
         "dpol", params, choices, faults, seed, ov.to_obj(),
-        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed, map_memo), details,
+        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed), details,
+        decode=decoder(params),
     )
 
 

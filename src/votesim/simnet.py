@@ -38,6 +38,8 @@ KIND_LOCAL = "local-action"
 
 # Tick budget of a run; a run still busy at this tick ends incomplete.
 MAX_TICKS = 1_000_000
+# The decoded half of an in-flight slot that no delivery has decoded yet.
+_UNDECODED = object()
 
 
 class ScenarioError(Exception):
@@ -63,6 +65,13 @@ def check_election(n: int, d: int, choices: list | None) -> None:
     if any(not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < d
            for c in choices):
         raise ConfigError("choices: every entry must be an option index in [0, d)")
+
+
+def json_object(payload: bytes) -> dict | None:
+    """The default payload decoder: the JSON object the bytes hold, or None
+    for any other JSON value. Peers never see a payload decoded to None."""
+    msg = wire.loads(payload)
+    return msg if isinstance(msg, dict) else None
 
 
 class SimEvent(NamedTuple):
@@ -211,11 +220,11 @@ class Peer:
     def on_start(self, ctx: "PeerContext") -> None:
         pass
 
-    def on_message(self, ctx: "PeerContext", sender: int, msg: dict) -> None:
-        """Handle one delivered JSON object. The simulator decodes equal
-        payload bytes in flight once and hands each of their deliveries the
-        same object, so ``msg`` is shared and read-only: a handler may keep
-        or re-send it but never change it."""
+    def on_message(self, ctx: "PeerContext", sender: int, msg: Any) -> None:
+        """Handle one delivery: ``msg`` is what the run's decoder made of the
+        payload (its JSON object, by default). Equal payload bytes in flight
+        are decoded once and share the result, so ``msg`` is read-only: a
+        handler may keep or re-send it but never change it."""
 
     def on_timer(self, ctx: "PeerContext", tag: str, data: Any) -> None:
         pass
@@ -372,8 +381,10 @@ def resolve_behavior(name: str, peer: Peer | None = None) -> Callable[[Peer], Pe
 class Simulator:
     """Single-threaded deterministic event loop for one protocol run."""
 
-    def __init__(self, faults: FaultModel, seed: int, params: dict | None = None):
+    def __init__(self, faults: FaultModel, seed: int, params: dict | None = None,
+                 decode: Callable[[bytes], Any] = json_object):
         self.faults = faults
+        self._decode = decode
         self.seed = seed
         self.params = dict(params or {})
         self.now = 0
@@ -386,9 +397,9 @@ class Simulator:
         self._send_seq = 0
         self._net_rng = random.Random(wire.derive_seed(seed, "net"))
         self._peer_rngs: dict[int, random.Random] = {}
-        # Payload bytes -> [deliveries pending, the object decoded from them
-        # or None]: equal bytes in flight are decoded once and share the
-        # object (see Peer.on_message); the entry goes with the last delivery.
+        # Payload bytes -> [deliveries pending, what decode made of them or
+        # _UNDECODED]: equal bytes in flight are decoded once and share the
+        # result (see Peer.on_message); the entry goes with the last delivery.
         self._in_flight: dict[bytes, list] = {}
         self._finished: set[int] = set()
         self._running = False
@@ -439,7 +450,7 @@ class Simulator:
             elif p > 0.0:
                 dropped = self._net_rng.random() < p
         if not dropped:
-            self._in_flight.setdefault(payload, [0, None])[0] += 1
+            self._in_flight.setdefault(payload, [0, _UNDECODED])[0] += 1
         kind = "drop" if dropped else "deliver"
         self._push(self.now + delay, (kind, src, dst, phase, payload))
 
@@ -515,10 +526,10 @@ class Simulator:
             if not slot[0]:
                 del self._in_flight[payload]
             if peer is not None:
-                if slot[1] is None:
-                    slot[1] = wire.loads(payload)
                 msg = slot[1]
-                if isinstance(msg, dict):  # recorded as delivered, but peers take only JSON objects
+                if msg is _UNDECODED:
+                    msg = slot[1] = self._decode(payload)
+                if msg is not None:  # recorded as delivered, but the peer is not called
                     peer.on_message(self._ctxs[dst], src, msg)
         elif kind == "drop":
             _, src, dst, phase, payload = entry
@@ -576,7 +587,8 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
                  seed: int, overlay: dict, voter: Callable[[int, int], Peer],
                  details: Callable[[list], dict] = lambda voters: {}, *,
                  others: tuple[Peer, ...] = (),
-                 roles: tuple[tuple, ...] = ()) -> tuple[Outcome, Trace]:
+                 roles: tuple[tuple, ...] = (),
+                 decode: Callable[[bytes], Any] = json_object) -> tuple[Outcome, Trace]:
     """Run one election and collect its outcome.
 
     ``params`` is the protocol's parameter dataclass; its ``n`` and ``d``
@@ -584,18 +596,19 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     ``voter(pid, choice)`` builds voter ``pid`` for every pid in
     ``range(n)``; each voter exposes the ``tally`` it accepted. ``others``
     are non-voter peers and ``roles`` are ``RoleLog.assign`` argument
-    tuples. ``details(voters)`` runs after the simulation and returns the
-    outcome's protocol-specific fields. Completion counts live voters only.
-    A crashed or byzantine id that names no peer is a ``ConfigError``, as
-    is any breach of ``check_election``. The simulator is freed when this
-    returns, without waiting for the cycle collector.
+    tuples; ``decode`` is the simulator's payload decoder. ``details(voters)``
+    runs after the simulation and returns the outcome's protocol-specific
+    fields. Completion counts live voters only. A crashed or byzantine id
+    that names no peer is a ``ConfigError``, as is any breach of
+    ``check_election``. The simulator is freed when this returns, without
+    waiting for the cycle collector.
     """
     n = params.n
     check_election(n, params.d, choices)
     sim = Simulator(faults, seed, params={
         "protocol": protocol, **asdict(params), "seed": seed, "choices": list(choices),
         "faults": faults.to_obj(), "overlay": overlay,
-    })
+    }, decode=decode)
     sim.roles.voters = frozenset(range(n))
     for role in roles:
         sim.roles.assign(*role)

@@ -1,5 +1,6 @@
 """Bulletin-board voting: token issuance, gossip, PoW, forks, double spends."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -286,6 +287,26 @@ def test_mine_block_matches_naive_grind(tokens16, picks, parent, height, propose
     assert mine_block(parent, height, txs, proposer, difficulty) == naive_mine(
         parent, height, txs, proposer, difficulty
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 2 ** 16),
+                             st.binary(min_size=32, max_size=32).map(bytes.hex)), max_size=6),
+    difficulty=st.integers(1, 8),
+)
+def test_mined_block_hash_is_its_header_hash(tokens16, drawn, difficulty):
+    """mine_block hands back the block with its hash already known, so one
+    mine plus one hash serializes each transaction once."""
+    tokens, _ = tokens16
+    txs = tuple(Transaction(tokens[i], choice, nonce) for i, choice, nonce in drawn)
+    calls, serialize = [], Transaction.serialize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Transaction, "serialize", lambda tx: calls.append(tx) or serialize(tx))
+        block, _ = mine_block(GENESIS_HASH, 1, txs, 0, difficulty)
+        block_hash = block.block_hash()
+    assert len(calls) == len(txs)
+    assert block_hash == hashlib.sha256(block.header_bytes()).hexdigest()
 
 
 def test_known_serial_with_changed_signature_is_rejected(issuer_key, tokens16):

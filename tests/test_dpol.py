@@ -1,5 +1,6 @@
 """DPol protocol runs checked against the plaintext histogram oracle."""
 
+import json
 import random
 
 import pytest
@@ -327,10 +328,11 @@ def test_merge_fast_path_equals_vote_counting(case):
 @pytest.mark.parametrize("lie", ["1.0", "true"])
 def test_map_with_other_bytes_is_judged_on_its_own(lie):
     voter = make_voter(9, 1)
+    decode = dpol.decoder(voter.params)
     first, liar, last = sorted(voter.expected_senders)
-    honest = wire.loads(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
+    honest = decode(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
     voter.on_message(None, first, honest)
-    voter.on_message(None, liar, wire.loads(f'{{"m":{{"0":[{lie},5]}},"r":0,"t":"map"}}'.encode()))
+    voter.on_message(None, liar, decode(f'{{"m":{{"0":[{lie},5]}},"r":0,"t":"map"}}'.encode()))
     voter.on_message(None, last, honest)
     assert sorted(voter.round_maps[0]) == [first, last]
 
@@ -340,11 +342,17 @@ def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
     the honest copies as Python values but not as bytes, so it is dropped even
     where an honest copy of the same round was parsed just before it."""
     liar, arrivals, merged = 4, {}, []
+    decoder = dpol.decoder
+
+    def with_json(params):
+        """The run's decoder, each message also carrying its payload's JSON."""
+        decode = decoder(params)
+        return lambda payload: {**decode(payload), "json": wire.loads(payload)}
 
     class Recording(DpolVoter):
         def on_message(self, ctx, sender, msg):
             if msg.get("t") == "map":
-                arrivals.setdefault(self.pid, []).append((msg["r"], sender, msg["m"]))
+                arrivals.setdefault(self.pid, []).append((msg["r"], sender, msg["json"]["m"]))
             super().on_message(ctx, sender, msg)
 
         def _merge_round(self, ctx, per_round):
@@ -352,6 +360,7 @@ def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
             super()._merge_round(ctx, per_round)
 
     monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    monkeypatch.setattr(dpol, "decoder", with_json)
     register_behavior("test:float-map", lambda inner: SendFilter(
         inner, lambda msg: {**msg, "m": {ci: [float(x) for x in v] for ci, v in msg["m"].items()}}
         if msg.get("t") == "map" else msg))
@@ -359,7 +368,7 @@ def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
              faultless(byzantine={liar: "test:float-map"}), seed=9)
     assert merged and all(liar not in senders for senders in merged)
     # The precondition: at some voter, the map that arrived right before the
-    # liar's was an honest copy of the same round, equal to the liar's.
+    # liar's was an honest copy of the same round whose JSON equals the liar's.
     assert any(a[0] == b[0] and a[1] != liar and b[1] == liar and a[2] == b[2]
                for seen in arrivals.values() for a, b in zip(seen, seen[1:]))
 
@@ -379,7 +388,7 @@ class StubCtx(RecordingCtx):
 def test_map_for_a_merged_round_is_ignored():
     voter, ctx = make_voter(9, 1), StubCtx()
     voter.known[voter.pred_cluster] = (3, 0)
-    honest = wire.loads(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
+    honest = dpol.decoder(voter.params)(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
     for sender in sorted(voter.expected_senders):
         voter.on_message(ctx, sender, honest)
     assert ctx.rounds_sent == [1]  # round 0 merged, so the voter forwards round 1
@@ -388,30 +397,44 @@ def test_map_for_a_merged_round_is_ignored():
 
 
 def record_map_runs(monkeypatch):
-    """Patch run_dpol's voters and wire.int_vector so each run records its
-    voters, the distinct map objects they received, and how many map values
-    were judged."""
-    runs = []
-    int_vector = wire.int_vector
+    """Patch run_dpol's voters, its decoder and wire.int_vector so each run
+    records its voters, its map deliveries, and for each payload it decoded
+    the map values the payload held and how many values were judged then."""
+    runs, judged = [], [0]
+    decoder, int_vector = dpol.decoder, wire.int_vector
+
+    def counting(v, d):
+        judged[0] += 1
+        return int_vector(v, d)
+
+    def recording_decoder(params):
+        decode, run = decoder(params), {"voters": [], "parses": [], "delivered": 0,
+                                        "judged_in_handlers": 0}
+        runs.append(run)
+
+        def recording(payload):
+            before, obj = judged[0], json.loads(payload)
+            msg = decode(payload)
+            run["parses"].append((len(obj["m"]) if obj["t"] == "map" else 0,
+                                  judged[0] - before))
+            return msg
+
+        return recording
 
     class Recording(DpolVoter):
         def __init__(self, *args):
             super().__init__(*args)
-            if not runs or runs[-1]["memo"] is not self.map_memo:
-                runs.append({"memo": self.map_memo, "voters": [], "maps": {}, "judged": 0})
             runs[-1]["voters"].append(self)
 
         def on_message(self, ctx, sender, msg):
-            if msg.get("t") == "map":
-                runs[-1]["maps"][id(msg["m"])] = msg["m"]
+            before = judged[0]
             super().on_message(ctx, sender, msg)
-
-    def counting(v, d):
-        if any(v is value for m in runs[-1]["maps"].values() for value in m.values()):
-            runs[-1]["judged"] += 1
-        return int_vector(v, d)
+            if msg.get("t") == "map":
+                runs[-1]["delivered"] += 1
+                runs[-1]["judged_in_handlers"] += judged[0] - before
 
     monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    monkeypatch.setattr(dpol, "decoder", recording_decoder)
     monkeypatch.setattr(wire, "int_vector", counting)
     return runs
 
@@ -419,18 +442,21 @@ def record_map_runs(monkeypatch):
 def test_each_map_object_is_judged_once_per_run(monkeypatch):
     runs = record_map_runs(monkeypatch)
     choices = [i % 2 for i in range(49)]
-    for seed in (5, 6):
+    for seed in (5, 6, 5):
         out, _ = run_dpol(DpolParams(49, 1, 2), choices, faultless(), seed=seed)
         assert set(out.tallies.values()) == {histogram(choices, 2)}
+    assert len(runs) == 3
     for run in runs:
         assert len(run["voters"]) == 49
-        assert all(v.map_memo is run["memo"] for v in run["voters"])
-        # Each distinct decoded map (every value a fresh list) is judged once.
-        assert run["judged"] == sum(len(m) for m in run["maps"].values())
-        assert set(run["memo"]) == set(run["maps"])
-    # The second run judged its own maps: no verdict came from the first.
-    assert runs[0]["memo"] is not runs[1]["memo"]
-    assert runs[1]["judged"] > 0
+        # Each decoded payload judges every map value it holds, once; no
+        # handler judges a map, and voters share each decoded map.
+        assert all(held == n for held, n in run["parses"])
+        assert run["judged_in_handlers"] == 0
+        maps = sum(1 for held, _ in run["parses"] if held)
+        assert 0 < maps < run["delivered"]
+    # The repeated seed judged all its maps again: no parse came from a
+    # run before it.
+    assert runs[2]["parses"] == runs[0]["parses"]
 
 
 @pytest.mark.parametrize("body", sorted(HOSTILE_MAPS))

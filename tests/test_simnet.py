@@ -358,6 +358,26 @@ def test_equal_payloads_in_flight_are_decoded_once_and_shared(decoded):
     assert sim._in_flight == {}
 
 
+def test_decoder_runs_once_per_payload_in_flight_and_none_is_not_handed_over():
+    calls = []
+
+    def decode(payload):
+        calls.append(payload)
+        return None if payload == b'{"ping":0}' else json.loads(payload)
+
+    sim = Simulator(FaultModel(), 1, decode=decode)
+    origin, a, b = Pinger(0, 1, 2, 1), Pinger(1, 0), Pinger(2)
+    for peer in (origin, a, b):
+        sim.add_peer(peer)
+    trace = sim.run_until_quiescent()
+    assert kinds(trace).count("deliver") == 4
+    # Three deliveries of one payload decode it once, to None, and no peer
+    # is handed it; the other payload reaches its peer.
+    assert calls == [b'{"ping":0}', b'{"ping":1}']
+    assert a.got == b.got == [] and origin.got == [(1, {"ping": 1})]
+    assert sim._in_flight == {}
+
+
 def test_mutating_handler_is_caught(decoded):
     sim = Simulator(FaultModel(), 1)
     sim.add_peer(Pinger(0, 1))
