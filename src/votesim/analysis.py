@@ -1,5 +1,5 @@
-"""Trace replay: taxonomy classification, complexity fits, privacy probes
-and robustness tables.
+"""Trace replay: taxonomy classification, complexity fits, a DPol privacy
+probe and robustness tables.
 
 The distribution taxonomy is verbal in origin, so this module pins down
 computable stand-ins and applies them uniformly. Every rule reads one
@@ -21,6 +21,10 @@ voters' actions of that kind consumed).
   that phase, and no voter's core action consumed an authority-owned
   artifact (data it must take on trust, like a threshold key or the
   decrypted tally).
+
+The privacy probe covers DPol alone. Chainvote's ballot secrecy rests on
+token unlinkability, a property of the issuer's transcript that c06
+(``test_c06_blind_token_unlinkability``) checks directly.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from dataclasses import dataclass, replace
 
 from . import scenarios, wire
 from .ballot import DpolParams, encode_shares, histogram
-from .chainvote import TokenIssuer, generate_issuer_key
-from .crypto.blindsig import hash_serial
 from .dpol import ring_for
 from .overlay import RING_CLUSTERS, TREE_CLUSTERS
 from .simnet import (
@@ -264,9 +266,10 @@ def privacy_probe(trace: Trace, coalition: set[int], target: int,
     Re-runs the scenario echoed in the trace `trials` times with fresh
     seeds and a uniformly random target choice each time, extracts what
     the coalition observes during casting, and scores its best guess.
-    The full message simulation is not replayed: for every supported
-    protocol the coalition's view of the target is fixed by the casting
-    material, which is reproduced exactly from the per-trial seed.
+    The full message simulation is not replayed: on DPol, the one
+    protocol probed, the coalition's view of the target is fixed by the
+    casting material, which is reproduced exactly from the per-trial
+    seed. Any other protocol with a non-empty coalition is a ProbeError.
     """
     if trials < 100:
         raise ProbeError("fewer than 100 trials is statistically meaningless")
@@ -279,8 +282,6 @@ def privacy_probe(trace: Trace, coalition: set[int], target: int,
     protocol = params.get("protocol")
     if protocol == "dpol":
         return _dpol_probe(params, coalition, target, trials)
-    if protocol == "chainvote":
-        return _chainvote_probe(params, coalition, target, trials)
     raise ProbeError(f"no adversary view extractor for protocol {protocol!r}")
 
 
@@ -314,47 +315,6 @@ def _dpol_probe(params: dict, coalition: set[int], target: int, trials: int) -> 
         else:
             guess = rng.randrange(dp.d)
         hits += guess == choice
-    return hits / trials
-
-
-def _chainvote_probe(params: dict, coalition: set[int], target: int,
-                     trials: int) -> float:
-    """Token-to-identity linkage: can the chain plus the issuer transcript
-    tie the target to its token?
-
-    The adversary tries exact-value matching between transcript entries
-    and issued tokens; blinding guarantees no match, so it falls back to a
-    uniform guess among the tokens on the chain. Reported accuracy is the
-    fraction of trials where the guessed token is the target's.
-    """
-    n = int(params["n"])
-    base_seed = int(params["seed"])
-    key = generate_issuer_key(
-        wire.derive_seed(base_seed, "probe-issuer"), int(params.get("issuer_bits", 768))
-    )
-    hits = 0
-    for trial in range(trials):
-        seed = wire.derive_seed(base_seed, "probe", trial)
-        issuer = TokenIssuer(key, seed)
-        tokens = {pid: issuer.issue(pid) for pid in range(n)}
-        transcript_values = issuer.transcript.values()
-        token_values = {
-            pid: {
-                tok.signature,
-                int(tok.serial, 16),
-                hash_serial(tok.serial, key.n),
-            }
-            for pid, tok in tokens.items()
-        }
-        linked = None
-        for pid, values in token_values.items():
-            if values & transcript_values:
-                linked = pid  # exact-match linkage (never happens when blinded)
-                break
-        if linked is None:
-            rng = random.Random(wire.derive_seed(seed, "probe-guess"))
-            linked = rng.randrange(n)
-        hits += linked == target
     return hits / trials
 
 

@@ -96,7 +96,7 @@ class HeliosVoter(Peer):
         kind, h = msg.get("t"), msg.get("h")
         if (kind == "pubkey" and self.pk is None and sender == self.params.hub
                 and type(h) is int and 0 < h < self.group.p):
-            self.pk = PublicKey(self.group, h, t=self.params.t, n_holders=self.params.trustees)
+            self.pk = PublicKey(self.group, h, t=self.params.t)
             ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
             self.cast, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
             ctx.send((self.params.hub,), {"t": "ballot", "cts": cts_to_obj(self.cast),
@@ -377,7 +377,7 @@ def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
     n, d = params.n, params.d
     # The baseline talks peer-to-peer over the complete graph.
     links = tuple((a, b) for a in range(n) for b in range(a + 1, n))
-    ov = Overlay(GOSSIP_MESH, n, (tuple(range(n)),), links, {"degree": n - 1})
+    ov = Overlay(GOSSIP_MESH, n, (tuple(range(n)),), links)
     return simnet.run_election(
         "mesh", params, choices, faults, seed, ov.to_obj(),
         lambda pid, choice: MeshVoter(pid, n, d, choice),

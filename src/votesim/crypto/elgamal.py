@@ -27,7 +27,6 @@ class PublicKey:
     group: Group
     h: int
     t: int = 1
-    n_holders: int = 1
 
     def __post_init__(self) -> None:
         self.group.fix_base(self.h)
@@ -148,7 +147,7 @@ def threshold_keygen(t: int, n_holders: int, group: Group,
     for j in range(1, n_holders + 1):
         value = sum(poly_eval(poly, j, q) for poly in polys) % q
         shares.append(KeyShare(holder=j - 1, index=j, value=value))
-    pk = PublicKey(group, group.exp(group.g, x), t=t, n_holders=n_holders)
+    pk = PublicKey(group, group.exp(group.g, x), t=t)
     return pk, shares
 
 

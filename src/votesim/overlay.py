@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
 from .simnet import ConfigError
@@ -35,7 +35,6 @@ class Overlay:
     # Adjacency: (i, j) pairs over cluster indices for clustered kinds,
     # over peer ids for gossip-mesh and star.
     links: tuple[tuple[int, int], ...]
-    metadata: dict = field(default_factory=dict)
 
     def cluster_of(self, pid: int) -> int:
         for ci, members in enumerate(self.clusters):
@@ -81,11 +80,7 @@ class Overlay:
             "n": self.n,
             "clusters": [list(c) for c in self.clusters],
             "links": [list(l) for l in self.links],
-            "metadata": dict(self.metadata),
         }
-
-    def to_json(self) -> str:
-        return wire.dumps(self.to_obj()).decode()
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ def build_ring_clusters(n: int, seed: int) -> Overlay:
     )
     _check_partition(clusters, n)
     links = tuple((i, (i + 1) % root) for i in range(root))
-    return Overlay(RING_CLUSTERS, n, clusters, links, {"ring_order": list(range(root))})
+    return Overlay(RING_CLUSTERS, n, clusters, links)
 
 
 def assign_recipients(overlay: Overlay, k: int, seed: int) -> RecipientMap:
@@ -168,7 +163,7 @@ def build_tree_clusters(n: int, cluster_size: int, seed: int) -> Overlay:
     )
     _check_partition(clusters, n)
     links = tuple(((c - 1) // 2, c) for c in range(1, m))
-    return Overlay(TREE_CLUSTERS, n, clusters, links, {"root": 0})
+    return Overlay(TREE_CLUSTERS, n, clusters, links)
 
 
 def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
@@ -210,7 +205,7 @@ def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
     if min(len(adj[i]) for i in range(n)) < degree:
         raise OverlayError("degree: could not satisfy the degree requirement")
     clusters = (tuple(range(n)),)
-    return Overlay(GOSSIP_MESH, n, clusters, tuple(sorted(edges)), {"degree": degree})
+    return Overlay(GOSSIP_MESH, n, clusters, tuple(sorted(edges)))
 
 
 def build_star(n: int, hub: int) -> Overlay:
@@ -218,7 +213,7 @@ def build_star(n: int, hub: int) -> Overlay:
     if not 0 <= hub < n:
         raise OverlayError("hub: must be one of the peers")
     links = tuple((min(hub, i), max(hub, i)) for i in range(n) if i != hub)
-    return Overlay(STAR, n, (tuple(range(n)),), tuple(sorted(links)), {"hub": hub})
+    return Overlay(STAR, n, (tuple(range(n)),), tuple(sorted(links)))
 
 
 def _connected(adj: dict[int, set[int]], n: int) -> bool:

@@ -1,7 +1,8 @@
 """Scenario files: a single JSON document describing one experiment.
 
 The schema is versioned. Every bad configuration raises a
-``simnet.ConfigError`` whose message starts with the field's path. Field
+``simnet.ConfigError`` whose message starts with the field's path. A key
+that names no field (a misspelling) is refused, not ignored. Field
 types, the rules every protocol shares (``simnet.check_election``) and
 each protocol's parameter rules (checked when its params dataclass is
 built) fail when the file is read. Overlay shape rules (a DPol n that is
@@ -107,8 +108,16 @@ def _peer_ids(obj: dict, key: str, default: frozenset[int]) -> frozenset[int]:
     return frozenset(ids)
 
 
+def _known(obj: dict, names, path: str = "") -> None:
+    """A key that names no field is a typo, not a default."""
+    for key in obj:
+        if key not in names:
+            raise ConfigError(f"{path}{key}: unknown field")
+
+
 def parse_faults(obj: dict) -> FaultModel:
     """A missing key takes FaultModel's own default."""
+    _known(obj, {f.name for f in fields(FaultModel)}, "faults.")
     base = FaultModel()
     byz = _opt(obj, "byzantine", dict, base.byzantine, "faults.")
     try:
@@ -133,6 +142,7 @@ def parse(obj: dict) -> Scenario:
     schema = _need(obj, "schema", str)
     if schema != SCHEMA:
         raise ConfigError(f"schema: expected {SCHEMA!r}, got {schema!r}")
+    _known(obj, {"schema", *(f.name for f in fields(Scenario))})
     protocol = _need(obj, "protocol", str)
     optional = {
         f.name: _opt(obj, f.name, _JSON_TYPES[f.type.split("[")[0].split(" ")[0]], f.default)

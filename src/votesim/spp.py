@@ -169,7 +169,7 @@ class SppVoter(Peer):
             h = 1
             for m in sorted(self.dkg_commits):
                 h = self.group.mul(h, self.dkg_commits[m])
-            self.pk = PublicKey(self.group, h, t=self.params.t, n_holders=c)
+            self.pk = PublicKey(self.group, h, t=self.params.t)
             ctx.log_action(PHASE_REGISTRATION, "dkg-complete")
             self._spread_pubkey(ctx)
             self._cast(ctx)
@@ -184,9 +184,7 @@ class SppVoter(Peer):
         voters = self.pk_votes.setdefault(h, set())
         voters.add(sender)
         if len(voters) >= self.majority:
-            self.pk = PublicKey(
-                self.group, h, t=self.params.t, n_holders=self.params.cluster_size
-            )
+            self.pk = PublicKey(self.group, h, t=self.params.t)
             self._spread_pubkey(ctx)
             self._cast(ctx)
 
@@ -383,11 +381,17 @@ register_behavior(
 )
 register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendFilter(inner, _mutate_proof),
                   SppVoter)
-register_behavior(
-    BEHAVIOR_SILENT_ROOT,
-    lambda inner: CrashAfterSteps(inner, 0) if inner.is_root else inner,
-    SppVoter,
-)
+
+
+def _silent_root(inner: SppVoter) -> CrashAfterSteps:
+    if not inner.is_root:
+        raise simnet.ConfigError(
+            f"faults.byzantine: behaviour {BEHAVIOR_SILENT_ROOT!r} does not act on "
+            f"peer {inner.pid} (SppVoter outside the root cluster)")
+    return CrashAfterSteps(inner, 0)
+
+
+register_behavior(BEHAVIOR_SILENT_ROOT, _silent_root, SppVoter)
 
 
 def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int,

@@ -125,6 +125,16 @@ def test_probe_coalition_must_exclude_target(canonical):
         privacy_probe(trace, {0}, target=0, trials=100)
 
 
+@pytest.mark.parametrize("protocol", ["chainvote", "helios", "spp", "mesh"])
+def test_probe_refuses_protocols_without_a_view_extractor(canonical, protocol):
+    # Only DPol is probed; chainvote's unlinkability is c06's check on the
+    # issuer transcript. An empty coalition still gets the uniform prior.
+    _, trace = canonical[protocol]
+    assert privacy_probe(trace, set(), target=0, trials=100) == 0.5
+    with pytest.raises(ProbeError, match=f"no adversary view extractor.*{protocol}"):
+        privacy_probe(trace, {1}, target=0, trials=100)
+
+
 def test_dpol_single_recipient_probe_near_two_thirds(canonical):
     # One observed share points at the true choice with probability
     # (k+1)/(2k+1); the coalition is every possible recipient, so exactly
@@ -135,18 +145,6 @@ def test_dpol_single_recipient_probe_near_two_thirds(canonical):
     # with all recipients colluding they see all 2k+1 shares: majority vote
     # recovers the ballot, so accuracy should be ~1.0 here
     assert acc > 0.9
-
-
-def test_chainvote_linkage_probe_near_uniform():
-    # With plaintext choices on the chain, the only protection is token
-    # unlinkability: the adversary's token-to-identity linkage should sit
-    # at the uniform-guess baseline 1/n.
-    sc = scenarios.Scenario("chainvote", n=16, d=2, seed=9, degree=4,
-                            difficulty=6, block_capacity=16, issuer_bits=512)
-    scenarios.validate(sc)
-    out, trace = scenarios.run(sc)
-    acc = privacy_probe(trace, set(range(1, 16)), target=0, trials=600)
-    assert abs(acc - 1 / 16) <= 0.05
 
 
 def test_robustness_report_contrasts_protocols():

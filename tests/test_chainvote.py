@@ -26,7 +26,7 @@ from votesim.chainvote import (
     run_chainvote,
     tally_chain,
 )
-from votesim.crypto.blindsig import Token, generate_issuer_key, verify_token
+from votesim.crypto.blindsig import Token, generate_issuer_key, hash_serial, verify_token
 from votesim.simnet import ConfigError, FaultModel, SendFilter, register_behavior
 
 DIFF = 6  # cheap PoW for unit tests
@@ -84,7 +84,7 @@ def test_transcript_never_matches_issued_values(issuer_key, tokens16):
     tokens, transcript = tokens16
     issued = set()
     for t in tokens.values():
-        issued |= {t.signature, int(t.serial, 16)}
+        issued |= {t.signature, int(t.serial, 16), hash_serial(t.serial, issuer_key.n)}
     assert transcript.values() & issued == set()
 
 

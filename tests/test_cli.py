@@ -161,6 +161,9 @@ RULE_BREAKS = [
                   "faults": {"byzantine": {"1": "helios:tamper-bulletin"}}},
                  id="behaviour-on-the-wrong-helios-peer"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": True}}, id="max-delay-bool"),
+    pytest.param("faults.max_delya", {"faults": {"max_delya": 3}}, id="faults-key-misspelt"),
+    pytest.param("dificulty", {"protocol": "chainvote", "n": 8, "degree": 3, "dificulty": 4},
+                 id="key-misspelt"),
     *(pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": name}}}, id=name)
       for name in ("crash-after-steps", "crash-after-stepX 3", "crash-after-step -1",
                    "crash-after-step 1 2", "crash-after-step  3", "crash-after-step 3 ")),

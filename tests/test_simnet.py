@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from votesim import scenarios, simnet, wire
 from votesim.baselines import HeliosHub
+from votesim.overlay import build_tree_clusters
+from votesim.spp import BEHAVIOR_SILENT_ROOT
 from votesim.simnet import (
     ConfigError,
     FaultModel,
@@ -401,9 +403,15 @@ def test_no_handler_changes_a_received_message(decoded, protocol, behaviour):
     sc = scenarios.canonical_scenario(protocol, seed=1)
     if behaviour is not None:
         # Each behaviour on every class of peer it acts on: a hub-only one on
-        # the Helios hub, every other one on every third voter.
-        hub_only = simnet._BEHAVIORS[behaviour][1] is HeliosHub
-        liars = [sc.n] if hub_only else range(0, sc.n, 3)
+        # the Helios hub, spp:silent-root on a root-cluster member, every
+        # other one on every third voter.
+        if simnet._BEHAVIORS[behaviour][1] is HeliosHub:
+            liars = [sc.n]
+        elif behaviour == BEHAVIOR_SILENT_ROOT:
+            seed = wire.derive_seed(sc.seed, "overlay")
+            liars = build_tree_clusters(sc.n, sc.cluster_size, seed).members(0)[:1]
+        else:
+            liars = range(0, sc.n, 3)
         sc.faults = FaultModel(max_delay=3, byzantine=dict.fromkeys(liars, behaviour))
     scenarios.run(sc)
     assert all_intact(decoded)
@@ -433,6 +441,7 @@ def test_finished_election_is_freed_without_the_cycle_collector(monkeypatch, pro
     ("spp", "dpol:lying-sum", "SppVoter"),
     ("dpol", "chain:double-spend", "DpolVoter"),
     ("chainvote", "helios:tamper-bulletin", "ChainVoter"),
+    ("spp", BEHAVIOR_SILENT_ROOT, "SppVoter outside the root cluster"),
 ])
 def test_behaviour_of_another_protocol_is_refused(monkeypatch, protocol, behaviour, peer):
     sends = []
