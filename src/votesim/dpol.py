@@ -168,7 +168,7 @@ class DpolVoter(Peer):
         payload = {
             "t": "map",
             "r": r,
-            "m": {str(ci): list(v) for ci, v in sorted(self.known.items())},
+            "m": {str(ci): v for ci, v in self.known.items()},  # dumps sorts the keys
         }
         ctx.send(self.recipients, payload, PHASE_AGGREGATION)
 

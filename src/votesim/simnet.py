@@ -5,6 +5,13 @@ peers are state machines driven by message deliveries, timers and idle
 callbacks. Time is an integer tick counter; per-message delays are drawn
 uniformly from ``[1, max_delay]`` out of a run-seeded generator, so a
 fixed (scenario, seed) pair always produces a byte-identical trace.
+
+The queue is a calendar of tick buckets: a list of entries per tick, in
+push order, plus a heap of the ticks that have one. Every delay is at
+least 1, so nothing joins the bucket being drained, and draining buckets
+in tick order dispatches entries in (tick, push order). One
+``Simulator.send`` call carries a whole fan-out: one payload to a list of
+destinations, each with its own send event, delay and delivery or drop.
 """
 
 from __future__ import annotations
@@ -143,7 +150,7 @@ class Trace:
     params: dict
 
     def to_jsonl(self) -> str:
-        return "".join(e.to_line() for e in self.events)
+        return "".join(map(SimEvent.to_line, self.events))
 
     def message_count(self) -> int:
         return sum(1 for e in self.events if e.kind == KIND_SEND)
@@ -250,9 +257,7 @@ class PeerContext:
 
     def send(self, dsts: Iterable[int], msg: dict, phase: str) -> None:
         """Send ``msg`` to each peer of ``dsts`` in order, encoded once."""
-        payload = wire.dumps(msg)
-        for dst in dsts:
-            self._sim.send(self.pid, dst, payload, phase)
+        self._sim.send(self.pid, dsts, wire.dumps(msg), phase)
 
     def log_action(self, phase: str, action: str,
                    consumes: tuple[str, ...] = (), detail: dict | None = None) -> None:
@@ -392,7 +397,9 @@ class Simulator:
         self.roles = RoleLog()
         self._peers: dict[int, Peer] = {}
         self._ctxs: dict[int, PeerContext] = {}
-        self._queue: list[tuple[int, int, tuple]] = []
+        # Tick -> queue entries in push order, and a heap of those ticks.
+        self._buckets: dict[int, list[tuple]] = {}
+        self._ticks: list[int] = []
         self._seq = 0
         self._send_seq = 0
         self._net_rng = random.Random(wire.derive_seed(seed, "net"))
@@ -427,39 +434,48 @@ class Simulator:
 
     # -- actions peers take --------------------------------------------
 
-    def send(self, src: int, dst: int, payload: bytes, phase: str) -> None:
+    def send(self, src: int, dsts: Iterable[int], payload: bytes, phase: str) -> None:
+        """Send ``payload`` from ``src`` to each peer of ``dsts`` in order:
+        per destination one send event, a delay and a delivery or drop."""
         if not self._running:
             raise ScenarioError("send outside of a running simulation")
-        if self.is_crashed(src):
+        faults = self.faults
+        crashed, lost, p = faults.crashed, faults.lose_messages, faults.drop_probability
+        if src in crashed:
             raise ScenarioError(f"peer {src} is crashed and cannot send")
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}")
-        msg_id = self._send_seq
-        self._send_seq += 1
-        self._record(KIND_SEND, src, dst, phase, payload)
-        delay = (
-            1
-            if self.faults.max_delay == 1
-            else self._net_rng.randint(1, self.faults.max_delay)
-        )
-        dropped = self.is_crashed(dst) or msg_id in self.faults.lose_messages
-        if not dropped:
-            p = self.faults.drop_probability
-            if p >= 1.0:
-                dropped = True
-            elif p > 0.0:
-                dropped = self._net_rng.random() < p
-        if not dropped:
-            self._in_flight.setdefault(payload, [0, _UNDECODED])[0] += 1
-        kind = "drop" if dropped else "deliver"
-        self._push(self.now + delay, (kind, src, dst, phase, payload))
+        now, size, events = self.now, len(payload), self.events
+        max_delay, rng = faults.max_delay, self._net_rng
+        bits = max_delay.bit_length()
+        delivered = 0
+        for dst in dsts:
+            events.append(SimEvent(now, KIND_SEND, src, dst, phase, wire.digest(payload), size))
+            delay = 1
+            if max_delay > 1:
+                # randint(1, max_delay) as CPython draws it: same stream, no frames.
+                delay = rng.getrandbits(bits)
+                while delay >= max_delay:
+                    delay = rng.getrandbits(bits)
+                delay += 1
+            dropped = dst in crashed or self._send_seq in lost
+            self._send_seq += 1
+            if not dropped and p > 0.0:
+                dropped = p >= 1.0 or rng.random() < p
+            if not dropped:
+                delivered += 1
+            entry = (KIND_DROP if dropped else KIND_DELIVER, src, dst, phase, payload)
+            self._push(now + delay, entry)
+        if delivered:
+            self._in_flight.setdefault(payload, [0, _UNDECODED])[0] += delivered
 
     def local_action(self, pid: int, phase: str, action: str,
                      consumes: tuple[str, ...] = (), detail: dict | None = None) -> None:
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}")
         payload = wire.dumps({"action": action, **(detail or {})})
-        self._record(KIND_LOCAL, pid, None, phase, payload)
+        self.events.append(SimEvent(self.now, KIND_LOCAL, pid, None, phase,
+                                    wire.digest(payload), len(payload)))
         self.roles.record(pid, PerformedAction(phase, action, tuple(consumes)))
 
     def set_timer(self, pid: int, delay: int, tag: str, data: Any = None) -> None:
@@ -485,24 +501,48 @@ class Simulator:
         protocol.
         """
         self._running = True
-        for pid in sorted(self._peers):
+        peers, ctxs, finished = self._peers, self._ctxs, self._finished
+        buckets, ticks, events, in_flight = self._buckets, self._ticks, self.events, self._in_flight
+        for pid in sorted(peers):
             if not self.is_crashed(pid):
-                self._peers[pid].on_start(self._ctxs[pid])
+                peers[pid].on_start(ctxs[pid])
         while True:
-            while self._queue:
-                t, _, entry = heapq.heappop(self._queue)
+            while ticks:
+                t = heapq.heappop(ticks)
                 if t > max_ticks:
                     self._running = False
                     self.quiescent = False
                     return self._trace()
                 self.now = t
-                self._dispatch(entry)
+                for entry in buckets.pop(t):  # every delay is >= 1: nothing joins it now
+                    kind = entry[0]
+                    if kind == "timer":
+                        _, pid, tag, data = entry
+                        if pid not in finished and pid in peers:
+                            peers[pid].on_timer(ctxs[pid], tag, data)
+                        continue
+                    _, src, dst, phase, payload = entry
+                    events.append(SimEvent(t, kind, src, dst, phase, wire.digest(payload),
+                                           len(payload)))
+                    if kind == KIND_DROP:
+                        continue
+                    slot = in_flight[payload]
+                    slot[0] -= 1
+                    if not slot[0]:
+                        del in_flight[payload]
+                    peer = None if dst in finished else peers.get(dst)
+                    if peer is not None:
+                        msg = slot[1]
+                        if msg is _UNDECODED:
+                            msg = slot[1] = self._decode(payload)
+                        if msg is not None:  # recorded as delivered, but the peer is not called
+                            peer.on_message(ctxs[dst], src, msg)
             # Queue drained: offer every live peer one idle activation. If
             # nobody schedules anything new, the run is quiescent.
             before = self._seq
-            for pid in sorted(self._peers):
-                if not self.is_crashed(pid) and pid not in self._finished:
-                    self._peers[pid].on_idle(self._ctxs[pid])
+            for pid in sorted(peers):
+                if not self.is_crashed(pid) and pid not in finished:
+                    peers[pid].on_idle(ctxs[pid])
             if self._seq == before:
                 break
         self._running = False
@@ -512,41 +552,14 @@ class Simulator:
     # -- internals -------------------------------------------------------
 
     def _push(self, time: int, entry: tuple) -> None:
-        heapq.heappush(self._queue, (time, self._seq, entry))
+        """Queue ``entry`` at tick ``time``, after those queued there before."""
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [entry]
+            heapq.heappush(self._ticks, time)
+        else:
+            bucket.append(entry)
         self._seq += 1
-
-    def _dispatch(self, entry: tuple) -> None:
-        kind = entry[0]
-        if kind == "deliver":
-            _, src, dst, phase, payload = entry
-            self._record(KIND_DELIVER, src, dst, phase, payload)
-            peer = None if dst in self._finished else self._peers.get(dst)
-            slot = self._in_flight[payload]
-            slot[0] -= 1
-            if not slot[0]:
-                del self._in_flight[payload]
-            if peer is not None:
-                msg = slot[1]
-                if msg is _UNDECODED:
-                    msg = slot[1] = self._decode(payload)
-                if msg is not None:  # recorded as delivered, but the peer is not called
-                    peer.on_message(self._ctxs[dst], src, msg)
-        elif kind == "drop":
-            _, src, dst, phase, payload = entry
-            self._record(KIND_DROP, src, dst, phase, payload)
-        elif kind == "timer":
-            _, pid, tag, data = entry
-            peer = None if pid in self._finished else self._peers.get(pid)
-            if peer is not None:
-                peer.on_timer(self._ctxs[pid], tag, data)
-        else:  # pragma: no cover - queue entries are made in this module
-            raise AssertionError(f"unknown queue entry {kind!r}")
-
-    def _record(self, kind: str, src: int, dst: int | None, phase: str,
-                payload: bytes) -> None:
-        self.events.append(
-            SimEvent(self.now, kind, src, dst, phase, wire.digest(payload), len(payload))
-        )
 
     def _trace(self) -> Trace:
         return Trace(events=list(self.events), seed=self.seed, params=dict(self.params))

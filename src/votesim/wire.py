@@ -12,14 +12,17 @@ from typing import Any
 
 DIGEST_BITS = 256
 
+# What json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def dumps(obj: Any) -> bytes:
     """Encode a JSON-compatible message payload to canonical bytes.
 
     Keys are sorted and separators fixed, so equal values always produce
-    equal bytes.
+    equal bytes. Tuples encode as lists.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _ENCODER.encode(obj).encode()
 
 
 def loads(data: bytes) -> Any:

@@ -1,6 +1,8 @@
 import gc
+import heapq
 import itertools
 import json
+import random
 import weakref
 
 import pytest
@@ -17,6 +19,7 @@ from votesim.simnet import (
     KIND_DROP,
     KIND_LOCAL,
     KIND_SEND,
+    MAX_TICKS,
     Peer,
     PHASE_CASTING,
     PHASES,
@@ -156,7 +159,7 @@ def test_sending_from_crashed_peer_is_scenario_error():
     sim.add_peer(Pinger(1, 0))
     sim._running = True
     with pytest.raises(ScenarioError):
-        sim.send(0, 1, b"x", PHASE_CASTING)
+        sim.send(0, (1,), b"x", PHASE_CASTING)
 
 
 def test_crash_after_step_zero_emits_nothing():
@@ -452,3 +455,126 @@ def test_behaviour_of_another_protocol_is_refused(monkeypatch, protocol, behavio
                                           rf" does not act on peer 0 \({peer}\)$"):
         scenarios.run(sc)
     assert sends == []  # refused before any message
+
+
+class Scripted(Peer):
+    """Takes the next step of a script shared by all peers on every
+    activation: a send to a list of peers or a timer. Logs what it is
+    handed and the timers it sets."""
+
+    def __init__(self, pid, script, log):
+        super().__init__(pid)
+        self.script, self.log = script, log
+
+    def _step(self, ctx):
+        step = next(self.script, None)
+        if step is None:
+            return
+        n = len(self.log)  # makes every payload and tag unique
+        if step[0] == "timer":
+            self.log.append(("set", ctx.now + step[1], ("timer", self.pid, f"t{n}")))
+            ctx.set_timer(step[1], f"t{n}")
+        else:
+            ctx.send(step[1], {"n": n}, PHASE_CASTING)
+
+    def on_start(self, ctx):
+        self._step(ctx)
+
+    def on_message(self, ctx, sender, msg):
+        self._step(ctx)
+
+    def on_timer(self, ctx, tag, data):
+        self.log.append(("dispatch", ctx.now, ("timer", self.pid, tag)))
+        self._step(ctx)
+
+    def on_idle(self, ctx):
+        self.log.append(("idle", ctx.now, self.pid))
+        self._step(ctx)
+
+
+class LoggedEvents(list):
+    """A trace list that also logs each event where it happens."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def append(self, e):
+        self.log.append(("event", e.time, e))
+        super().append(e)
+
+
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.lists(st.integers(0, 4), max_size=4)),
+    st.tuples(st.just("timer"), st.integers(1, 6)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), crashed=st.frozensets(st.integers(0, 4), max_size=2),
+       max_delay=st.integers(1, 6), p=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+       lost=st.frozensets(st.integers(0, 40), max_size=5), steps=_STEPS,
+       max_ticks=st.integers(1, 30) | st.just(MAX_TICKS), seed=st.integers(0, 2**32))
+def test_dispatch_order_is_time_then_push_order(n, crashed, max_delay, p, lost, steps,
+                                                max_ticks, seed):
+    """Replays the run on a (time, push-seq) heap, drawing each delay and
+    drop as randint(1, max_delay) and random() < p from the network seed:
+    every delivery, drop and timer must come off the heap in the order
+    the simulator dispatched it, and an idle round must start only when
+    the heap is empty."""
+    faults = FaultModel(crashed=crashed, drop_probability=p, max_delay=max_delay,
+                        lose_messages=lost)
+    sim, log, script = Simulator(faults, seed), [], iter(steps)
+    sim.events = LoggedEvents(log)
+    for pid in range(n):
+        sim.add_peer(Scripted(pid, script, log))
+    trace = sim.run_until_quiescent(max_ticks)
+
+    rng = random.Random(wire.derive_seed(seed, "net"))
+    heap, pushes, sends, idle_round = [], itertools.count(), itertools.count(), False
+    for what, time, item in log:
+        if what == "event" and item.kind == KIND_SEND:
+            delay = 1 if max_delay == 1 else rng.randint(1, max_delay)
+            msg_id = next(sends)
+            dropped = item.dst in crashed or msg_id in lost
+            if not dropped and p > 0.0:
+                dropped = p >= 1.0 or rng.random() < p
+            key = (KIND_DROP if dropped else KIND_DELIVER, item.src, item.dst, item.digest)
+            heapq.heappush(heap, (time + delay, next(pushes), key))
+        elif what == "set":
+            heapq.heappush(heap, (time, next(pushes), item))
+        elif what == "idle":
+            # A round of idle calls starts only once everything queued is dispatched.
+            assert heap == [] or idle_round
+            idle_round = True
+        else:
+            idle_round = False
+            if what == "event":
+                time, item = item.time, (item.kind, item.src, item.dst, item.digest)
+            t, _, key = heapq.heappop(heap)
+            assert (t, key) == (time, item) and t <= max_ticks
+    assert trace.events == list(sim.events)
+    if sim.quiescent:
+        # The last idle round offered every live peer a turn and queued nothing.
+        live = [pid for pid in range(n) if pid not in crashed]
+        assert heap == [] and sim._in_flight == {}
+        assert [entry[2] for entry in log[len(log) - len(live):]] == live
+    else:
+        assert min(heap)[0] > max_ticks
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**63), max_delay=st.integers(2, 17))
+def test_delay_draw_is_randint(seed, max_delay):
+    """A fan-out draws its delays as random.Random.randint(1, max_delay)
+    would, and leaves the network stream where randint leaves it."""
+    sim = Simulator(FaultModel(max_delay=max_delay), seed)
+    sim.add_peer(Pinger(0, *range(1, 25)))
+    trace = sim.run_until_quiescent()
+    sent = {e.dst: e.time for e in trace.events if e.kind == KIND_SEND}
+    delays = [e.time - sent[e.dst]
+              for e in sorted((e for e in trace.events if e.kind == KIND_DELIVER),
+                              key=lambda e: e.dst)]
+    reference = random.Random(wire.derive_seed(seed, "net"))
+    assert delays == [reference.randint(1, max_delay) for _ in range(24)]
+    assert sim._net_rng.random() == reference.random()

@@ -1,3 +1,8 @@
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from test_hostile_payloads import JSON_VALUES
 from votesim import wire
 
 
@@ -29,3 +34,28 @@ def test_derive_seed_stable_and_label_sensitive():
     assert wire.derive_seed(1, "a") == wire.derive_seed(1, "a")
     assert wire.derive_seed(1, "a") != wire.derive_seed(1, "b")
     assert wire.derive_seed(1, "a") != wire.derive_seed(2, "a")
+
+
+def reference_dumps(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+def test_dumps_equals_json_dumps(value):
+    assert wire.dumps(value) == reference_dumps(value)
+
+
+# DPol maps as a voter sends them: cluster index -> tally tuple.
+DPOL_MAPS = st.builds(
+    lambda r, m: {"t": "map", "r": r, "m": {str(ci): v for ci, v in m.items()}},
+    st.integers(0, 30),
+    st.dictionaries(st.integers(0, 30), st.tuples(st.integers(), st.integers()), max_size=12),
+)
+
+
+@settings(max_examples=300)
+@given(DPOL_MAPS)
+def test_tally_tuples_encode_as_lists(msg):
+    as_lists = {**msg, "m": {ci: list(v) for ci, v in msg["m"].items()}}
+    assert wire.dumps(msg) == reference_dumps(msg) == reference_dumps(as_lists)
