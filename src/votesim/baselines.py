@@ -37,7 +37,6 @@ from .crypto import (
 )
 from .crypto.group import DEFAULT_GROUP, Group
 from .crypto.proofs import BallotProof
-from .overlay import GOSSIP_MESH, Overlay, build_star
 from .simnet import (
     FaultModel,
     Peer,
@@ -266,7 +265,6 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
     The hub and trustees are distinguished non-voter peers fixed by the
     scenario; a crashed hub takes the whole election down by design.
     """
-    ov = build_star(params.n + 1 + params.trustees, params.hub)
     pk, shares = threshold_keygen(
         params.t, params.trustees, group, wire.derive_seed(seed, "trustee-keys")
     )
@@ -283,7 +281,7 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
         }
 
     return simnet.run_election(
-        "helios", params, choices, faults, seed, ov.to_obj(),
+        "helios", params, choices, faults, seed,
         lambda pid, choice: HeliosVoter(pid, params, choice, group), details,
         others=(hub, *trustees),
         roles=((ROLE_HUB, {params.hub}, "configured"),
@@ -311,9 +309,7 @@ class MeshVoter(Peer):
         self.n = n
         self.d = d
         self.choice = choice
-        self.own_share: tuple[int, ...] | None = None
         self.received: dict[int, tuple[int, ...]] = {}
-        self.column: tuple[int, ...] | None = None
         self.colsums: dict[int, tuple[int, ...]] = {}
         self.tally: tuple[int, ...] | None = None
 
@@ -330,8 +326,7 @@ class MeshVoter(Peer):
             ctx.send((peer,), {"t": "share", "v": list(share)}, PHASE_CASTING)
         # The balancing share stays with the voter, so every share that
         # leaves the machine is an independent uniform vector.
-        self.own_share = tuple((u - a) % q for u, a in zip(unit, acc))
-        self.received[self.pid] = self.own_share
+        self.received[self.pid] = tuple((u - a) % q for u, a in zip(unit, acc))
         self._maybe_column(ctx)
 
     def on_message(self, ctx, sender, msg):
@@ -352,11 +347,10 @@ class MeshVoter(Peer):
         col = [0] * self.d
         for sender in sorted(self.received):
             col = [(a + s) % q for a, s in zip(col, self.received[sender])]
-        self.column = tuple(col)
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         ctx.send([p for p in range(self.n) if p != self.pid], {"t": "colsum", "v": list(col)},
                  PHASE_AGGREGATION)
-        self.colsums[self.pid] = self.column
+        self.colsums[self.pid] = tuple(col)
         self._maybe_total(ctx)
 
     def _maybe_total(self, ctx):
@@ -375,10 +369,7 @@ def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
                    seed: int) -> tuple[simnet.Outcome, Trace]:
     """Additive-sharing baseline; exactly 2n(n-1) messages, no robustness."""
     n, d = params.n, params.d
-    # The baseline talks peer-to-peer over the complete graph.
-    links = tuple((a, b) for a in range(n) for b in range(a + 1, n))
-    ov = Overlay(GOSSIP_MESH, n, (tuple(range(n)),), links)
     return simnet.run_election(
-        "mesh", params, choices, faults, seed, ov.to_obj(),
+        "mesh", params, choices, faults, seed,
         lambda pid, choice: MeshVoter(pid, n, d, choice),
     )

@@ -333,16 +333,15 @@ class ChainView:
 
 
 def tally_chain(view: ChainView, d: int, cutoff_height: int | None = None) -> tuple[int, ...]:
-    """Count first spends per option along the best chain up to the cutoff."""
+    """Count spends per option along the best chain up to the cutoff;
+    ``verify_chain`` refuses a chain that spends any serial twice."""
     view.verify_chain()
     counts = [0] * d
-    seen: set[str] = set()
     for block in view.best_chain():
         if cutoff_height is not None and block.height > cutoff_height:
             break
         for tx in block.txs:
-            if tx.token.serial not in seen and 0 <= tx.choice < d:
-                seen.add(tx.token.serial)
+            if 0 <= tx.choice < d:
                 counts[tx.choice] += 1
     return tuple(counts)
 
@@ -396,7 +395,7 @@ def issue_tokens(voters: list[int], key: IssuerKey,
 
 class ChainVoter(Peer):
     def __init__(self, pid: int, params: ChainParams, neighbors: tuple[int, ...],
-                 issuer_pk: IssuerPublicKey, token: Token | None, choice: int,
+                 issuer_pk: IssuerPublicKey, token: Token, choice: int,
                  verified: set[Token]):
         super().__init__(pid)
         self.params = params
@@ -414,8 +413,6 @@ class ChainVoter(Peer):
 
     def on_start(self, ctx):
         ctx.log_action(PHASE_REGISTRATION, "register")
-        if self.token is None:
-            return
         ctx.log_action(PHASE_CASTING, "cast")
         txs = [Transaction(self.token, self.choice, self._nonce(ctx))]
         if self.double_spend:
@@ -536,7 +533,7 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
         }
 
     return simnet.run_election(
-        "chainvote", params, choices, faults, seed, ov.to_obj(),
+        "chainvote", params, choices, faults, seed,
         lambda pid, choice: ChainVoter(pid, params, ov.neighbors(pid), key.public,
                                        tokens[pid], choice, verified),
         details, decode=decode,

@@ -46,7 +46,6 @@ class Ciphertext:
 
 @dataclass(frozen=True)
 class KeyShare:
-    holder: int
     index: int  # Shamir evaluation point, >= 1
     value: int
 
@@ -146,7 +145,7 @@ def threshold_keygen(t: int, n_holders: int, group: Group,
     shares = []
     for j in range(1, n_holders + 1):
         value = sum(poly_eval(poly, j, q) for poly in polys) % q
-        shares.append(KeyShare(holder=j - 1, index=j, value=value))
+        shares.append(KeyShare(index=j, value=value))
     pk = PublicKey(group, group.exp(group.g, x), t=t)
     return pk, shares
 

@@ -304,9 +304,9 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
         }
 
     return simnet.run_election(
-        "dpol", params, choices, faults, seed, ov.to_obj(),
+        "dpol", params, choices, faults, seed,
         lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed), details,
-        decode=decoder(params),
+        overlay=ov.to_obj(), decode=decoder(params),
     )
 
 

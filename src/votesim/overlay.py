@@ -1,8 +1,8 @@
 """Communication structures the protocols run on.
 
-Four kinds: a ring of equal clusters, a binary tree of equal clusters, a
-connected gossip mesh, and a star around one hub. Construction is purely
-functional and seeded; the same (n, seed) always yields the same overlay.
+Three kinds: a ring of equal clusters, a binary tree of equal clusters,
+and a connected gossip mesh. Construction is purely functional and
+seeded; the same (n, seed) always yields the same overlay.
 Each builder owns its shape rules and raises an OverlayError, a
 ConfigError naming the field, when they fail.
 """
@@ -20,7 +20,6 @@ from .simnet import ConfigError
 RING_CLUSTERS = "ring-clusters"
 TREE_CLUSTERS = "tree-clusters"
 GOSSIP_MESH = "gossip-mesh"
-STAR = "star"
 
 
 class OverlayError(ConfigError):
@@ -33,7 +32,7 @@ class Overlay:
     n: int
     clusters: tuple[tuple[int, ...], ...]
     # Adjacency: (i, j) pairs over cluster indices for clustered kinds,
-    # over peer ids for gossip-mesh and star.
+    # over peer ids for gossip-mesh.
     links: tuple[tuple[int, int], ...]
 
     def cluster_of(self, pid: int) -> int:
@@ -67,8 +66,8 @@ class Overlay:
         return tuple(c for c in (2 * ci + 1, 2 * ci + 2) if c < m)
 
     def neighbors(self, pid: int) -> tuple[int, ...]:
-        if self.kind not in (GOSSIP_MESH, STAR):
-            raise OverlayError("peer-level neighbors only exist on mesh/star")
+        if self.kind != GOSSIP_MESH:
+            raise OverlayError("peer-level neighbors only exist on a mesh")
         out = sorted(
             {b for a, b in self.links if a == pid} | {a for a, b in self.links if b == pid}
         )
@@ -169,8 +168,9 @@ def build_tree_clusters(n: int, cluster_size: int, seed: int) -> Overlay:
 def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
     """Connected undirected graph with minimum degree >= `degree`.
 
-    Built from a ring plus seeded augmentation edges; connectivity is
-    verified by traversal before returning.
+    Built from a ring, which connects every peer, plus seeded augmentation
+    edges. A peer below ``degree`` < n always has a non-neighbour to link
+    to, so augmentation ends only once every peer has ``degree`` links.
     """
     if n < 2:
         raise OverlayError("n: must be >= 2")
@@ -195,36 +195,9 @@ def build_gossip_mesh(n: int, degree: int, seed: int) -> Overlay:
             break
         u = min(low, key=lambda i: (len(adj[i]), i))
         candidates = [v for v in range(n) if v != u and v not in adj[u]]
-        if not candidates:  # u already adjacent to everyone
-            break
         least = min(len(adj[v]) for v in candidates)
         pool = [v for v in candidates if len(adj[v]) == least]
         connect(u, rng.choice(pool))
-    if not _connected(adj, n):
-        raise OverlayError("degree: constructed mesh is not connected")
-    if min(len(adj[i]) for i in range(n)) < degree:
-        raise OverlayError("degree: could not satisfy the degree requirement")
     clusters = (tuple(range(n)),)
     return Overlay(GOSSIP_MESH, n, clusters, tuple(sorted(edges)))
 
-
-def build_star(n: int, hub: int) -> Overlay:
-    """One hub connected to every other peer."""
-    if not 0 <= hub < n:
-        raise OverlayError("hub: must be one of the peers")
-    links = tuple((min(hub, i), max(hub, i)) for i in range(n) if i != hub)
-    return Overlay(STAR, n, (tuple(range(n)),), tuple(sorted(links)))
-
-
-def _connected(adj: dict[int, set[int]], n: int) -> bool:
-    if n == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == n

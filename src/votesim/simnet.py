@@ -146,7 +146,6 @@ class Trace:
     """Ordered event record of one run plus the scenario echo."""
 
     events: list[SimEvent]
-    seed: int
     params: dict
 
     def to_jsonl(self) -> str:
@@ -562,7 +561,7 @@ class Simulator:
         self._seq += 1
 
     def _trace(self) -> Trace:
-        return Trace(events=list(self.events), seed=self.seed, params=dict(self.params))
+        return Trace(events=list(self.events), params=dict(self.params))
 
 
 @dataclass
@@ -597,8 +596,9 @@ class Outcome:
 
 
 def run_election(protocol: str, params: Any, choices: list[int], faults: FaultModel,
-                 seed: int, overlay: dict, voter: Callable[[int, int], Peer],
+                 seed: int, voter: Callable[[int, int], Peer],
                  details: Callable[[list], dict] = lambda voters: {}, *,
+                 overlay: dict | None = None,
                  others: tuple[Peer, ...] = (),
                  roles: tuple[tuple, ...] = (),
                  decode: Callable[[bytes], Any] = json_object) -> tuple[Outcome, Trace]:
@@ -607,14 +607,15 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     ``params`` is the protocol's parameter dataclass; its ``n`` and ``d``
     size the election and its fields join the trace's scenario echo.
     ``voter(pid, choice)`` builds voter ``pid`` for every pid in
-    ``range(n)``; each voter exposes the ``tally`` it accepted. ``others``
-    are non-voter peers and ``roles`` are ``RoleLog.assign`` argument
-    tuples; ``decode`` is the simulator's payload decoder. ``details(voters)``
-    runs after the simulation and returns the outcome's protocol-specific
-    fields. Completion counts live voters only. A crashed or byzantine id
-    that names no peer is a ``ConfigError``, as is any breach of
-    ``check_election``. The simulator is freed when this returns, without
-    waiting for the cycle collector.
+    ``range(n)``; each voter exposes the ``tally`` it accepted. ``overlay``
+    joins the echo for the classifier, which reads only cluster overlays
+    (``Overlay.to_obj()``). ``others`` are non-voter peers and ``roles``
+    are ``RoleLog.assign`` argument tuples; ``decode`` is the simulator's
+    payload decoder. ``details(voters)`` runs after the simulation and
+    returns the outcome's protocol-specific fields. Completion counts live
+    voters only. A crashed or byzantine id that names no peer is a
+    ``ConfigError``, as is any breach of ``check_election``. The simulator
+    is freed when this returns, without waiting for the cycle collector.
     """
     n = params.n
     check_election(n, params.d, choices)

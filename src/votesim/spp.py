@@ -165,7 +165,7 @@ class SppVoter(Peer):
         c = self.params.cluster_size
         if self.key_share is None and len(self.dkg_shares) == c and len(self.dkg_commits) == c:
             value = sum(self.dkg_shares[m] for m in sorted(self.dkg_shares)) % self.group.q
-            self.key_share = KeyShare(self.pid, self.rank + 1, value)
+            self.key_share = KeyShare(self.rank + 1, value)
             h = 1
             for m in sorted(self.dkg_commits):
                 h = self.group.mul(h, self.dkg_commits[m])
@@ -400,9 +400,10 @@ def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int
     ends incomplete rather than failing."""
     ov = build_tree_clusters(params.n, params.cluster_size, wire.derive_seed(seed, "overlay"))
     return simnet.run_election(
-        "spp", params, choices, faults, seed, ov.to_obj(),
+        "spp", params, choices, faults, seed,
         lambda pid, choice: SppVoter(pid, params, ov, choice, group),
         lambda voters: {"accepted": next((v.accepted for v in voters if v.verified), None)},
+        overlay=ov.to_obj(),
         roles=((ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY)),),
     )

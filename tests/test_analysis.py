@@ -159,10 +159,12 @@ def test_robustness_report_contrasts_protocols():
 
     dpol = scenarios.canonical_scenario("dpol", 5)
     rows = robustness_report(
-        dpol, [("one-crash", FaultModel(crashed=frozenset({3}), max_delay=3))]
+        dpol, [("one-crash", FaultModel(crashed=frozenset({3}), max_delay=3)),
+               ("honest", FaultModel(max_delay=3))]
     )
     assert rows[0].completion < 1.0
     assert rows[0].exact in (None, True)  # never a silently wrong tally
+    assert (rows[1].completion, rows[1].exact) == (1.0, True)
 
 
 # -- hand-built traces: one case per classifier rule ---------------------------
@@ -190,7 +192,7 @@ def hand_run(flow=((0, 1), (1, 2), (2, 0)), *, voters=(0, 1, 2), overlay=None,
     for role in roles:
         log.assign(*role)
     params = {"protocol": "hand", "overlay": overlay or {}}
-    return Trace(events, seed=0, params=params), log
+    return Trace(events, params=params), log
 
 
 def hand_row(**kwargs):

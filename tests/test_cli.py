@@ -168,6 +168,14 @@ RULE_BREAKS = [
       for name in ("crash-after-steps", "crash-after-stepX 3", "crash-after-step -1",
                    "crash-after-step 1 2", "crash-after-step  3", "crash-after-step 3 ")),
     pytest.param("choice_weights", {"choice_weights": ["x", 1]}, id="weight-str"),
+    pytest.param("choice_weights", {"choice_weights": [1]}, id="weights-fewer-than-d"),
+    pytest.param("choice_weights", {"choice_weights": [-1, 2]}, id="weight-negative"),
+    pytest.param("choice_weights", {"choice_weights": [0, 0]}, id="weights-sum-0"),
+    pytest.param("n", {"n": 0}, id="n-0"),
+    pytest.param("faults.max_delay", {"faults": {"max_delay": 0}}, id="max-delay-0"),
+    pytest.param("protocol", {"protocol": "paper-ballot"}, id="protocol-unknown"),
+    pytest.param("faults.byzantine", {"faults": {"byzantine": {"one": "dpol:silent"}}},
+                 id="byzantine-key-not-int"),
     pytest.param("k", {"k": True}, id="k-bool"),
     pytest.param("choices", {"choices": [True, 0, 0, 1, 0, 1, 0, 1, 0]}, id="choice-bool"),
     *RULE_BREAKS,
@@ -178,6 +186,30 @@ def test_malformed_field_is_config_error_naming_its_path(tmp_path, capsys, field
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(json.dumps({"schema": "votesim-scenario/0", "protocol": "dpol", "n": 9}),
+                 "schema: expected", id="wrong-schema"),
+    pytest.param("[]", "scenario: document must be a JSON object", id="json-array"),
+    pytest.param('{"schema": ', "scenario: not valid JSON", id="invalid-json"),
+    pytest.param(json.dumps({"schema": scenarios.SCHEMA, "protocol": "dpol"}),
+                 "n: required field missing", id="n-missing"),
+])
+def test_malformed_document_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_weighted_draw_never_picks_a_zero_weight_option():
+    sc = scenarios.Scenario("dpol", n=64, d=3, seed=4, choice_weights=[1, 0, 3])
+    choices = scenarios.resolve_choices(sc)
+    assert set(choices) == {0, 2}
+    assert scenarios.resolve_choices(replace(sc)) == choices
 
 
 @pytest.mark.parametrize("field, overrides", RULE_BREAKS)

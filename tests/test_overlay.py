@@ -5,7 +5,6 @@ from votesim.overlay import (
     assign_recipients,
     build_gossip_mesh,
     build_ring_clusters,
-    build_star,
     build_tree_clusters,
 )
 
@@ -119,18 +118,11 @@ def test_mesh_degree_must_be_less_than_n():
         build_gossip_mesh(2, 2, seed=1)
 
 
-def test_star_has_one_hub():
-    ov = build_star(5, hub=4)
-    assert len(ov.links) == 4
-    assert ov.neighbors(4) == (0, 1, 2, 3)
-
-
 def test_every_overlay_partitions_peers():
     for ov in (
         build_ring_clusters(16, 3),
         build_tree_clusters(12, 4, 3),
         build_gossip_mesh(10, 3, 3),
-        build_star(6, 0),
     ):
         assert sorted(p for c in ov.clusters for p in c) == list(range(ov.n))
 

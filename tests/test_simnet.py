@@ -162,12 +162,16 @@ def test_sending_from_crashed_peer_is_scenario_error():
         sim.send(0, (1,), b"x", PHASE_CASTING)
 
 
-def test_crash_after_step_zero_emits_nothing():
-    sim = Simulator(FaultModel(byzantine={0: "crash-after-step 0"}), 1)
-    sim.add_peer(Pinger(0, 1))
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_crash_after_step_runs_that_many_activations(steps):
+    # Peer 0's activations are its start (the ping) and then peer 1's ping.
+    sim = Simulator(FaultModel(byzantine={0: f"crash-after-step {steps}"}), 1)
+    a = Pinger(0, 1)
+    sim.add_peer(a)
     sim.add_peer(Pinger(1, 0))
     trace = sim.run_until_quiescent()
-    assert {e.src for e in trace.events if e.kind == "send"} == {1}
+    assert {e.src for e in trace.events if e.kind == "send"} == ({1} if steps == 0 else {0, 1})
+    assert a.got == ([(1, {"ping": 1})] if steps == 2 else [])
 
 
 @pytest.mark.parametrize("name, steps", [

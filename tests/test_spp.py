@@ -15,6 +15,7 @@ from votesim.spp import (
     BEHAVIOR_LYING_AGGREGATE,
     BEHAVIOR_SILENT_ROOT,
     SppParams,
+    SppVoter,
     resolve_divergence,
     run_spp,
 )
@@ -45,6 +46,27 @@ def test_honest_n8_two_clusters():
                      group=TEST_GROUP)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 3)}
+
+
+def test_decryption_share_before_the_root_aggregate_is_held_back(monkeypatch):
+    # With delays up to 5, a root member receives another's decryption share
+    # before its own subtree aggregate exists; the share waits in
+    # pending_decshares and is replayed once the aggregate is built.
+    early = []
+    collect = SppVoter._collect_decshare
+
+    def spy(self, ctx, idx, values, agg_digest):
+        if self.subtree_agg is None:
+            early.append(self.pid)
+        collect(self, ctx, idx, values, agg_digest)
+
+    monkeypatch.setattr(SppVoter, "_collect_decshare", spy)
+    choices = random.Random(1).choices(range(2), k=8)
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices, FaultModel(max_delay=5), 1,
+                     group=TEST_GROUP)
+    assert early
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)}
 
 
 def test_lying_aggregator_in_child_cluster_is_outvoted():
