@@ -156,9 +156,7 @@ class HeliosHub(Peer):
         self.pk = pk
         self.group = group
         self.ballots: dict[int, tuple[list[Ciphertext], BallotProof] | None] = {}
-        self.aggregated = False
         self.agg: list[Ciphertext] | None = None
-        self.accepted = 0
         self.valid: list = []
         self.dec_shares: dict[int, list[int]] = {}
         self.tally: tuple[int, ...] | None = None
@@ -176,7 +174,7 @@ class HeliosHub(Peer):
             self.ballots[sender] = parse_ballot(self.group, d, msg.get("cts"), msg.get("proof"))
             if len(self.ballots) == self.params.n:
                 self._aggregate(ctx)
-        elif kind == "decshare" and sender in self.params.trustee_ids and self.aggregated:
+        elif kind == "decshare" and sender in self.params.trustee_ids and self.agg is not None:
             values = parse_decshare(self.group, self.params.trustees, idx, msg.get("v"), d)
             if values is not None and idx not in self.dec_shares:
                 self.dec_shares[idx] = values
@@ -185,19 +183,16 @@ class HeliosHub(Peer):
 
     def on_idle(self, ctx):
         # Voters that crashed will never cast; proceed with what arrived.
-        if not self.aggregated:
-            self._aggregate(ctx)
+        self._aggregate(ctx)
 
     def _aggregate(self, ctx):
-        if self.aggregated:
+        if self.agg is not None:
             return
-        self.aggregated = True
         ballots = [(voter, self.ballots[voter]) for voter in sorted(self.ballots)]
         self.valid = [(voter, *b) for voter, b in ballots
                       if b is not None and verify_ballot(self.pk, *b)]
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         self.agg = hom_add_vectors(self.pk, self.params.d, (cts for _, cts, _ in self.valid))
-        self.accepted = len(self.valid)
         ctx.send(self.params.trustee_ids, {"t": "decrypt", "cts": cts_to_obj(self.agg)},
                  PHASE_EVALUATION)
 
@@ -213,7 +208,7 @@ class HeliosHub(Peer):
             "ballots": [[v, cts_to_obj(cts), proof.to_obj()] for v, cts, proof in self.valid],
             "shares": [[idx, vals] for idx, vals in shares],
             "tally": list(self.tally),
-            "accepted": self.accepted,
+            "accepted": len(self.valid),
         }
         ctx.send(range(self.params.n), bulletin, PHASE_EVALUATION)
         ctx.finish()
@@ -276,7 +271,7 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
 
     def details(voters: list[HeliosVoter]) -> dict:
         return {
-            "accepted": hub.accepted if hub.tally is not None else None,
+            "accepted": len(hub.valid) if hub.tally is not None else None,
             "verification_failures": {v.pid for v in voters if v.verify_failed},
         }
 

@@ -261,23 +261,30 @@ class ChainView:
         return True
 
     def add_block(self, block: Block) -> str:
-        """Returns one of "known", "orphan", "invalid", "added"."""
+        """Returns one of "known", "orphan", "invalid", "added". An added
+        block adopts the orphans waiting on it, depth first from an explicit
+        stack, so a chain sent child first is adopted whatever its length."""
         h = block.block_hash()
         if h in self.blocks:
             return "known"
         if block.parent not in self.blocks:
             self.orphans.setdefault(block.parent, []).append(block)
             return "orphan"
-        if self.block_defect(block, self.blocks[block.parent], self.spent[block.parent]):
-            return "invalid"
-        self.blocks[h] = block
-        self.spent[h] = self.spent[block.parent] | {t.token.serial for t in block.txs}
-        # The longest chain wins; the lower tip hash breaks a tie.
-        if (block.height, -int(h, 16)) > (self.best_height, -int(self.best, 16)):
-            self.best = h
-        for child in self.orphans.pop(h, []):
-            self.add_block(child)
-        return "added"
+        status, stack = "invalid", [block]
+        while stack:
+            block = stack.pop()
+            h, parent = block.block_hash(), block.parent
+            if h in self.blocks or self.block_defect(block, self.blocks[parent],
+                                                     self.spent[parent]):
+                continue
+            status = "added"
+            self.blocks[h] = block
+            self.spent[h] = self.spent[parent] | {t.token.serial for t in block.txs}
+            # The longest chain wins; the lower tip hash breaks a tie.
+            if (block.height, -int(h, 16)) > (self.best_height, -int(self.best, 16)):
+                self.best = h
+            stack.extend(reversed(self.orphans.pop(h, [])))
+        return status
 
     def block_defect(self, block: Block, parent: Block,
                      spent: set[str] | frozenset[str]) -> str | None:
@@ -470,12 +477,10 @@ class ChainVoter(Peer):
     def on_timer(self, ctx, tag, data):
         if tag != "mined" or self.mining is None:
             return
-        candidate, parent = self.mining
+        candidate = self.mining[0]
         if data != candidate.block_hash():
             return  # timer belongs to an abandoned candidate
         self.mining = None
-        if parent != self.view.best:
-            return  # lost the race while grinding
         self.seen_blocks.add(candidate.block_hash())
         if self.view.add_block(candidate) == "added":
             self.proposed = True

@@ -153,8 +153,6 @@ class DpolVoter(Peer):
     def _maybe_cluster_tally(self, ctx):
         if self.local_sum is None or len(self.sums_by_member) < len(self.cluster_members):
             return
-        if self.pred_cluster in self.known:
-            return
         tally = cluster_tally(
             [self.sums_by_member[m] for m in sorted(self.sums_by_member)],
             self.params.d,

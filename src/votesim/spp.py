@@ -13,6 +13,7 @@ components sum to the number of accepted ballots.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -72,31 +73,17 @@ class SppParams:
             raise simnet.ConfigError("t: must be in [1, cluster_size]")
 
 
-@dataclass(frozen=True)
-class AggregateReport:
-    """One member's claim about a subtree aggregate."""
-
-    subtree: int
-    cts: tuple[Ciphertext, ...]
-    count: int
-    reporter: int
+# One child member's report: its subtree aggregate and accepted-ballot count.
+Claim = tuple[tuple[Ciphertext, ...], int]
 
 
-def resolve_divergence(reports: list[AggregateReport]) -> tuple[tuple[Ciphertext, ...], int] | None:
-    """Majority rule over identical (ciphertexts, count) claims.
-
-    Returns the winning (ciphertexts, count) or None when no strict
-    majority exists (the subtree is then incomplete).
-    """
-    if not reports:
-        raise ValueError("resolve_divergence needs at least one report")
-    votes: dict[tuple[tuple[Ciphertext, ...], int], int] = {}
-    for r in reports:
-        votes[(r.cts, r.count)] = votes.get((r.cts, r.count), 0) + 1
-    for claim, count in votes.items():
-        if count * 2 > len(reports):
-            return claim
-    return None
+def resolve_divergence(claims: list[Claim]) -> Claim | None:
+    """The claim a strict majority of ``claims`` makes, or None when no
+    claim has one (the subtree is then incomplete)."""
+    if not claims:
+        raise ValueError("resolve_divergence needs at least one claim")
+    claim, votes = Counter(claims).most_common(1)[0]
+    return claim if votes * 2 > len(claims) else None
 
 
 class SppVoter(Peer):
@@ -124,21 +111,18 @@ class SppVoter(Peer):
         # protocol state
         self.pk: PublicKey | None = None
         self.pk_votes: dict[int, set[int]] = {}
-        self.cast_done = False
         self.ballots: dict[int, tuple[list[Ciphertext], BallotProof] | None] = {}
         self.cluster_agg: list[Ciphertext] | None = None
         self.cluster_accepted = 0
-        self.reports: dict[int, dict[int, AggregateReport]] = {c: {} for c in self.children}
-        self.resolved: dict[int, tuple[tuple[Ciphertext, ...], int]] = {}
-        self.stalled_subtrees: set[int] = set()
+        self.reports: dict[int, dict[int, Claim]] = {c: {} for c in self.children}
+        self.resolved: dict[int, Claim] = {}
         self.subtree_agg: list[Ciphertext] | None = None
         self.subtree_count: int | None = None
-        self.pending_decshares: list[tuple[int, list[int], str]] = []
-        self.dec_shares: dict[int, list[int]] = {}
+        # aggregate digest -> share index -> decryption-share values
+        self.dec_shares: dict[str, dict[int, list[int]]] = {}
         self.result_votes: dict[tuple, set[int]] = {}
         self.tally: tuple[int, ...] | None = None
         self.accepted: int | None = None
-        self.verified = False
 
     # -- key setup --------------------------------------------------------
 
@@ -178,12 +162,17 @@ class SppVoter(Peer):
         ctx.send([m for c in self.children for m in self.child_members[c]],
                  {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
 
-    def _adopt_pubkey(self, ctx, sender: int, h: int):
-        if self.pk is not None or sender not in self.parent_members:
-            return
-        voters = self.pk_votes.setdefault(h, set())
+    def _parent_majority(self, votes: dict, sender: int, value) -> bool:
+        """Count a parent member's vote for ``value``; True once a majority
+        of the parent cluster backs it."""
+        if sender not in self.parent_members:
+            return False
+        voters = votes.setdefault(value, set())
         voters.add(sender)
-        if len(voters) >= self.majority:
+        return len(voters) >= self.majority
+
+    def _adopt_pubkey(self, ctx, sender: int, h: int):
+        if self.pk is None and self._parent_majority(self.pk_votes, sender, h):
             self.pk = PublicKey(self.group, h, t=self.params.t)
             self._spread_pubkey(ctx)
             self._cast(ctx)
@@ -191,9 +180,6 @@ class SppVoter(Peer):
     # -- casting ----------------------------------------------------------
 
     def _cast(self, ctx):
-        if self.cast_done:
-            return
-        self.cast_done = True
         ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
         cts, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
         payload = {"t": "ballot", "cts": cts_to_obj(cts), "proof": proof.to_obj()}
@@ -224,7 +210,7 @@ class SppVoter(Peer):
             if (cts is not None and type(subtree) is int and type(count) is int
                     and subtree in self.reports and sender in self.child_members[subtree]
                     and sender not in self.reports[subtree]):
-                self.reports[subtree][sender] = AggregateReport(subtree, tuple(cts), count, sender)
+                self.reports[subtree][sender] = (tuple(cts), count)
                 self._maybe_resolve(ctx, subtree)
         elif kind == "decshare":
             idx, agg = msg.get("idx"), msg.get("agg")
@@ -249,14 +235,11 @@ class SppVoter(Peer):
         self._maybe_send_up(ctx)
 
     def _maybe_resolve(self, ctx, subtree: int):
-        if subtree in self.resolved or subtree in self.stalled_subtrees:
-            return
         got = self.reports[subtree]
         if len(got) < self.params.cluster_size:
             return
-        winner = resolve_divergence([got[s] for s in sorted(got)])
+        winner = resolve_divergence(list(got.values()))
         if winner is None:
-            self.stalled_subtrees.add(subtree)
             ctx.log_action(PHASE_AGGREGATION, "divergence-unresolved",
                            detail={"subtree": subtree})
             return
@@ -264,9 +247,7 @@ class SppVoter(Peer):
         self._maybe_send_up(ctx)
 
     def _maybe_send_up(self, ctx):
-        if self.subtree_agg is not None or self.cluster_agg is None:
-            return
-        if len(self.resolved) < len(self.children):
+        if self.cluster_agg is None or len(self.resolved) < len(self.children):
             return
         claims = [self.resolved[child] for child in self.children]
         self.subtree_agg = agg = hom_add_vectors(
@@ -275,9 +256,7 @@ class SppVoter(Peer):
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         if self.is_root:
             self._start_decryption(ctx)
-            for idx, values, digest in self.pending_decshares:
-                self._collect_decshare(ctx, idx, values, digest)
-            self.pending_decshares.clear()
+            self._maybe_evaluate(ctx)
         else:
             payload = {"t": "report", "subtree": self.cluster, "cts": cts_to_obj(agg),
                        "count": count}
@@ -293,32 +272,25 @@ class SppVoter(Peer):
         if self.pid not in decrypters:
             return
         ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
+        idx, digest = self.key_share.index, self._agg_digest()
         values = [partial_decrypt(self.key_share, ct).value for ct in self.subtree_agg]
-        payload = {
-            "t": "decshare",
-            "idx": self.key_share.index,
-            "v": values,
-            "agg": self._agg_digest(),
-        }
-        for member in self.members:
-            if member == self.pid:
-                self._collect_decshare(ctx, self.key_share.index, values, payload["agg"])
-            else:
-                ctx.send((member,), payload, PHASE_EVALUATION)
+        self.dec_shares.setdefault(digest, {})[idx] = values
+        ctx.send([m for m in self.members if m != self.pid],
+                 {"t": "decshare", "idx": idx, "v": values, "agg": digest}, PHASE_EVALUATION)
 
     def _collect_decshare(self, ctx, idx: int, values: list[int], agg_digest: str):
-        if self.tally is not None:
+        self.dec_shares.setdefault(agg_digest, {}).setdefault(idx, values)
+        self._maybe_evaluate(ctx)
+
+    def _maybe_evaluate(self, ctx):
+        """Combine once this member's aggregate exists and t shares of it are in."""
+        if self.tally is not None or self.subtree_agg is None:
             return
-        if self.subtree_agg is None:
-            self.pending_decshares.append((idx, list(values), agg_digest))
-            return
-        if agg_digest != self._agg_digest():
-            return  # share computed against a different aggregate
-        self.dec_shares.setdefault(idx, values)
-        if len(self.dec_shares) < self.params.t:
+        shares = self.dec_shares.get(self._agg_digest(), {})
+        if len(shares) < self.params.t:
             return
         try:
-            self.tally = combine_vector(self.pk, self.dec_shares, self.subtree_agg, self.params.n)
+            self.tally = combine_vector(self.pk, shares, self.subtree_agg, self.params.n)
         except CryptoError:
             return  # inconsistent shares: stay incomplete
         self.accepted = self.subtree_count
@@ -332,12 +304,7 @@ class SppVoter(Peer):
                  PHASE_EVALUATION)
 
     def _adopt_result(self, ctx, sender: int, tally: tuple[int, ...], count: int):
-        if sender not in self.parent_members:
-            return
-        key = (tally, count)
-        voters = self.result_votes.setdefault(key, set())
-        voters.add(sender)
-        if len(voters) >= self.majority:
+        if self._parent_majority(self.result_votes, sender, (tally, count)):
             self.tally = tally
             self.accepted = count
             ctx.log_action(PHASE_EVALUATION, "evaluate", consumes=(ARTIFACT_TALLY,))
@@ -348,8 +315,7 @@ class SppVoter(Peer):
 
     def _verify(self, ctx):
         ctx.log_action(PHASE_VERIFICATION, "verify", consumes=(ARTIFACT_TALLY,))
-        self.verified = sum(self.tally) == self.accepted
-        if not self.verified:
+        if sum(self.tally) != self.accepted:
             ctx.log_action(PHASE_VERIFICATION, "verify-failed")
             self.tally = None
         ctx.finish()
@@ -402,7 +368,8 @@ def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int
     return simnet.run_election(
         "spp", params, choices, faults, seed,
         lambda pid, choice: SppVoter(pid, params, ov, choice, group),
-        lambda voters: {"accepted": next((v.accepted for v in voters if v.verified), None)},
+        lambda voters: {"accepted": next((v.accepted for v in voters if v.tally is not None),
+                                         None)},
         overlay=ov.to_obj(),
         roles=((ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY)),),

@@ -27,7 +27,13 @@ from votesim.chainvote import (
     tally_chain,
 )
 from votesim.crypto.blindsig import Token, generate_issuer_key, hash_serial, verify_token
-from votesim.simnet import ConfigError, FaultModel, SendFilter, register_behavior
+from votesim.simnet import (
+    PHASE_AGGREGATION,
+    ConfigError,
+    FaultModel,
+    SendFilter,
+    register_behavior,
+)
 
 DIFF = 6  # cheap PoW for unit tests
 
@@ -226,6 +232,54 @@ def test_orphan_blocks_attach_when_parent_arrives(issuer_key, tokens16):
     assert view.add_block(b2) == "orphan"
     assert view.add_block(b1) == "added"
     assert view.best == b2.block_hash()
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    """1,200 empty blocks on genesis at difficulty 4, parent first."""
+    blocks, parent = [], GENESIS_HASH
+    for height in range(1, 1201):
+        block, _ = mine_block(parent, height, (), 0, 4)
+        blocks.append(block)
+        parent = block.block_hash()
+    return blocks
+
+
+def test_child_first_chain_is_adopted_without_recursion(issuer_key, long_chain):
+    # Each block waits as an orphan until genesis' child arrives last; one
+    # call frame per generation would overflow the interpreter's stack.
+    view = ChainView(issuer_key.public, 4)
+    assert [view.add_block(b) for b in reversed(long_chain[1:])] == ["orphan"] * 1199
+    assert view.add_block(long_chain[0]) == "added"
+    assert view.best_height == 1200
+    assert view.best == long_chain[-1].block_hash()
+    assert not view.orphans
+
+
+class _ChildFirstChain(SendFilter):
+    """Sends its neighbours a chain of empty blocks, child first, at start,
+    then runs the honest peer."""
+
+    def __init__(self, inner, blocks: list[Block]):
+        super().__init__(inner, lambda msg: msg)
+        self.blocks = blocks
+
+    def on_start(self, ctx):
+        for block in reversed(self.blocks):
+            ctx.send(self.inner.neighbors, {"t": "block", "block": block.to_obj()},
+                     PHASE_AGGREGATION)
+        super().on_start(ctx)
+
+
+def test_child_first_chain_from_a_byzantine_peer_crashes_no_honest_peer(long_chain):
+    register_behavior("test:child-first-chain",
+                      lambda inner: _ChildFirstChain(inner, long_chain[:1000]))
+    choices = random.Random(0).choices(range(2), k=8)
+    out, _ = run_chainvote(
+        ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
+        choices, FaultModel(byzantine={0: "test:child-first-chain"}), 0)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)} == {(4, 4)}
 
 
 def test_tally_chain_counts_first_spend_only(issuer_key, tokens16):

@@ -122,6 +122,7 @@ RULE_BREAKS = [
     pytest.param("d", {"d": 1}, id="d-1"),
     pytest.param("d", {"protocol": "mesh", "n": 4, "d": 1}, id="mesh-d-1"),
     pytest.param("choices", {"choices": [0, 1, 0]}, id="choices-short"),
+    pytest.param("k", {"k": 0}, id="dpol-k-0"),
     pytest.param("k", {"d": 3}, id="dpol-k-indivisible"),
     pytest.param("n", {"n": 10}, id="dpol-n-not-square"),
     pytest.param("k", {"k": 4}, id="dpol-2k+1-over-cluster"),
@@ -270,6 +271,19 @@ def test_sweep_mesh_exponent(tmp_path, capsys):
     assert "exponent" in text
     printed = capsys.readouterr().out
     assert "exponent 2." in printed
+
+
+def test_sweep_chainvote_mines_easier_blocks(tmp_path, capsys):
+    # The chainvote sweep lowers the difficulty and fits every transaction
+    # in one block, so small sizes run in well under a second.
+    code = main(["sweep", "--protocol", "chainvote", "--n", "5,6,8", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "protocol,n,seed,messages,bytes"
+    assert [line.split(",")[:3] for line in lines[1:4]] == [
+        ["chainvote", "5", "1"], ["chainvote", "6", "1"], ["chainvote", "8", "1"]]
+    assert lines[4] == ""
+    assert lines[5].startswith("exponent,")
 
 
 def test_sweep_unknown_protocol(tmp_path, capsys):

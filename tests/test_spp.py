@@ -10,7 +10,6 @@ from votesim.crypto import TEST_GROUP, encrypt_random, threshold_keygen
 from votesim.overlay import build_tree_clusters
 from votesim.simnet import FaultModel, SendFilter, register_behavior, resolve_behavior
 from votesim.spp import (
-    AggregateReport,
     BEHAVIOR_INVALID_PROOF,
     BEHAVIOR_LYING_AGGREGATE,
     BEHAVIOR_SILENT_ROOT,
@@ -50,8 +49,8 @@ def test_honest_n8_two_clusters():
 
 def test_decryption_share_before_the_root_aggregate_is_held_back(monkeypatch):
     # With delays up to 5, a root member receives another's decryption share
-    # before its own subtree aggregate exists; the share waits in
-    # pending_decshares and is replayed once the aggregate is built.
+    # before its own subtree aggregate exists; the share waits under its
+    # aggregate digest and is combined once the aggregate is built.
     early = []
     collect = SppVoter._collect_decshare
 
@@ -137,17 +136,17 @@ def test_trace_determinism():
 # -- units ------------------------------------------------------------------
 
 
-def _report(tag: int, count: int = 5, subtree: int = 1, reporter: int = 0):
+def _report(tag: int, count: int = 5):
     rng = random.Random(tag)
     pk, _ = threshold_keygen(1, 1, TEST_GROUP, seed=tag)
     cts = tuple(encrypt_random(pk, 1, rng) for _ in range(2))
-    return AggregateReport(subtree, cts, count, reporter)
+    return cts, count
 
 
 def test_resolve_majority_wins():
-    a1, a2 = _report(1, reporter=0), _report(1, reporter=1)
-    b = _report(2, reporter=2)
-    assert resolve_divergence([a1, a2, b]) == (a1.cts, a1.count)
+    a1, a2 = _report(1), _report(1)
+    b = _report(2)
+    assert resolve_divergence([a1, a2, b]) == a1
 
 
 def test_resolve_tie_is_incomplete():
@@ -156,7 +155,7 @@ def test_resolve_tie_is_incomplete():
 
 def test_resolve_singleton():
     r = _report(3)
-    assert resolve_divergence([r]) == (r.cts, r.count)
+    assert resolve_divergence([r]) == r
 
 
 def test_resolve_empty_is_error():
@@ -272,3 +271,27 @@ def test_malformed_ballot_counts_as_invalid(field, value):
     assert out.details["accepted"] == 7
     expected = histogram([c for pid, c in enumerate(choices) if pid != 5], 2)
     assert all(t == expected for pid, t in out.tallies.items() if pid != 5)
+
+
+def test_tally_whose_sum_misses_the_count_fails_verification():
+    # Three of the four root members add 1 to the count in every result they
+    # send, so a majority of the parent cluster backs a tally whose components
+    # do not sum to the count: every voter below the root rejects it.
+    register_behavior(
+        "test:result-count-plus-one",
+        lambda inner: SendFilter(
+            inner,
+            lambda msg: {**msg, "count": msg["count"] + 1} if msg.get("t") == "result" else msg,
+        ),
+    )
+    root = build_tree_clusters(8, 4, wire.derive_seed(12, "overlay")).members(0)
+    assert root == (0, 1, 2, 5)
+    out, _ = run_spp(SppParams(8, 4, 2, 2), [0, 1] * 4,
+                     faultless(byzantine={pid: "test:result-count-plus-one" for pid in (0, 1, 2)}),
+                     seed=12, group=TEST_GROUP)
+    failed = {pid for pid, acts in out.roles.performed.items()
+              if any(a.action == "verify-failed" for a in acts)}
+    assert failed == {3, 4, 6, 7}
+    assert {pid: t for pid, t in out.tallies.items() if t is not None} == {
+        pid: (4, 4) for pid in root}
+    assert out.completion == 0.5
