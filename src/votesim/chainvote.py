@@ -268,6 +268,10 @@ class ChainView:
         if h in self.blocks:
             return "known"
         if block.parent not in self.blocks:
+            # Proof of work needs no parent: a block without it is never
+            # stored, so it is never flooded either.
+            if not block.meets_difficulty(self.difficulty):
+                return "invalid"
             self.orphans.setdefault(block.parent, []).append(block)
             return "orphan"
         status, stack = "invalid", [block]

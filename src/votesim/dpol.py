@@ -80,7 +80,7 @@ def decoder(params: DpolParams) -> Callable[[bytes], dict | None]:
 
 class DpolVoter(Peer):
     def __init__(self, pid: int, params: DpolParams, overlay, rmap: RecipientMap,
-                 choice: int, run_seed: int):
+                 choice: int, run_seed: int, maps: list[tuple | None]):
         super().__init__(pid)
         self.params = params
         self.choice = choice
@@ -101,6 +101,8 @@ class DpolVoter(Peer):
         self.merged = 0
         self.tally: tuple[int, ...] | None = None
         self.decode_failed = False
+        # The run's last map per cluster, shared by every voter (see _send_map).
+        self.maps = maps
 
     # -- casting --------------------------------------------------------
 
@@ -163,12 +165,24 @@ class DpolVoter(Peer):
         self._maybe_process_rounds(ctx)
 
     def _send_map(self, ctx, r: int):
-        payload = {
-            "t": "map",
-            "r": r,
-            "m": {str(ci): v for ci, v in self.known.items()},  # dumps sorts the keys
-        }
-        ctx.send(self.recipients, payload, PHASE_AGGREGATION)
+        # Honest members of a cluster send the same map each round: the
+        # cluster's slot keeps the last (round, known, message, payload) sent,
+        # a member with an equal round and known sends those bytes, and any
+        # other encodes its own map into the slot. Equal content means equal
+        # bytes only because every value in known is a tuple of exact ints
+        # (wire.int_vector and vector_sum make nothing else): 1 == 1.0 == True
+        # encode apart. A filtered context ignores the payload and encodes
+        # what its filter makes of the message.
+        slot = self.maps[self.cluster]
+        if slot is None or slot[0] != r or slot[1] != self.known:
+            known = dict(self.known)
+            msg = {
+                "t": "map",
+                "r": r,
+                "m": {str(ci): v for ci, v in known.items()},  # dumps sorts the keys
+            }
+            slot = self.maps[self.cluster] = (r, known, msg, wire.dumps(msg))
+        ctx.send(self.recipients, slot[2], PHASE_AGGREGATION, slot[3])
 
     def _maybe_process_rounds(self, ctx):
         if self.pred_cluster not in self.known:
@@ -293,6 +307,7 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
     the honest pattern; flagged peers are returned in the outcome.
     """
     ov, rmap = ring_for(params, seed)
+    maps: list[tuple | None] = [None] * len(ov.clusters)
 
     def details(voters: list[DpolVoter]) -> dict:
         return {
@@ -303,7 +318,7 @@ def run_dpol(params: DpolParams, choices: list[int], faults: FaultModel,
 
     return simnet.run_election(
         "dpol", params, choices, faults, seed,
-        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed), details,
+        lambda pid, choice: DpolVoter(pid, params, ov, rmap, choice, seed, maps), details,
         overlay=ov.to_obj(), decode=decoder(params),
     )
 

@@ -254,9 +254,11 @@ class PeerContext:
     def rng(self) -> random.Random:
         return self._sim.peer_rng(self.pid)
 
-    def send(self, dsts: Iterable[int], msg: dict, phase: str) -> None:
-        """Send ``msg`` to each peer of ``dsts`` in order, encoded once."""
-        self._sim.send(self.pid, dsts, wire.dumps(msg), phase)
+    def send(self, dsts: Iterable[int], msg: dict, phase: str,
+             payload: bytes | None = None) -> None:
+        """Send ``msg`` to each peer of ``dsts`` in order, encoded once.
+        ``payload``, when given, must be ``wire.dumps(msg)`` made earlier."""
+        self._sim.send(self.pid, dsts, wire.dumps(msg) if payload is None else payload, phase)
 
     def log_action(self, phase: str, action: str,
                    consumes: tuple[str, ...] = (), detail: dict | None = None) -> None:
@@ -325,8 +327,10 @@ class _FilteredContext(PeerContext):
         self._ctx = ctx
         self._f = f
 
-    def send(self, dsts, msg, phase):
-        # One filter call per destination, so a liar can equivocate.
+    def send(self, dsts, msg, phase, payload=None):
+        # The filter sees the message, never a ready payload: what it returns
+        # is encoded afresh. One filter call per destination, so a liar can
+        # equivocate.
         for dst in dsts:
             out = self._f(msg)
             if out is not None:
@@ -335,7 +339,9 @@ class _FilteredContext(PeerContext):
 
 class SendFilter(Peer):
     """Wrapper passing every send of the inner peer through ``f``, which
-    returns the message to send (possibly rewritten) or None to withhold it."""
+    returns the message to send (possibly rewritten) or None to withhold it.
+    The message ``f`` gets may be shared with other peers, so ``f`` rewrites
+    a copy and never changes it."""
 
     def __init__(self, inner: Peer, f: Callable[[dict], dict | None]):
         super().__init__(inner.pid)

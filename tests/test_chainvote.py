@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import chainvote
+from votesim import chainvote, wire
 from votesim.ballot import histogram
 from votesim.chainvote import (
     BEHAVIOR_DOUBLE_SPEND,
@@ -256,16 +256,16 @@ def test_child_first_chain_is_adopted_without_recursion(issuer_key, long_chain):
     assert not view.orphans
 
 
-class _ChildFirstChain(SendFilter):
-    """Sends its neighbours a chain of empty blocks, child first, at start,
-    then runs the honest peer."""
+class _BlocksAtStart(SendFilter):
+    """Sends its neighbours the given blocks, in order, at start, then runs
+    the honest peer."""
 
     def __init__(self, inner, blocks: list[Block]):
         super().__init__(inner, lambda msg: msg)
         self.blocks = blocks
 
     def on_start(self, ctx):
-        for block in reversed(self.blocks):
+        for block in self.blocks:
             ctx.send(self.inner.neighbors, {"t": "block", "block": block.to_obj()},
                      PHASE_AGGREGATION)
         super().on_start(ctx)
@@ -273,13 +273,41 @@ class _ChildFirstChain(SendFilter):
 
 def test_child_first_chain_from_a_byzantine_peer_crashes_no_honest_peer(long_chain):
     register_behavior("test:child-first-chain",
-                      lambda inner: _ChildFirstChain(inner, long_chain[:1000]))
+                      lambda inner: _BlocksAtStart(inner, long_chain[:1000][::-1]))
     choices = random.Random(0).choices(range(2), k=8)
     out, _ = run_chainvote(
         ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
         choices, FaultModel(byzantine={0: "test:child-first-chain"}), 0)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)} == {(4, 4)}
+
+
+def test_orphan_without_proof_of_work_is_neither_stored_nor_flooded(monkeypatch):
+    rng, junk = random.Random(0), []
+    while len(junk) < 200:
+        block = Block(rng.getrandbits(256).to_bytes(32, "big").hex(), 1, (), 0, 0)
+        if not block.meets_difficulty(4):  # nonce 0 meets difficulty 4 one time in 16
+            junk.append(block)
+    junk_digests = {wire.digest(wire.dumps({"t": "block", "block": b.to_obj()})) for b in junk}
+    voters = []
+
+    class Recording(chainvote.ChainVoter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            voters.append(self)
+
+    monkeypatch.setattr(chainvote, "ChainVoter", Recording)
+    register_behavior("test:junk-orphans", lambda inner: _BlocksAtStart(inner, junk))
+    choices = random.Random(0).choices(range(2), k=8)
+    out, trace = run_chainvote(
+        ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
+        choices, FaultModel(byzantine={0: "test:junk-orphans"}), 0)
+    liar, honest = voters[0], voters[1:]  # built in pid order
+    assert liar.pid == 0 and all(not v.view.orphans for v in honest)
+    # The liar's own sends are all the junk there is: no honest peer relays it.
+    sent = [e for e in trace.events if e.kind == "send" and e.digest in junk_digests]
+    assert len(sent) == 200 * len(liar.neighbors) and {e.src for e in sent} == {0}
+    assert out.completion == 1.0
 
 
 def test_tally_chain_counts_first_spend_only(issuer_key, tokens16):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import dpol, wire
+from votesim import dpol, simnet, wire
 from votesim.ballot import DpolParams, histogram
 from votesim.dpol import (
     BEHAVIOR_INVALID_SHARES,
@@ -241,7 +241,8 @@ def test_map_with_malformed_body_is_ignored(body):
 
 def make_voter(n: int, k: int) -> DpolVoter:
     ov = build_ring_clusters(n, 1)
-    return DpolVoter(0, DpolParams(n, k, 2), ov, assign_recipients(ov, k, 1), 0, 1)
+    return DpolVoter(0, DpolParams(n, k, 2), ov, assign_recipients(ov, k, 1), 0, 1,
+                     [None] * len(ov.clusters))
 
 
 class RecordingCtx:
@@ -378,7 +379,7 @@ class StubCtx(RecordingCtx):
         super().__init__()
         self.rounds_sent = []
 
-    def send(self, dsts, msg, phase):
+    def send(self, dsts, msg, phase, payload=None):
         self.rounds_sent.append(msg["r"])
 
     def finish(self):
@@ -483,3 +484,123 @@ def test_malformed_map_is_malformed_for_every_voter(monkeypatch, body):
     # first to judge it drops it, and so does every later one.
     assert len(set(recipients)) > 1
     assert merged and all(liar not in senders for senders in merged)
+
+
+# -- the run's map cache: one (round, known, message, payload) slot per cluster
+
+
+def record_map_sends(monkeypatch) -> list[tuple]:
+    """Patch run_dpol's voters and Simulator.send so each map a voter sends
+    is recorded as (pid, cluster, round, the map its own state makes, the
+    payloads handed to the simulator for it)."""
+    sends, open_sends, sim_send = [], [], simnet.Simulator.send
+
+    def send(self, src, dsts, payload, phase):
+        if open_sends:
+            open_sends[-1].append(payload)
+        sim_send(self, src, dsts, payload, phase)
+
+    class Recording(DpolVoter):
+        def _send_map(self, ctx, r):
+            msg = {"t": "map", "r": r, "m": {str(ci): v for ci, v in self.known.items()}}
+            open_sends.append([])
+            super()._send_map(ctx, r)
+            sends.append((self.pid, self.cluster, r, msg, open_sends.pop()))
+
+    monkeypatch.setattr(simnet.Simulator, "send", send)
+    monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    return sends
+
+
+DPOL_LIAR = 2
+
+
+@pytest.mark.parametrize("n, k", [(16, 1), (25, 2)])
+@pytest.mark.parametrize("max_delay", [1, 5])
+@pytest.mark.parametrize("behavior", [None, BEHAVIOR_LYING_SUM])
+def test_every_map_payload_encodes_the_senders_own_map(monkeypatch, n, k, max_delay, behavior):
+    sends = record_map_sends(monkeypatch)
+    byzantine = {} if behavior is None else {DPOL_LIAR: behavior}
+    choices = random.Random(n).choices(range(2), k=n)
+    out, _ = run_dpol(DpolParams(n, k, 2), choices,
+                      FaultModel(max_delay=max_delay, byzantine=byzantine), seed=n + max_delay)
+    if behavior is None:
+        assert out.completion == 1.0
+    seen, reused = set(), 0
+    for pid, _, _, msg, payloads in sends:
+        if pid in byzantine:
+            msg = dpol._mutate_lying_sum(msg)
+        assert payloads and all(p == wire.dumps(msg) for p in payloads)
+        reused += id(payloads[0]) in seen
+        seen.update(map(id, payloads))
+    # Most honest sends reuse a cluster-mate's bytes: the cache is in play.
+    assert reused > len(sends) / 2
+
+
+def cluster_pair() -> list[DpolVoter]:
+    """Two members of cluster 0 of a DPol n=9 ring, sharing one map cache."""
+    ov = build_ring_clusters(9, 1)
+    params, rmap, maps = DpolParams(9, 1, 2), assign_recipients(ov, 1, 1), [None] * 3
+    return [DpolVoter(pid, params, ov, rmap, 0, 1, maps) for pid in ov.members(0)[:2]]
+
+
+class PayloadCtx:
+    def __init__(self):
+        self.payloads = []
+
+    def send(self, dsts, msg, phase, payload=None):
+        self.payloads.append(wire.dumps(msg) if payload is None else payload)
+
+
+CACHED_KNOWN = {0: (1, 2), 2: (3, 4)}
+
+
+@pytest.mark.parametrize("r, known", [
+    (2, CACHED_KNOWN),  # another round
+    (1, {0: (1, 3), 2: (3, 4)}),  # another value under the first index
+    (1, {0: (1, 2), 2: (3, 5)}),  # ... under the second
+    (1, {2: (1, 2), 0: (3, 4)}),  # the same values under swapped indices
+    (1, {0: (1, 2), 1: (3, 4)}),  # the same values under another index
+])
+def test_member_unlike_the_cached_map_sends_its_own(r, known):
+    first, second = cluster_pair()
+    ctx = PayloadCtx()
+    first.known, second.known = dict(CACHED_KNOWN), dict(known)
+    first._send_map(ctx, 1)
+    second._send_map(ctx, r)
+    assert ctx.payloads[1] == wire.dumps(
+        {"t": "map", "r": r, "m": {str(ci): v for ci, v in known.items()}})
+
+
+def test_cached_map_is_not_the_senders_live_state():
+    # The first sender learns another tally after sending; a member that
+    # holds the grown map at the same round must not get the old bytes.
+    first, second = cluster_pair()
+    ctx = PayloadCtx()
+    first.known = dict(CACHED_KNOWN)
+    first._send_map(ctx, 1)
+    first.known[1] = (5, 6)
+    second.known = dict(first.known)
+    second._send_map(ctx, 1)
+    assert ctx.payloads[1] == wire.dumps(
+        {"t": "map", "r": 1, "m": {str(ci): v for ci, v in first.known.items()}})
+
+
+@pytest.mark.parametrize("n, k", [(16, 1), (25, 2)])
+def test_lying_sum_liar_still_lies_beside_the_cache(monkeypatch, n, k):
+    sends = record_map_sends(monkeypatch)
+    choices = random.Random(n).choices(range(2), k=n)
+    run_dpol(DpolParams(n, k, 2), choices,
+             faultless(byzantine={DPOL_LIAR: BEHAVIOR_LYING_SUM}), seed=n)
+    cluster = next(c for pid, c, *_ in sends if pid == DPOL_LIAR)
+    lies = {r: set(payloads) for pid, _, r, _, payloads in sends if pid == DPOL_LIAR}
+    honest = [(c, r, set(payloads)) for pid, c, r, _, payloads in sends if pid != DPOL_LIAR]
+    # At round 0 the liar's inflated tally is the one its cluster-mates
+    # summed from its inflated local sum, so the bytes agree by arithmetic;
+    # from round 1 on it also inflates every tally it forwards.
+    lied = set().union(*(lies[r] for r in lies if r > 0))
+    assert len(lies) == int(n ** 0.5) - 1 and lied
+    for c, r, payloads in honest:
+        assert not payloads & lied
+        if c == cluster and r > 0:
+            assert payloads != lies[r]
