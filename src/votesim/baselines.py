@@ -225,7 +225,7 @@ class HeliosTrustee(Peer):
         cts = parse_cts(self.group, msg.get("cts"), self.params.d)
         if msg.get("t") == "decrypt" and sender == self.params.hub and cts is not None:
             ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
-            values = [partial_decrypt(self.share, ct).value for ct in cts]
+            values = [partial_decrypt(self.share, ct) for ct in cts]
             ctx.send(
                 (self.params.hub,),
                 {"t": "decshare", "idx": self.share.index, "v": values},

@@ -260,10 +260,11 @@ class ChainView:
         self.mempool[txid] = tx
         return True
 
-    def add_block(self, block: Block) -> str:
+    def add_block(self, block: Block, stored: list[Block] | None = None) -> str:
         """Returns one of "known", "orphan", "invalid", "added". An added
         block adopts the orphans waiting on it, depth first from an explicit
-        stack, so a chain sent child first is adopted whatever its length."""
+        stack, so a chain sent child first is adopted whatever its length.
+        Each block stored, the added one first, is appended to ``stored``."""
         h = block.block_hash()
         if h in self.blocks:
             return "known"
@@ -283,6 +284,8 @@ class ChainView:
                 continue
             status = "added"
             self.blocks[h] = block
+            if stored is not None:
+                stored.append(block)
             self.spent[h] = self.spent[parent] | {t.token.serial for t in block.txs}
             # The longest chain wins; the lower tip hash breaks a tie.
             if (block.height, -int(h, 16)) > (self.best_height, -int(self.best, 16)):
@@ -455,10 +458,13 @@ class ChainVoter(Peer):
             if h in self.seen_blocks:
                 return
             self.seen_blocks.add(h)
-            status = self.view.add_block(obj)
-            if status in ("added", "orphan"):
+            # Relay a block only once it connects: an orphan is forwarded
+            # when the block it waits on arrives and adopts it.
+            stored: list[Block] = []
+            if self.view.add_block(obj, stored) == "added":
                 self._flood(ctx, msg, PHASE_AGGREGATION, skip=sender)
-            if status == "added":
+                for orphan in stored[1:]:
+                    self._flood(ctx, {"t": "block", "block": orphan.to_obj()}, PHASE_AGGREGATION)
                 ctx.log_action(PHASE_AGGREGATION, "aggregate")
                 if self.mining is not None and self.mining[1] != self.view.best:
                     self.mining = None  # chain moved on; candidate is stale

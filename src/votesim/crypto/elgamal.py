@@ -50,12 +50,6 @@ class KeyShare:
     value: int
 
 
-@dataclass(frozen=True)
-class DecryptionShare:
-    index: int
-    value: int  # a^share
-
-
 def keygen(group: Group, rng: random.Random) -> tuple[PublicKey, int]:
     """Plain ElGamal keypair (the t = 1, n = 1 degenerate threshold)."""
     x = group.rand_scalar(rng)
@@ -157,27 +151,23 @@ def poly_eval(coeffs: list[int], x: int, q: int) -> int:
     return y
 
 
-def partial_decrypt(share: KeyShare, c: Ciphertext) -> DecryptionShare:
-    return DecryptionShare(share.index, c.group.exp(c.a, share.value))
+def partial_decrypt(share: KeyShare, c: Ciphertext) -> int:
+    """The decryption share a^share of the holder of share.index."""
+    return c.group.exp(c.a, share.value)
 
 
-def combine(pk: PublicKey, shares: list[DecryptionShare], c: Ciphertext,
-            bound: int) -> int:
-    """Lagrange-combine >= t decryption shares and recover the plaintext."""
-    indices = [s.index for s in shares]
-    if len(set(indices)) != len(indices):
-        raise CryptoError("decryption shares must come from distinct indices")
+def combine(pk: PublicKey, shares: dict[int, int], c: Ciphertext, bound: int) -> int:
+    """Lagrange-combine the decryption shares of the t lowest holder indices
+    in shares ({index: a^share}) and recover the plaintext."""
     if len(shares) < pk.t:
         raise InsufficientShares(
             f"insufficient shares: got {len(shares)}, need {pk.t}"
         )
     group = pk.group
-    take = sorted(shares, key=lambda s: s.index)[: pk.t]
-    idx = [s.index for s in take]
+    idx = sorted(shares)[: pk.t]
     ax = 1
-    for s in take:
-        lam = lagrange_at_zero(s.index, idx, group.q)
-        ax = group.mul(ax, group.exp(s.value, lam))
+    for i in idx:
+        ax = group.mul(ax, group.exp(shares[i], lagrange_at_zero(i, idx, group.q)))
     gm = group.mul(c.b, group.inv(ax))
     return dlog_recover(group, gm, bound)
 
@@ -186,26 +176,17 @@ def combine_vector(pk: PublicKey, shares_by_index: dict[int, list[int]], cts,
                    bound: int) -> tuple[int, ...]:
     """Threshold-decrypt each component of cts; shares_by_index maps a
     holder's index to its decryption-share value for every component."""
-    shares = sorted(shares_by_index.items())
-    return tuple(combine(pk, [DecryptionShare(i, vals[comp]) for i, vals in shares], ct, bound)
+    return tuple(combine(pk, {i: vals[comp] for i, vals in shares_by_index.items()}, ct, bound)
                  for comp, ct in enumerate(cts))
 
 
-_DLOG_TABLES: dict[tuple[int, int], dict[int, int]] = {}
-
-
 def dlog_recover(group: Group, element: int, bound: int) -> int:
-    """Find m <= bound with g^m = element via a cached incremental table."""
+    """The least m <= bound with g^m = element, found by walking g^0, g^1, ..."""
     if bound < 0:
         raise CryptoError("bound must be >= 0")
-    key = (group.p, group.g)
-    table = _DLOG_TABLES.setdefault(key, {1: 0})
-    if len(table) <= bound:
-        cur = group.exp(group.g, len(table) - 1)
-        for m in range(len(table), bound + 1):
-            cur = group.mul(cur, group.g)
-            table.setdefault(cur, m)
-    m = table.get(element)
-    if m is None or m > bound:
-        raise PlaintextOutOfRange(f"plaintext out of range (bound {bound})")
-    return m
+    cur = 1
+    for m in range(bound + 1):
+        if cur == element:
+            return m
+        cur = group.mul(cur, group.g)
+    raise PlaintextOutOfRange(f"plaintext out of range (bound {bound})")

@@ -19,16 +19,15 @@ therefore remembers its answers: exp by (base, e mod q), is_element by a
 (only for 0 < a < p; the range check runs first on every call). A
 remembered value is the very result that the table, pow or the Jacobi
 symbol gave for those integers, so every check compares the same numbers
-as without the memo. The memo holds at most _MEMO entries, dropping the
-oldest first, and fix_base empties it whenever it builds a table for a new
-election key, so no memo outlives the key it was filled under.
+as without the memo. A group keeps g's table and the table of the last key
+it fixed; fixing a new key drops the old key's table and empties the memo,
+so the memo holds one election's answers and never outlives its key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .. import wire
@@ -42,13 +41,6 @@ class CryptoError(Exception):
 # group holds 4,736 ints (0.32 MB); 8 bits would take 0.56 MB to save about
 # one multiply in seven.
 _WINDOW = 7
-# Key tables a group keeps beside its generator's, so that a run of
-# elections does not keep one table per election key.
-_KEY_TABLES = 1
-# Entries of a group's memo. One Helios election of 32 voters leaves about
-# 1,100 (0.3 MB); the bound only caps what a long run of elections under one
-# key can hold.
-_MEMO = 1 << 12
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -73,15 +65,13 @@ class Group:
     q: int
     g: int
     # Fixed-base tables by base: g's is built on its first exp and stays;
-    # fix_base builds a key's, and only the _KEY_TABLES keys fixed last
-    # (_keys, oldest first) keep theirs.
+    # fix_base builds the current key's, which the next key replaces.
     _tables: dict[int, list[list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _keys: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    # Results under the current election key, oldest first: exp's by
-    # (base, e mod q), is_element's by a.
-    _memo: OrderedDict[int | tuple[int, int], int | bool] = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False)
+    # Results under the current election key: exp's by (base, e mod q),
+    # is_element's by a. One Helios election of 32 voters leaves about 1,100.
+    _memo: dict[int | tuple[int, int], int | bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p != 2 * self.q + 1:
@@ -92,7 +82,7 @@ class Group:
         key = (base, e)
         r = self._memo.get(key)
         if r is None:
-            r = self._remember(key, self._exp(base, e))
+            r = self._memo[key] = self._exp(base, e)
         return r
 
     def _exp(self, base: int, e: int) -> int:
@@ -111,19 +101,15 @@ class Group:
         return acc
 
     def fix_base(self, base: int) -> None:
-        """Make exp with base (an election key) a table lookup, until
-        _KEY_TABLES other keys have been fixed after it. A new key's table
-        empties the memo."""
-        if base == self.g:
+        """Make exp with base (an election key) a table lookup until another
+        key is fixed. A new key replaces the old key's table and empties the
+        memo."""
+        if base == self.g or base in self._tables:
             return
-        if base in self._keys:
-            self._keys.remove(base)
-        else:
-            while len(self._keys) >= _KEY_TABLES:
-                del self._tables[self._keys.pop(0)]
-            self._tables[base] = self._fixed_base_table(base)
-            self._memo.clear()
-        self._keys.append(base)
+        for old in [b for b in self._tables if b != self.g]:
+            del self._tables[old]
+        self._tables[base] = self._fixed_base_table(base)
+        self._memo.clear()
 
     def _fixed_base_table(self, base: int) -> list[list[int]]:
         """rows[i][d] = base^(d * 2^(_WINDOW * i)) mod p, for every window of q."""
@@ -147,15 +133,8 @@ class Group:
             return False
         r = self._memo.get(a)
         if r is None:
-            r = self._remember(a, _jacobi(a, self.p) == 1)
+            r = self._memo[a] = _jacobi(a, self.p) == 1
         return r
-
-    def _remember(self, key: int | tuple[int, int], value):
-        memo = self._memo
-        if len(memo) >= _MEMO:
-            memo.popitem(last=False)
-        memo[key] = value
-        return value
 
     def rand_scalar(self, rng: random.Random) -> int:
         return rng.randrange(1, self.q)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .. import wire
-from .elgamal import Ciphertext, PublicKey, hom_sum, parse_cts
+from .elgamal import Ciphertext, PublicKey, encrypt, hom_sum, parse_cts
 from .group import Group
 
 _OR_DOMAIN = "votesim/ballot-or/v1"
@@ -100,13 +100,9 @@ def prove_vector(pk: PublicKey, ms: list[int],
     components outside {0, 1}); such proofs do not verify.
     """
     group = pk.group
-    g, h, p, q = group.g, pk.h, group.p, group.q
+    g, h, q = group.g, pk.h, group.q
     rs = [group.rand_scalar(rng) for _ in ms]
-    cts = []
-    for m, r in zip(ms, rs):
-        a = group.exp(g, r)
-        b = group.exp(g, m) * group.exp(h, r) % p
-        cts.append(Ciphertext(group, a, b))
+    cts = [encrypt(pk, m, r) for m, r in zip(ms, rs)]
     stmt = _statement(pk, cts)
 
     comps = []

@@ -273,7 +273,7 @@ class SppVoter(Peer):
             return
         ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
         idx, digest = self.key_share.index, self._agg_digest()
-        values = [partial_decrypt(self.key_share, ct).value for ct in self.subtree_agg]
+        values = [partial_decrypt(self.key_share, ct) for ct in self.subtree_agg]
         self.dec_shares.setdefault(digest, {})[idx] = values
         ctx.send([m for m in self.members if m != self.pid],
                  {"t": "decshare", "idx": idx, "v": values, "agg": digest}, PHASE_EVALUATION)

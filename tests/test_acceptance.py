@@ -164,11 +164,11 @@ def test_c04_threshold_property():
         expected = decrypt(TEST_GROUP, x, c, 12)
         assert expected == m
         for subset in itertools.combinations(shares, t):
-            dec = [partial_decrypt(s, c) for s in subset]
+            dec = {s.index: partial_decrypt(s, c) for s in subset}
             assert combine(pk, dec, c, 12) == expected
         if t > 1:
             for subset in itertools.combinations(shares, t - 1):
-                dec = [partial_decrypt(s, c) for s in subset]
+                dec = {s.index: partial_decrypt(s, c) for s in subset}
                 with pytest.raises(InsufficientShares):
                     combine(pk, dec, c, 12)
     ok("criterion 4 (threshold property)", "200 instances, all t-subsets agree")

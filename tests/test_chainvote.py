@@ -310,6 +310,41 @@ def test_orphan_without_proof_of_work_is_neither_stored_nor_flooded(monkeypatch)
     assert out.completion == 1.0
 
 
+def test_orphan_with_proof_of_work_is_not_flooded():
+    # Mined on parents that never arrive, these orphans carry proof of work,
+    # so a peer may keep them; it relays none, since none ever connects.
+    rng = random.Random(0)
+    junk = [mine_block(rng.getrandbits(256).to_bytes(32, "big").hex(), 1, (), 0, 4)[0]
+            for _ in range(200)]
+    junk_digests = {wire.digest(wire.dumps({"t": "block", "block": b.to_obj()})) for b in junk}
+    register_behavior("test:mined-orphans", lambda inner: _BlocksAtStart(inner, junk))
+    choices = random.Random(0).choices(range(2), k=8)
+    out, trace = run_chainvote(
+        ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
+        choices, FaultModel(byzantine={0: "test:mined-orphans"}), 0)
+    sent = {e.src for e in trace.events if e.kind == "send" and e.digest in junk_digests}
+    assert sent == {0}
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)}
+
+
+def test_adopted_orphan_is_flooded(long_chain):
+    # The liar sends its neighbours a child before its parent; every honest
+    # peer relays the child, and only after the parent that adopts it.
+    child_first = long_chain[:2][::-1]
+    register_behavior("test:two-child-first", lambda inner: _BlocksAtStart(inner, child_first))
+    choices = random.Random(0).choices(range(2), k=8)
+    out, trace = run_chainvote(
+        ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
+        choices, FaultModel(byzantine={0: "test:two-child-first"}), 0)
+    child, parent = (wire.digest(wire.dumps({"t": "block", "block": b.to_obj()}))
+                     for b in child_first)
+    for src in range(1, 8):
+        sent = [e.digest for e in trace.events if e.kind == "send" and e.src == src]
+        assert sent.index(parent) < sent.index(child)
+    assert out.completion == 1.0
+
+
 def test_tally_chain_counts_first_spend_only(issuer_key, tokens16):
     tokens, _ = tokens16
     view = ChainView(issuer_key.public, DIFF)

@@ -5,10 +5,12 @@ on the default group to make sure the constants are sound.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votesim import baselines, scenarios, spp
 from votesim.crypto import (
     DEFAULT_GROUP,
     Ciphertext,
@@ -43,7 +45,7 @@ from votesim.crypto.blindsig import (
     unblind,
     verify_token,
 )
-from votesim.crypto.group import _KEY_TABLES, _MEMO, CryptoError
+from votesim.crypto.group import CryptoError
 from votesim.crypto.proofs import BallotProof, ComponentProof
 
 
@@ -124,28 +126,29 @@ def test_is_element_matches_euler_criterion(group, data):
 def test_is_element_matches_euler_criterion_on_all_of_test_group():
     p, q = TEST_GROUP.p, TEST_GROUP.q
     assert all(TEST_GROUP.is_element(a) == (pow(a, q, p) == 1) for a in range(1, p))
-    assert len(TEST_GROUP._memo) == _MEMO
 
 
 @settings(max_examples=15)
-@given(st.lists(st.tuples(st.booleans(), st.integers(1, 2 ** 64)), min_size=1, max_size=12))
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2) | st.integers(0, 2 ** 64)),
+                min_size=1, max_size=12))
 def test_key_table_cache_stays_bounded(keys):
+    # A group holds g's table and at most one key's. Fixing g or the current
+    # key changes nothing; a new key replaces the old key's table and
+    # empties the memo.
     for default, x in keys:
         group = DEFAULT_GROUP if default else TEST_GROUP
         h = group.exp(group.g, x)
-        new_key = h not in group._tables
+        tables, memo = dict(group._tables), dict(group._memo)
         PublicKey(group, h)
-        assert len(group._keys) <= _KEY_TABLES
-        assert set(group._tables) <= {group.g, *group._keys}
-        assert h in group._tables
-        if new_key:
+        assert group.g in group._tables and h in group._tables and len(group._tables) <= 2
+        if h in tables:  # g, or the current key
+            assert group._tables.keys() == tables.keys()
+            assert all(group._tables[b] is rows for b, rows in tables.items())
+            assert group._memo == memo
+        else:
+            assert set(group._tables) == {group.g, h}
             assert not group._memo
-            if not default:  # overfill the memo: the oldest entries go first
-                values = [(x + i) % (group.p - 1) + 1 for i in range(_MEMO + 3)]
-                for a in values:
-                    group.is_element(a)
-                assert list(group._memo) == values[3:]
-        assert len(group._memo) <= _MEMO
+        group.is_element(h)  # something for the next new key to empty
 
 
 def test_encrypt_decrypt_zero():
@@ -170,19 +173,24 @@ def test_hom_sum_of_25_ones():
     assert decrypt(TEST_GROUP, x, c, bound=25) == 25
 
 
-def test_dlog_recover_cases():
-    g = TEST_GROUP
-    assert dlog_recover(g, 1, 10) == 0
-    assert dlog_recover(g, g.exp(g.g, 7), 10) == 7
-    with pytest.raises(PlaintextOutOfRange):
-        dlog_recover(g, g.exp(g.g, 11), 10)
+@GROUPS
+@pytest.mark.parametrize("m, bound", [(0, 0), (1, 0), (0, 10), (7, 10), (10, 10), (11, 10)])
+def test_dlog_recover_cases(group, m, bound):
+    element = group.exp(group.g, m)
+    if m <= bound:
+        assert dlog_recover(group, element, bound) == m
+    else:
+        with pytest.raises(PlaintextOutOfRange):
+            dlog_recover(group, element, bound)
+    with pytest.raises(PlaintextOutOfRange):  # p - 1 is outside <g>
+        dlog_recover(group, group.p - 1, bound)
 
 
 def test_threshold_degenerate_is_plain_elgamal():
     pk, shares = threshold_keygen(1, 1, TEST_GROUP, seed=4)
     rng = random.Random(4)
     c = encrypt_random(pk, 3, rng)
-    assert combine(pk, [partial_decrypt(shares[0], c)], c, 10) == 3
+    assert combine(pk, {1: partial_decrypt(shares[0], c)}, c, 10) == 3
 
 
 def test_threshold_2_of_3_any_subset_matches_direct_decryption():
@@ -198,7 +206,7 @@ def test_threshold_2_of_3_any_subset_matches_direct_decryption():
     direct = decrypt(TEST_GROUP, x, c, 20)
     assert direct == 9
     for pick in ([0, 1], [0, 2], [1, 2]):
-        dec = [partial_decrypt(shares[i], c) for i in pick]
+        dec = {shares[i].index: partial_decrypt(shares[i], c) for i in pick}
         assert combine(pk, dec, c, 20) == direct
 
 
@@ -212,7 +220,7 @@ def test_insufficient_shares_raise():
     rng = random.Random(7)
     c = encrypt_random(pk, 1, rng)
     with pytest.raises(InsufficientShares, match="insufficient shares"):
-        combine(pk, [partial_decrypt(shares[0], c)], c, 10)
+        combine(pk, {1: partial_decrypt(shares[0], c)}, c, 10)
 
 
 def test_combine_vector_threshold_semantics():
@@ -221,7 +229,7 @@ def test_combine_vector_threshold_semantics():
     agg = [encrypt_random(pk, 5, rng), encrypt_random(pk, 2, rng)]
 
     def by_index(holders):
-        return {s.index: [partial_decrypt(s, ct).value for ct in agg] for s in holders}
+        return {s.index: [partial_decrypt(s, ct) for ct in agg] for s in holders}
 
     assert combine_vector(pk, by_index(shares[:3]), agg, bound=7) == (5, 2)
     assert combine_vector(pk, by_index(shares[1:]), agg, bound=7) == (5, 2)
@@ -233,7 +241,7 @@ def test_plaintext_bound_violation():
     pk, shares = threshold_keygen(2, 3, TEST_GROUP, seed=8)
     rng = random.Random(8)
     c = hom_sum([encrypt_random(pk, 1, rng) for _ in range(25)])
-    dec = [partial_decrypt(s, c) for s in shares[:2]]
+    dec = {s.index: partial_decrypt(s, c) for s in shares[:2]}
     with pytest.raises(PlaintextOutOfRange, match="out of range"):
         combine(pk, dec, c, 10)
 
@@ -261,7 +269,7 @@ def test_ballot_ciphertexts_decrypt_to_unit_vector():
     cts, _ = prove_ballot(pk, 1, 3, rng)
     got = []
     for ct in cts:
-        dec = [partial_decrypt(s, ct) for s in shares[:2]]
+        dec = {s.index: partial_decrypt(s, ct) for s in shares[:2]}
         got.append(combine(pk, dec, ct, 1))
     assert got == [0, 1, 0]
 
@@ -319,7 +327,7 @@ def test_default_group_proof_roundtrip():
     rng = random.Random(17)
     cts, proof = prove_ballot(pk, 0, 2, rng)
     assert verify_ballot(pk, cts, proof)
-    dec = [partial_decrypt(s, cts[0]) for s in shares[1:]]
+    dec = {s.index: partial_decrypt(s, cts[0]) for s in shares[1:]}
     assert combine(pk, dec, cts[0], 1) == 1
 
 
@@ -375,6 +383,33 @@ def test_warm_memo_gives_the_verdicts_of_a_fresh_group(group, data):
     assert got == [verdict(Group(p, q, g), *ballot) for ballot in sent]
     assert all(ok for kind, ok in zip(kinds, got) if kind == "honest")
     assert not any(ok for kind, ok in zip(kinds, got) if kind == "times p-1")
+
+
+# Group.exp, Group.is_element and verify_ballot calls of one canonical run
+# (seed 1), whatever ran before it in the process.
+CRYPTO_WORK = {"helios": (16261, 2600, 650), "spp": (3338, 448, 112)}
+
+
+@pytest.mark.parametrize("protocol", sorted(CRYPTO_WORK))
+def test_canonical_crypto_work_does_not_depend_on_earlier_runs(protocol, monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(Group, "exp", counting("exp", Group.exp))
+    monkeypatch.setattr(Group, "is_element", counting("is_element", Group.is_element))
+    for module in (baselines, spp):
+        monkeypatch.setattr(module, "verify_ballot", counting("verify", module.verify_ballot))
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        scenarios.run(scenarios.canonical_scenario(protocol, seed=1))
+        runs.append((counts["exp"], counts["is_element"], counts["verify"]))
+    assert runs == [CRYPTO_WORK[protocol]] * 2
 
 
 # -- blind signatures ------------------------------------------------------
