@@ -167,14 +167,15 @@ class HeliosHub(Peer):
 
     def on_message(self, ctx, sender, msg):
         """A malformed ballot counts as collected and invalid; a malformed
-        decryption share is ignored."""
+        decryption share, or one under another trustee's index, is ignored."""
         kind, idx, d = msg.get("t"), msg.get("idx"), self.params.d
         if kind == "ballot" and 0 <= sender < self.params.n and sender not in self.ballots:
             ctx.log_action(PHASE_CASTING, "collect")
             self.ballots[sender] = parse_ballot(self.group, d, msg.get("cts"), msg.get("proof"))
             if len(self.ballots) == self.params.n:
                 self._aggregate(ctx)
-        elif kind == "decshare" and sender in self.params.trustee_ids and self.agg is not None:
+        elif (kind == "decshare" and sender in self.params.trustee_ids and self.agg is not None
+              and idx == self.params.trustee_ids.index(sender) + 1):
             values = parse_decshare(self.group, self.params.trustees, idx, msg.get("v"), d)
             if values is not None and idx not in self.dec_shares:
                 self.dec_shares[idx] = values

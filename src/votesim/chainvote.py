@@ -34,7 +34,6 @@ from .crypto.blindsig import (
 )
 from .overlay import build_gossip_mesh
 from .simnet import (
-    CrashAfterSteps,
     FaultModel,
     Peer,
     PHASE_AGGREGATION,
@@ -49,7 +48,6 @@ from .simnet import (
 
 BEHAVIOR_DOUBLE_SPEND = "chain:double-spend"
 BEHAVIOR_WITHHOLD = "chain:withhold-block"
-BEHAVIOR_SILENT = "chain:silent"
 
 GENESIS_PARENT = "0" * 64
 
@@ -72,7 +70,6 @@ class ChainParams:
     degree: int = 4
     difficulty: int = 8
     block_capacity: int = 64
-    cutoff_height: int | None = None
     issuer_bits: int = 768
 
     def __post_init__(self) -> None:
@@ -80,8 +77,6 @@ class ChainParams:
             raise simnet.ConfigError("difficulty: must be in [1, 24]")
         if self.block_capacity < 1:
             raise simnet.ConfigError("block_capacity: must be >= 1")
-        if self.cutoff_height is not None and self.cutoff_height < 1:
-            raise simnet.ConfigError("cutoff_height: must be >= 1 when set")
         if not 512 <= self.issuer_bits <= 4096:
             raise simnet.ConfigError("issuer_bits: must be in [512, 4096]")
 
@@ -322,15 +317,15 @@ class ChainView:
         chain.reverse()
         return chain
 
-    def pending(self, capacity: int | None = None) -> list[Transaction]:
-        """Mempool transactions still spendable against the best chain."""
+    def pending(self, capacity: int) -> list[Transaction]:
+        """At most ``capacity`` mempool transactions spendable on the best chain."""
         spent = set(self.spent[self.best])
         out = []
         for tx in self.mempool.values():
             if tx.token.serial not in spent:
                 out.append(tx)
                 spent.add(tx.token.serial)
-                if capacity is not None and len(out) >= capacity:
+                if len(out) >= capacity:
                     break
         return out
 
@@ -346,14 +341,12 @@ class ChainView:
             spent.update(tx.token.serial for tx in block.txs)
 
 
-def tally_chain(view: ChainView, d: int, cutoff_height: int | None = None) -> tuple[int, ...]:
-    """Count spends per option along the best chain up to the cutoff;
-    ``verify_chain`` refuses a chain that spends any serial twice."""
+def tally_chain(view: ChainView, d: int) -> tuple[int, ...]:
+    """Count spends per option along the best chain; ``verify_chain``
+    refuses a chain that spends any serial twice."""
     view.verify_chain()
     counts = [0] * d
     for block in view.best_chain():
-        if cutoff_height is not None and block.height > cutoff_height:
-            break
         for tx in block.txs:
             if 0 <= tx.choice < d:
                 counts[tx.choice] += 1
@@ -501,7 +494,7 @@ class ChainVoter(Peer):
     def _finalize(self, ctx):
         try:
             # tally_chain re-verifies the whole chain before it counts.
-            self.tally = tally_chain(self.view, self.params.d, self.params.cutoff_height)
+            self.tally = tally_chain(self.view, self.params.d)
         except ChainError:
             self.tally = None
             ctx.log_action(PHASE_VERIFICATION, "verify-failed")
@@ -511,7 +504,6 @@ class ChainVoter(Peer):
         ctx.finish()
 
 
-register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0), ChainVoter)
 register_behavior(
     BEHAVIOR_WITHHOLD,
     lambda inner: SendFilter(inner, lambda msg: None if msg.get("t") == "block" else msg),

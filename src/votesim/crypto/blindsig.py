@@ -21,7 +21,7 @@ _SERIAL_DOMAIN = b"votesim/token-serial/v1\x00"
 _SMALL_PRIMES = [p for p in range(3, 1000) if all(p % d for d in range(2, p))]
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 30) -> bool:
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -33,7 +33,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 30) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(30):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -88,7 +88,7 @@ class Token:
         return {"serial": self.serial, "sig": self.signature}
 
 
-def generate_issuer_key(seed: int, bits: int = 1024) -> IssuerKey:
+def generate_issuer_key(seed: int, bits: int) -> IssuerKey:
     """Deterministic RSA keypair with a modulus of roughly `bits` bits."""
     rng = random.Random(wire.derive_seed(seed, "issuer-key", bits))
     e = 65537

@@ -29,7 +29,6 @@ from .ballot import (
 )
 from .overlay import Overlay, RecipientMap, assign_recipients, build_ring_clusters
 from .simnet import (
-    CrashAfterSteps,
     FaultModel,
     Peer,
     PHASE_AGGREGATION,
@@ -43,7 +42,6 @@ from . import wire
 
 BEHAVIOR_INVALID_SHARES = "dpol:invalid-shares"
 BEHAVIOR_LYING_SUM = "dpol:lying-sum"
-BEHAVIOR_SILENT = "dpol:silent"
 
 
 def cluster_tally(local_sums: list[tuple[int, ...] | None], d: int) -> tuple[int, ...] | None:
@@ -286,7 +284,6 @@ register_behavior(BEHAVIOR_INVALID_SHARES,
                   lambda inner: SendFilter(inner, _mutate_invalid_shares), DpolVoter)
 register_behavior(BEHAVIOR_LYING_SUM,
                   lambda inner: SendFilter(inner, _mutate_lying_sum), DpolVoter)
-register_behavior(BEHAVIOR_SILENT, lambda inner: CrashAfterSteps(inner, 0), DpolVoter)
 
 
 def ring_for(params: DpolParams, seed: int) -> tuple[Overlay, RecipientMap]:

@@ -23,7 +23,7 @@ GOSSIP_MESH = "gossip-mesh"
 
 
 class OverlayError(ConfigError):
-    """An overlay shape rule failed, or an operation its kind lacks."""
+    """An overlay shape rule failed."""
 
 
 @dataclass(frozen=True)
@@ -45,29 +45,19 @@ class Overlay:
         return self.clusters[ci]
 
     def successor(self, ci: int) -> int:
-        if self.kind != RING_CLUSTERS:
-            raise OverlayError("successor is only defined on a ring")
         return (ci + 1) % len(self.clusters)
 
     def predecessor(self, ci: int) -> int:
-        if self.kind != RING_CLUSTERS:
-            raise OverlayError("predecessor is only defined on a ring")
         return (ci - 1) % len(self.clusters)
 
     def parent(self, ci: int) -> int | None:
-        if self.kind != TREE_CLUSTERS:
-            raise OverlayError("parent is only defined on a tree")
         return (ci - 1) // 2 if ci > 0 else None
 
     def children(self, ci: int) -> tuple[int, ...]:
-        if self.kind != TREE_CLUSTERS:
-            raise OverlayError("children is only defined on a tree")
         m = len(self.clusters)
         return tuple(c for c in (2 * ci + 1, 2 * ci + 2) if c < m)
 
     def neighbors(self, pid: int) -> tuple[int, ...]:
-        if self.kind != GOSSIP_MESH:
-            raise OverlayError("peer-level neighbors only exist on a mesh")
         out = sorted(
             {b for a, b in self.links if a == pid} | {a for a, b in self.links if b == pid}
         )
@@ -122,8 +112,6 @@ def assign_recipients(overlay: Overlay, k: int, seed: int) -> RecipientMap:
     is itself the recipient of exactly 2k+1 voters from its predecessor
     cluster (circulant matching over a seeded ordering of each cluster).
     """
-    if overlay.kind != RING_CLUSTERS:
-        raise OverlayError("recipient maps are only defined on ring overlays")
     size = len(overlay.clusters[0])
     r = 2 * k + 1
     if r > size:

@@ -58,7 +58,6 @@ class Scenario:
     degree: int = 4
     difficulty: int = 8
     block_capacity: int = 64
-    cutoff_height: int | None = None
     issuer_bits: int = 768
     audit: bool = False
     faults: FaultModel = field(default_factory=FaultModel)

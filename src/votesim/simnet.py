@@ -362,15 +362,15 @@ class SendFilter(Peer):
 
 
 def crash_steps(name: str) -> int | None:
-    """N for a behaviour named ``crash-after-step N`` (N >= 0) or plain
-    ``crash-after-step`` (N = 0); None for a name without that prefix. Any
-    other name with the prefix is a ConfigError."""
+    """N for a behaviour named ``crash-after-step N`` (N >= 0; 0 is silent from
+    the start), None for a name without that prefix. Any other name with the
+    prefix, the bare ``crash-after-step`` too, is a ConfigError."""
     if not name.startswith("crash-after-step"):
         return None
-    m = re.fullmatch(r"crash-after-step(?: ([0-9]+))?", name)
+    m = re.fullmatch(r"crash-after-step ([0-9]+)", name)
     if m is None:
         raise ConfigError(f"faults.byzantine: bad crash-after-step name {name!r}")
-    return int(m[1] or 0)
+    return int(m[1])
 
 
 def resolve_behavior(name: str, peer: Peer | None = None) -> Callable[[Peer], Peer]:
@@ -567,7 +567,8 @@ class Simulator:
         self._seq += 1
 
     def _trace(self) -> Trace:
-        return Trace(events=list(self.events), params=dict(self.params))
+        # The records, not copies: run_election drops the simulator after the run.
+        return Trace(self.events, self.params)
 
 
 @dataclass

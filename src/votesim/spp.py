@@ -46,7 +46,6 @@ from .simnet import (
     PHASE_EVALUATION,
     PHASE_REGISTRATION,
     PHASE_VERIFICATION,
-    CrashAfterSteps,
     SendFilter,
     Trace,
     register_behavior,
@@ -54,7 +53,6 @@ from .simnet import (
 
 BEHAVIOR_LYING_AGGREGATE = "spp:lying-aggregate"
 BEHAVIOR_INVALID_PROOF = "spp:invalid-proof"
-BEHAVIOR_SILENT_ROOT = "spp:silent-root"
 
 ROLE_KEY_HOLDER = "key-share-holder"
 ARTIFACT_PUBKEY = "threshold-public-key"
@@ -215,7 +213,9 @@ class SppVoter(Peer):
         elif kind == "decshare":
             idx, agg = msg.get("idx"), msg.get("agg")
             values = parse_decshare(group, self.params.cluster_size, idx, v, d)
-            if root_member and values is not None and type(agg) is str:
+            # A share counts only under its sender's own key-share index.
+            if (root_member and idx == self.members.index(sender) + 1
+                    and values is not None and type(agg) is str):
                 self._collect_decshare(ctx, idx, values, agg)
         elif kind == "result":
             tally, count = wire.int_vector(msg.get("tally"), d), msg.get("count")
@@ -348,16 +348,6 @@ register_behavior(
 register_behavior(BEHAVIOR_INVALID_PROOF, lambda inner: SendFilter(inner, _mutate_proof),
                   SppVoter)
 
-
-def _silent_root(inner: SppVoter) -> CrashAfterSteps:
-    if not inner.is_root:
-        raise simnet.ConfigError(
-            f"faults.byzantine: behaviour {BEHAVIOR_SILENT_ROOT!r} does not act on "
-            f"peer {inner.pid} (SppVoter outside the root cluster)")
-    return CrashAfterSteps(inner, 0)
-
-
-register_behavior(BEHAVIOR_SILENT_ROOT, _silent_root, SppVoter)
 
 
 def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int,

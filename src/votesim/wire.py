@@ -10,8 +10,6 @@ import hashlib
 import json
 from typing import Any
 
-DIGEST_BITS = 256
-
 # What json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 

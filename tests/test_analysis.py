@@ -79,7 +79,7 @@ def test_forced_spp_failure_is_unclassifiable():
     from votesim import wire
 
     ov = build_tree_clusters(sc.n, sc.cluster_size, wire.derive_seed(sc.seed, "overlay"))
-    byz = {pid: "spp:silent-root" for pid in ov.members(0)[:2]}
+    byz = {pid: "crash-after-step 0" for pid in ov.members(0)[:2]}
     sc.faults = FaultModel(max_delay=3, byzantine=byz)
     outcome, trace = scenarios.run(sc)
     assert outcome.completion < 1.0

@@ -175,6 +175,73 @@ def test_helios_crashed_voters_do_not_block_the_rest():
         assert out.tallies[pid] == histogram(live, 2)
 
 
+def test_helios_share_under_another_trustees_index_is_ignored():
+    # Trustee 12 holds index 3 but sends its share under index 1; taking it
+    # would leave the hub combining a wrong share in trustee 10's slot.
+    register_behavior(
+        "test:helios-share-as-one",
+        lambda inner: SendFilter(
+            inner,
+            lambda msg: {**msg, "idx": 1, "v": [7, 7]} if msg.get("t") == "decshare" else msg,
+        ),
+    )
+    params, choices = HeliosParams(9, 3, 2, 2), [0] * 5 + [1] * 4
+    assert params.trustee_ids == (10, 11, 12)
+    for seed in range(20):
+        out, _ = run_helios_like(
+            params, choices, FaultModel(max_delay=3, byzantine={12: "test:helios-share-as-one"}),
+            seed=seed, group=TEST_GROUP,
+        )
+        assert out.completion == 1.0, seed
+        assert set(out.tallies.values()) == {(5, 4)}
+
+
+def test_helios_wrong_share_never_yields_a_wrong_tally():
+    # Trustee 10 (index 1) sends wrong values under its own index, so the
+    # shares the hub combines are inconsistent.
+    register_behavior(
+        "test:helios-decshare-7",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "v": [7, 7]} if msg.get("t") == "decshare" else msg
+        ),
+    )
+    choices = h_choices(9, 2, 3)
+    out, _ = run_helios_like(
+        HeliosParams(9, 3, 2, 2), choices,
+        FaultModel(max_delay=3, byzantine={10: "test:helios-decshare-7"}),
+        seed=3, group=TEST_GROUP,
+    )
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+def _proof_emptied(msg):
+    ballots = [list(b) for b in msg["ballots"]]
+    ballots[0][2] = {"comp": [], "sum": []}
+    return {**msg, "ballots": ballots}
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda msg: {**msg, "ballots": "x"},
+    _proof_emptied,
+    lambda msg: {**msg, "shares": msg["shares"][:1]},
+], ids=["ballots-str", "proof-empty", "shares-below-t"])
+def test_helios_malformed_bulletin_fails_every_voter(rewrite):
+    register_behavior(
+        "test:helios-bulletin-malformed",
+        lambda inner: SendFilter(
+            inner, lambda msg: rewrite(msg) if msg.get("t") == "bulletin" else msg
+        ),
+    )
+    params = HeliosParams(9, 3, 2, 2)
+    out, _ = run_helios_like(
+        params, h_choices(9, 2, 3),
+        FaultModel(max_delay=3, byzantine={params.hub: "test:helios-bulletin-malformed"}),
+        seed=3, group=TEST_GROUP,
+    )
+    assert out.details["verification_failures"] == set(range(9))
+    assert set(out.tallies.values()) == {None}
+
+
 def test_helios_roles_are_configured_authorities():
     choices = h_choices(9, 2, 5)
     out, _ = run_helios_like(HeliosParams(9, 3, 2, 2), choices,

@@ -102,6 +102,7 @@ def test_missing_scenario_file_is_config_error(tmp_path, capsys):
 
 
 def test_run_refuses_chainvote_cutoff_height_zero(tmp_path, capsys):
+    # No scenario field is named cutoff_height: a file that sets one is refused.
     sc = write_scenario(tmp_path, protocol="chainvote", n=8, degree=3, cutoff_height=0)
     code = main(["run", "--scenario", str(sc), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -148,12 +149,12 @@ RULE_BREAKS = [
                  id="lose-float"),
     pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": 5}}}, id="behaviour-int"),
     pytest.param("faults.byzantine",
-                 {"faults": {"crashed": [1], "byzantine": {"1": "dpol:silent"}}},
+                 {"faults": {"crashed": [1], "byzantine": {"1": "dpol:lying-sum"}}},
                  id="crashed-and-byzantine"),
     pytest.param("faults.crashed",
                  {"faults": {"byzantine": {"99": "no-such-behaviour"}, "crashed": [42]}},
                  id="crashed-stray-id"),
-    pytest.param("faults.byzantine", {"faults": {"byzantine": {"9": "dpol:silent"}}},
+    pytest.param("faults.byzantine", {"faults": {"byzantine": {"9": "dpol:lying-sum"}}},
                  id="byzantine-stray-id"),
     pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": "chain:double-spend"}}},
                  id="behaviour-of-another-protocol"),
@@ -166,8 +167,9 @@ RULE_BREAKS = [
     pytest.param("dificulty", {"protocol": "chainvote", "n": 8, "degree": 3, "dificulty": 4},
                  id="key-misspelt"),
     *(pytest.param("faults.byzantine", {"faults": {"byzantine": {"1": name}}}, id=name)
-      for name in ("crash-after-steps", "crash-after-stepX 3", "crash-after-step -1",
-                   "crash-after-step 1 2", "crash-after-step  3", "crash-after-step 3 ")),
+      for name in ("crash-after-step", "crash-after-steps", "crash-after-stepX 3",
+                   "crash-after-step -1", "crash-after-step 1 2", "crash-after-step  3",
+                   "crash-after-step 3 ")),
     pytest.param("choice_weights", {"choice_weights": ["x", 1]}, id="weight-str"),
     pytest.param("choice_weights", {"choice_weights": [1]}, id="weights-fewer-than-d"),
     pytest.param("choice_weights", {"choice_weights": [-1, 2]}, id="weight-negative"),
@@ -175,7 +177,7 @@ RULE_BREAKS = [
     pytest.param("n", {"n": 0}, id="n-0"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": 0}}, id="max-delay-0"),
     pytest.param("protocol", {"protocol": "paper-ballot"}, id="protocol-unknown"),
-    pytest.param("faults.byzantine", {"faults": {"byzantine": {"one": "dpol:silent"}}},
+    pytest.param("faults.byzantine", {"faults": {"byzantine": {"one": "dpol:lying-sum"}}},
                  id="byzantine-key-not-int"),
     pytest.param("k", {"k": True}, id="k-bool"),
     pytest.param("choices", {"choices": [True, 0, 0, 1, 0, 1, 0, 1, 0]}, id="choice-bool"),

@@ -11,7 +11,6 @@ from votesim.ballot import DpolParams, histogram
 from votesim.dpol import (
     BEHAVIOR_INVALID_SHARES,
     BEHAVIOR_LYING_SUM,
-    BEHAVIOR_SILENT,
     DpolVoter,
     cluster_tally,
     run_dpol,
@@ -105,7 +104,7 @@ def test_lying_sum_never_yields_wrong_tally():
 def test_silent_peer_causes_incompleteness():
     choices = [0] * 9
     out, _ = run_dpol(
-        DpolParams(9, 1, 2), choices, faultless(byzantine={4: BEHAVIOR_SILENT}), seed=7
+        DpolParams(9, 1, 2), choices, faultless(byzantine={4: "crash-after-step 0"}), seed=7
     )
     assert out.completion < 1.0
 

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from votesim import scenarios, simnet, wire
 from votesim.baselines import HeliosHub
-from votesim.overlay import build_tree_clusters
-from votesim.spp import BEHAVIOR_SILENT_ROOT
 from votesim.simnet import (
     ConfigError,
     FaultModel,
@@ -174,9 +172,41 @@ def test_crash_after_step_runs_that_many_activations(steps):
     assert a.got == ([(1, {"ping": 1})] if steps == 2 else [])
 
 
+class Timed(Peer):
+    """Sets a timer on start and another in its first idle round; logs
+    every activation it is handed."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.log = []
+
+    def on_start(self, ctx):
+        self.log.append("start")
+        ctx.set_timer(1, "a")
+
+    def on_timer(self, ctx, tag, data):
+        self.log.append(tag)
+
+    def on_idle(self, ctx):
+        self.log.append("idle")
+        if self.log.count("idle") == 1:
+            ctx.set_timer(1, "b")
+
+
+@pytest.mark.parametrize("steps", range(6))
+def test_crash_after_step_counts_timers_and_idle_rounds(steps):
+    # Unwrapped, the peer is handed start, a, idle, b, idle. A crashed peer
+    # sets no timer, so under crash-after-step N it sees the first N of them.
+    sim = Simulator(FaultModel(byzantine={0: f"crash-after-step {steps}"}), 1)
+    peer = Timed(0)
+    sim.add_peer(peer)
+    sim.run_until_quiescent()
+    assert sim.quiescent
+    assert peer.log == ["start", "a", "idle", "b", "idle"][:steps]
+
+
 @pytest.mark.parametrize("name, steps", [
-    ("crash-after-step", 0), ("crash-after-step 0", 0), ("crash-after-step 12", 12),
-    ("dpol:silent", None),
+    ("crash-after-step 0", 0), ("crash-after-step 12", 12), ("dpol:lying-sum", None),
 ])
 def test_crash_steps_reads_exact_names(name, steps):
     assert crash_steps(name) == steps
@@ -410,13 +440,9 @@ def test_no_handler_changes_a_received_message(decoded, protocol, behaviour):
     sc = scenarios.canonical_scenario(protocol, seed=1)
     if behaviour is not None:
         # Each behaviour on every class of peer it acts on: a hub-only one on
-        # the Helios hub, spp:silent-root on a root-cluster member, every
-        # other one on every third voter.
+        # the Helios hub, every other one on every third voter.
         if simnet._BEHAVIORS[behaviour][1] is HeliosHub:
             liars = [sc.n]
-        elif behaviour == BEHAVIOR_SILENT_ROOT:
-            seed = wire.derive_seed(sc.seed, "overlay")
-            liars = build_tree_clusters(sc.n, sc.cluster_size, seed).members(0)[:1]
         else:
             liars = range(0, sc.n, 3)
         sc.faults = FaultModel(max_delay=3, byzantine=dict.fromkeys(liars, behaviour))
@@ -448,7 +474,6 @@ def test_finished_election_is_freed_without_the_cycle_collector(monkeypatch, pro
     ("spp", "dpol:lying-sum", "SppVoter"),
     ("dpol", "chain:double-spend", "DpolVoter"),
     ("chainvote", "helios:tamper-bulletin", "ChainVoter"),
-    ("spp", BEHAVIOR_SILENT_ROOT, "SppVoter outside the root cluster"),
 ])
 def test_behaviour_of_another_protocol_is_refused(monkeypatch, protocol, behaviour, peer):
     sends = []

@@ -8,11 +8,16 @@ import pytest
 from votesim.ballot import histogram
 from votesim.crypto import TEST_GROUP, encrypt_random, threshold_keygen
 from votesim.overlay import build_tree_clusters
-from votesim.simnet import FaultModel, SendFilter, register_behavior, resolve_behavior
+from votesim.simnet import (
+    PHASE_EVALUATION,
+    FaultModel,
+    SendFilter,
+    register_behavior,
+    resolve_behavior,
+)
 from votesim.spp import (
     BEHAVIOR_INVALID_PROOF,
     BEHAVIOR_LYING_AGGREGATE,
-    BEHAVIOR_SILENT_ROOT,
     SppParams,
     SppVoter,
     resolve_divergence,
@@ -108,7 +113,7 @@ def test_invalid_proof_ballot_excluded():
 def test_silent_root_members_leave_run_incomplete():
     choices = spp_choices(28, 2, 6)
     ov = build_tree_clusters(28, 4, wire.derive_seed(6, "overlay"))
-    byz = {pid: BEHAVIOR_SILENT_ROOT for pid in ov.members(0)[:2]}
+    byz = {pid: "crash-after-step 0" for pid in ov.members(0)[:2]}
     out, _ = run_spp(SppParams(28, 4, 3, 2), choices, faultless(byzantine=byz),
                      seed=6, group=TEST_GROUP)
     assert out.completion < 1.0
@@ -295,3 +300,47 @@ def test_tally_whose_sum_misses_the_count_fails_verification():
     assert {pid: t for pid, t in out.tallies.items() if t is not None} == {
         pid: (4, 4) for pid in root}
     assert out.completion == 0.5
+
+
+def _forge_share_one(inner: SppVoter) -> SppVoter:
+    """Once its subtree aggregate exists, the peer also sends the other root
+    members a decryption share under index 1, which is not its own."""
+    send_up = inner._maybe_send_up
+
+    def forging(ctx):
+        had = inner.subtree_agg is not None
+        send_up(ctx)
+        if not had and inner.subtree_agg is not None:
+            ctx.send([m for m in inner.members if m != inner.pid],
+                     {"t": "decshare", "idx": 1, "v": [7, 7], "agg": inner._agg_digest()},
+                     PHASE_EVALUATION)
+
+    inner._maybe_send_up = forging
+    return inner
+
+
+def test_decryption_share_under_another_members_index_is_ignored():
+    # Peer 2 is a root member outside the lowest t = 2, so it never
+    # decrypts; its share under index 1 must not take member 0's slot.
+    register_behavior("test:forge-share-one", _forge_share_one, SppVoter)
+    choices = [0, 1] * 4
+    assert build_tree_clusters(8, 4, wire.derive_seed(12, "overlay")).members(0) == (0, 1, 2, 5)
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine={2: "test:forge-share-one"}), seed=12, group=TEST_GROUP)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)}
+
+
+def test_wrong_decryption_share_never_yields_a_wrong_tally():
+    # The lowest root member sends wrong share values under its own index:
+    # the other root members cannot combine, and nobody accepts a wrong tally.
+    register_behavior(
+        "test:decshare-7",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "v": [7, 7]} if msg.get("t") == "decshare" else msg
+        ),
+    )
+    choices = [0, 1] * 4
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine={0: "test:decshare-7"}), seed=12, group=TEST_GROUP)
+    assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
