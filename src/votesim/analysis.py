@@ -119,7 +119,7 @@ def classify(trace: Trace, roles: RoleLog) -> TaxonomyRow:
     voters = set(roles.voters)
     if not voters:
         raise UnclassifiableTrace("no voters recorded")
-    present = {e.phase for e in trace.events} - {PHASE_REGISTRATION}
+    present = {phase for _, _, _, _, phase, _, _ in trace.events} - {PHASE_REGISTRATION}
     for needed in (PHASE_CASTING, PHASE_AGGREGATION, PHASE_EVALUATION):
         if needed not in present:
             raise UnclassifiableTrace(f"no {needed} events in trace")
@@ -127,9 +127,9 @@ def classify(trace: Trace, roles: RoleLog) -> TaxonomyRow:
     if (PHASE_EVALUATION, "evaluate") not in performers:
         raise UnclassifiableTrace("no peer completed evaluation")
     flow = Counter(
-        (e.src, e.dst)
-        for e in trace.events
-        if e.kind == KIND_DELIVER and e.phase in (PHASE_CASTING, PHASE_AGGREGATION)
+        (src, dst)
+        for _, kind, src, dst, phase, _, _ in trace.events
+        if kind == KIND_DELIVER and phase in (PHASE_CASTING, PHASE_AGGREGATION)
     )
     if not flow:
         raise UnclassifiableTrace("no casting or aggregation messages delivered")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 from . import simnet, wire
 from .crypto import (
@@ -198,11 +199,17 @@ class HeliosHub(Peer):
                  PHASE_EVALUATION)
 
     def _evaluate(self, ctx):
-        shares = sorted(self.dec_shares.items())[: self.params.t]
-        try:
-            self.tally = combine_vector(self.pk, dict(shares), self.agg, self.params.n)
-        except CryptoError:
-            return  # inconsistent shares: publish nothing
+        # The first t held shares, in index order, that combine: a wrong
+        # share spoils only the subsets that hold it.
+        for subset in combinations(sorted(self.dec_shares), self.params.t):
+            shares = [(idx, self.dec_shares[idx]) for idx in subset]
+            try:
+                self.tally = combine_vector(self.pk, dict(shares), self.agg, self.params.n)
+            except CryptoError:
+                continue
+            break
+        else:
+            return  # no t shares are consistent yet: publish nothing
         ctx.log_action(PHASE_EVALUATION, "evaluate")
         bulletin = {
             "t": "bulletin",

@@ -72,10 +72,13 @@ class Group:
     # is_element's by a. One Helios election of 32 voters leaves about 1,100.
     _memo: dict[int | tuple[int, int], int | bool] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # ser_ints(p, q, g), the prefix of every hash_scalar input.
+    _ser_params: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p != 2 * self.q + 1:
             raise CryptoError("need a safe prime: p = 2q + 1")
+        object.__setattr__(self, "_ser_params", wire.ser_ints(self.p, self.q, self.g))
 
     def exp(self, base: int, e: int) -> int:
         e %= self.q
@@ -141,9 +144,7 @@ class Group:
 
     def hash_scalar(self, domain: str, *parts: int) -> int:
         """Fiat-Shamir challenge: hash domain-separated integers to Z_q."""
-        h = hashlib.sha256()
-        h.update(domain.encode() + b"\x00")
-        h.update(wire.ser_ints(self.p, self.q, self.g, *parts))
+        h = hashlib.sha256(domain.encode() + b"\x00" + self._ser_params + wire.ser_ints(*parts))
         return int.from_bytes(h.digest(), "big") % self.q
 
 

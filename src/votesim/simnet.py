@@ -20,7 +20,7 @@ import heapq
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable
 
 from . import wire
 
@@ -81,30 +81,6 @@ def json_object(payload: bytes) -> dict | None:
     return msg if isinstance(msg, dict) else None
 
 
-class SimEvent(NamedTuple):
-    """One line of the trace.
-
-    ``dst`` is None for local actions; ``digest`` is the lowercase hex
-    SHA-256 of the payload bytes and ``size`` their length. As a tuple it
-    compares equal to a plain tuple of its fields in this order.
-    """
-
-    time: int
-    kind: str
-    src: int
-    dst: int | None
-    phase: str
-    digest: str
-    size: int
-
-    def to_line(self) -> str:
-        """The event as the JSON line ``wire.dumps`` would make; kind, phase
-        and digest never need escaping, as the simulator rejects other phases."""
-        to = "" if self.dst is None else f',"to":{self.dst}'
-        return (f'{{"digest":"{self.digest}","from":{self.src},"kind":"{self.kind}",'
-                f'"phase":"{self.phase}","size":{self.size},"time":{self.time}{to}}}\n')
-
-
 @dataclass(frozen=True)
 class FaultModel:
     """Which peers misbehave and how the network loses messages.
@@ -141,21 +117,34 @@ class FaultModel:
         }
 
 
+# One trace event, a plain tuple (the cycle collector untracks those): time,
+# kind, src, dst (None for a local action), phase, payload SHA-256 (hex), size.
+Event = tuple[int, str, int, int | None, str, str, int]
+
+
 @dataclass
 class Trace:
     """Ordered event record of one run plus the scenario echo."""
 
-    events: list[SimEvent]
+    events: list[Event]
     params: dict
 
     def to_jsonl(self) -> str:
-        return "".join(map(SimEvent.to_line, self.events))
+        """One JSON line per event, as ``wire.dumps`` would make it (kind, phase
+        and digest never need escaping: the simulator rejects other phases)."""
+        return "".join([
+            f'{{"digest":"{digest}","from":{src},"kind":"{kind}","phase":"{phase}",'
+            f'"size":{size},"time":{time}}}\n' if dst is None else
+            f'{{"digest":"{digest}","from":{src},"kind":"{kind}","phase":"{phase}",'
+            f'"size":{size},"time":{time},"to":{dst}}}\n'
+            for time, kind, src, dst, phase, digest, size in self.events
+        ])
 
     def message_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == KIND_SEND)
+        return sum(1 for e in self.events if e[1] == KIND_SEND)
 
     def byte_count(self) -> int:
-        return sum(e.size for e in self.events if e.kind == KIND_SEND)
+        return sum(e[6] for e in self.events if e[1] == KIND_SEND)
 
 
 @dataclass(frozen=True)
@@ -398,7 +387,7 @@ class Simulator:
         self.seed = seed
         self.params = dict(params or {})
         self.now = 0
-        self.events: list[SimEvent] = []
+        self.events: list[Event] = []
         self.roles = RoleLog()
         self._peers: dict[int, Peer] = {}
         self._ctxs: dict[int, PeerContext] = {}
@@ -455,7 +444,7 @@ class Simulator:
         bits = max_delay.bit_length()
         delivered = 0
         for dst in dsts:
-            events.append(SimEvent(now, KIND_SEND, src, dst, phase, wire.digest(payload), size))
+            events.append((now, KIND_SEND, src, dst, phase, wire.digest(payload), size))
             delay = 1
             if max_delay > 1:
                 # randint(1, max_delay) as CPython draws it: same stream, no frames.
@@ -479,8 +468,8 @@ class Simulator:
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}")
         payload = wire.dumps({"action": action, **(detail or {})})
-        self.events.append(SimEvent(self.now, KIND_LOCAL, pid, None, phase,
-                                    wire.digest(payload), len(payload)))
+        self.events.append((self.now, KIND_LOCAL, pid, None, phase,
+                            wire.digest(payload), len(payload)))
         self.roles.record(pid, PerformedAction(phase, action, tuple(consumes)))
 
     def set_timer(self, pid: int, delay: int, tag: str, data: Any = None) -> None:
@@ -527,8 +516,8 @@ class Simulator:
                             peers[pid].on_timer(ctxs[pid], tag, data)
                         continue
                     _, src, dst, phase, payload = entry
-                    events.append(SimEvent(t, kind, src, dst, phase, wire.digest(payload),
-                                           len(payload)))
+                    events.append((t, kind, src, dst, phase, wire.digest(payload),
+                                   len(payload)))
                     if kind == KIND_DROP:
                         continue
                     slot = in_flight[payload]

@@ -2,8 +2,8 @@
 
 Everything that is hashed, digested or compared byte-for-byte goes through
 this module so that traces stay identical across runs and platforms, except
-trace lines: ``simnet.SimEvent.to_line`` writes them itself, and
-``tests/test_simnet.py::test_to_line_matches_wire_dumps`` holds it to ``dumps``.
+trace lines: ``simnet.Trace.to_jsonl`` writes them itself, and
+``tests/test_simnet.py::test_to_jsonl_matches_wire_dumps`` holds it to ``dumps``.
 """
 
 import hashlib

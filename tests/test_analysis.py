@@ -15,7 +15,7 @@ from votesim.analysis import (
 )
 from votesim.cli import EXPECTED_TABLE1
 from votesim.overlay import RING_CLUSTERS, TREE_CLUSTERS
-from votesim.simnet import FaultModel, PerformedAction, RoleLog, SimEvent, Trace
+from votesim.simnet import FaultModel, PerformedAction, RoleLog, Trace
 
 
 def run_canonical(protocol, seed=1):
@@ -180,8 +180,8 @@ def hand_run(flow=((0, 1), (1, 2), (2, 0)), *, voters=(0, 1, 2), overlay=None,
     the ``core`` actions (consuming ``consumes`` when casting), plus
     ``extra`` (pid, phase, action, *consumed) actions and ``roles``
     assignments."""
-    events = [SimEvent(0, "local-action", 0, None, p, "", 0) for p in phases]
-    events += [SimEvent(1, "deliver", s, d, CAST, "", 0) for s, d in flow]
+    events = [(0, "local-action", 0, None, p, "", 0) for p in phases]
+    events += [(1, "deliver", s, d, CAST, "", 0) for s, d in flow]
     log = RoleLog(voters=frozenset(voters))
     for pid in voters:
         for phase, action in core:

@@ -214,6 +214,26 @@ def test_helios_wrong_share_never_yields_a_wrong_tally():
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
 
 
+@pytest.mark.parametrize("liar", [10, 11, 12])
+def test_helios_wrong_share_is_passed_over_for_two_honest_ones(liar):
+    # Whichever trustee sends wrong values under its own index, the other
+    # two shares decrypt the tally and the hub publishes it.
+    register_behavior(
+        "test:helios-decshare-7",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "v": [7, 7]} if msg.get("t") == "decshare" else msg
+        ),
+    )
+    for seed in range(20):
+        out, _ = run_helios_like(
+            HeliosParams(9, 3, 2, 2), [0] * 5 + [1] * 4,
+            FaultModel(max_delay=3, byzantine={liar: "test:helios-decshare-7"}),
+            seed=seed, group=TEST_GROUP,
+        )
+        assert out.completion == 1.0, seed
+        assert set(out.tallies.values()) == {(5, 4)}, seed
+
+
 def _proof_emptied(msg):
     ballots = [list(b) for b in msg["ballots"]]
     ballots[0][2] = {"comp": [], "sum": []}

@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from conftest import events
 from hypothesis import given, settings, strategies as st
 
 from votesim import chainvote, wire
@@ -133,7 +134,7 @@ def test_crashed_peer_casts_nothing():
         if pid != 0:
             assert tally == expected
     assert out.tallies[0] is None
-    assert {e.src for e in trace.events if e.kind == "send"}.isdisjoint({0})
+    assert {e.src for e in events(trace) if e.kind == "send"}.isdisjoint({0})
 
 
 def test_silent_peer_forwards_nothing():
@@ -141,7 +142,7 @@ def test_silent_peer_forwards_nothing():
     out, trace = run_chainvote(
         params(), choices, FaultModel(max_delay=3, byzantine={2: "crash-after-step 0"}), seed=5
     )
-    assert all(e.src != 2 for e in trace.events if e.kind == "send")
+    assert all(e.src != 2 for e in events(trace) if e.kind == "send")
     live = [c for pid, c in enumerate(choices) if pid != 2]
     tallies = {t for pid, t in out.tallies.items() if pid != 2 and t is not None}
     assert tallies == {histogram(live, 2)}
@@ -290,7 +291,7 @@ def test_orphan_without_proof_of_work_is_neither_stored_nor_flooded(monkeypatch)
     liar, honest = voters[0], voters[1:]  # built in pid order
     assert liar.pid == 0 and all(not v.view.orphans for v in honest)
     # The liar's own sends are all the junk there is: no honest peer relays it.
-    sent = [e for e in trace.events if e.kind == "send" and e.digest in junk_digests]
+    sent = [e for e in events(trace) if e.kind == "send" and e.digest in junk_digests]
     assert len(sent) == 200 * len(liar.neighbors) and {e.src for e in sent} == {0}
     assert out.completion == 1.0
 
@@ -307,7 +308,7 @@ def test_orphan_with_proof_of_work_is_not_flooded():
     out, trace = run_chainvote(
         ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
         choices, FaultModel(byzantine={0: "test:mined-orphans"}), 0)
-    sent = {e.src for e in trace.events if e.kind == "send" and e.digest in junk_digests}
+    sent = {e.src for e in events(trace) if e.kind == "send" and e.digest in junk_digests}
     assert sent == {0}
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)}
@@ -325,7 +326,7 @@ def test_adopted_orphan_is_flooded(long_chain):
     child, parent = (wire.digest(wire.dumps({"t": "block", "block": b.to_obj()}))
                      for b in child_first)
     for src in range(1, 8):
-        sent = [e.digest for e in trace.events if e.kind == "send" and e.src == src]
+        sent = [e.digest for e in events(trace) if e.kind == "send" and e.src == src]
         assert sent.index(parent) < sent.index(child)
     assert out.completion == 1.0
 
@@ -533,7 +534,7 @@ def test_each_payload_object_is_parsed_once_per_run(monkeypatch):
     out, trace = run_chainvote(SMALL, chain_choices(8, 2, 3), FaultModel(max_delay=3), 3)
     assert out.completion == 1.0
     assert len({id(obj) for obj in parsed}) == len(parsed)
-    assert 0 < len(parsed) < sum(e.kind == "deliver" for e in trace.events)
+    assert 0 < len(parsed) < sum(e.kind == "deliver" for e in events(trace))
 
 
 def test_forged_token_on_fresh_serial_is_rejected_beside_accepted_ones():

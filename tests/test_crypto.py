@@ -4,13 +4,14 @@ The tiny test group keeps exhaustive sweeps fast; a handful of checks run
 on the default group to make sure the constants are sound.
 """
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import baselines, scenarios, spp
+from votesim import baselines, scenarios, spp, wire
 from votesim.crypto import (
     DEFAULT_GROUP,
     Ciphertext,
@@ -36,6 +37,7 @@ from votesim.crypto import (
     threshold_keygen,
     verify_ballot,
 )
+from votesim.crypto import blindsig
 from votesim.crypto.blindsig import (
     blind,
     generate_issuer_key,
@@ -72,6 +74,15 @@ def test_group_constants_are_sound():
         assert pow(g.g, g.q, g.p) == 1
         assert g.g != 1
         assert g.is_element(g.exp(g.g, 12345))
+
+
+@settings(max_examples=50)
+@given(group=st.sampled_from([DEFAULT_GROUP, TEST_GROUP]), domain=st.text(max_size=8),
+       parts=st.lists(st.integers(0, 2**300), max_size=4))
+def test_hash_scalar_hashes_domain_then_group_then_parts(group, domain, parts):
+    data = domain.encode() + b"\x00" + wire.ser_ints(group.p, group.q, group.g, *parts)
+    want = int.from_bytes(hashlib.sha256(data).digest(), "big") % group.q
+    assert group.hash_scalar(domain, *parts) == want
 
 
 def test_group_refuses_a_modulus_that_is_not_a_safe_prime():
@@ -478,6 +489,12 @@ def test_crt_signing_matches_pow(issuer_keys, bits, data):
         st.integers(0, n - 1),
     ))
     assert sign_blinded(x, key) == pow(x, key.d, n)
+
+
+def test_small_primes_are_the_odd_primes_below_1000():
+    # The list as it was first written: trial division by every d < p.
+    assert blindsig._SMALL_PRIMES == [p for p in range(3, 1000)
+                                      if all(p % d for d in range(2, p))]
 
 
 def test_issuer_key_repr_hides_the_secrets(issuer):

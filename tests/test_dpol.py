@@ -1,5 +1,6 @@
 """DPol protocol runs checked against the plaintext histogram oracle."""
 
+import gc
 import json
 import random
 
@@ -38,6 +39,14 @@ def test_honest_grid_matches_histogram(n, k, d):
     out, _ = run_dpol(DpolParams(n, k, d), choices, faultless(), seed=7)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, d)}
+
+
+def test_trace_events_leave_the_cycle_collector():
+    # Each event is a plain tuple of ints, strings and None, which a
+    # collection untracks: a finished trace costs later collections nothing.
+    _, trace = run_dpol(DpolParams(16, 1, 2), [0, 1] * 8, faultless(), seed=3)
+    gc.collect()
+    assert trace.events and not any(gc.is_tracked(e) for e in trace.events)
 
 
 def test_cluster_tally_component_sum():

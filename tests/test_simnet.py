@@ -6,7 +6,8 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import Event, events
+from hypothesis import example, given, settings, strategies as st
 
 from votesim import scenarios, simnet, wire
 from votesim.baselines import HeliosHub
@@ -23,8 +24,8 @@ from votesim.simnet import (
     PHASES,
     ScenarioError,
     SendFilter,
-    SimEvent,
     Simulator,
+    Trace,
     crash_steps,
 )
 
@@ -54,7 +55,7 @@ def run_pair(faults, seed=1):
 
 
 def kinds(trace):
-    return [e.kind for e in trace.events]
+    return [e.kind for e in events(trace)]
 
 
 def test_no_faults_exactly_one_deliver_per_send():
@@ -92,10 +93,10 @@ def test_same_seed_identical_traces():
 def test_causality_and_conservation():
     sim, *_, trace = run_pair(FaultModel(drop_probability=0.3, max_delay=4), seed=9)
     sends = {}
-    for e in trace.events:
+    for e in events(trace):
         if e.kind == "send":
             sends.setdefault(e.digest, []).append(e.time)
-    for e in trace.events:
+    for e in events(trace):
         if e.kind == "deliver":
             assert any(t < e.time for t in sends[e.digest])
     n_send = kinds(trace).count("send")
@@ -106,7 +107,7 @@ def test_causality_and_conservation():
 
 def test_times_non_decreasing():
     _, _, _, trace = run_pair(FaultModel(max_delay=7), seed=3)
-    times = [e.time for e in trace.events]
+    times = [e.time for e in events(trace)]
     assert times == sorted(times)
 
 
@@ -127,7 +128,7 @@ def test_single_peer_local_actions_only():
     sim = Simulator(FaultModel(), 1)
     sim.add_peer(Soloist(0))
     trace = sim.run_until_quiescent()
-    assert [e.kind for e in trace.events] == ["local-action"]
+    assert [e.kind for e in events(trace)] == ["local-action"]
     assert sim.terminated == {0}
 
 
@@ -144,7 +145,7 @@ def test_local_action_in_unknown_phase_is_config_error():
 
 def test_crashed_peer_never_sends_and_never_receives():
     sim, a, b, trace = run_pair(FaultModel(crashed=frozenset({1})))
-    froms = {e.src for e in trace.events if e.kind == "send"}
+    froms = {e.src for e in events(trace) if e.kind == "send"}
     assert froms == {0}
     # the message to the crashed peer becomes a drop
     assert kinds(trace).count("drop") == 1
@@ -168,7 +169,7 @@ def test_crash_after_step_runs_that_many_activations(steps):
     sim.add_peer(a)
     sim.add_peer(Pinger(1, 0))
     trace = sim.run_until_quiescent()
-    assert {e.src for e in trace.events if e.kind == "send"} == ({1} if steps == 0 else {0, 1})
+    assert {e.src for e in events(trace) if e.kind == "send"} == ({1} if steps == 0 else {0, 1})
     assert a.got == ([(1, {"ping": 1})] if steps == 2 else [])
 
 
@@ -242,7 +243,7 @@ def test_finished_peer_takes_no_more_input():
     sim.add_peer(quitter)
     trace = sim.run_until_quiescent()
     assert quitter.inputs == [{"ping": 0}]
-    assert [(e.kind, e.dst) for e in trace.events if e.kind != "send"] == [("deliver", 1)] * 3
+    assert [(e.kind, e.dst) for e in events(trace) if e.kind != "send"] == [("deliver", 1)] * 3
     assert sim.terminated == {1}
 
 
@@ -286,9 +287,9 @@ def test_trace_jsonl_fields():
     assert set(local) == {"time", "kind", "from", "phase", "digest", "size"}
 
 
-def reference_to_obj(e: SimEvent) -> dict:
+def reference_to_obj(e: Event) -> dict:
     """A trace event as the dict whose ``wire.dumps`` encoding
-    ``SimEvent.to_line`` must reproduce."""
+    ``Trace.to_jsonl`` must reproduce."""
     obj = {"time": e.time, "kind": e.kind, "from": e.src}
     if e.dst is not None:
         obj["to"] = e.dst
@@ -299,21 +300,25 @@ def reference_to_obj(e: SimEvent) -> dict:
 
 
 _INTS = st.integers(0, 2**63)
+_EVENTS = st.tuples(
+    _INTS,
+    st.sampled_from([KIND_SEND, KIND_DELIVER, KIND_DROP, KIND_LOCAL]),
+    _INTS,
+    st.none() | _INTS,
+    st.sampled_from(PHASES),
+    st.binary(max_size=8).map(wire.digest),
+    _INTS,
+)
 
 
 @settings(max_examples=300)
-@given(st.builds(
-    SimEvent,
-    time=_INTS,
-    kind=st.sampled_from([KIND_SEND, KIND_DELIVER, KIND_DROP, KIND_LOCAL]),
-    src=_INTS,
-    dst=st.none() | _INTS,
-    phase=st.sampled_from(PHASES),
-    digest=st.binary(max_size=8).map(wire.digest),
-    size=_INTS,
-))
-def test_to_line_matches_wire_dumps(e):
-    assert e.to_line() == wire.dumps(reference_to_obj(e)).decode() + "\n"
+@given(st.lists(_EVENTS, max_size=4))
+@example([(0, KIND_LOCAL, 1, None, PHASE_CASTING, wire.digest(b""), 0),
+          (1, KIND_SEND, 1, 2, PHASE_CASTING, wire.digest(b"x"), 1)])
+def test_to_jsonl_matches_wire_dumps(evs):
+    trace = Trace(evs, params={})
+    assert trace.to_jsonl() == "".join(
+        wire.dumps(reference_to_obj(e)).decode() + "\n" for e in events(trace))
 
 
 def fan_out(faults, sender):
@@ -334,7 +339,7 @@ def test_filter_runs_once_per_destination_of_a_fan_out():
 
 def test_targeted_loss_hits_one_destination_of_a_fan_out():
     receivers, trace = fan_out(FaultModel(lose_messages=frozenset({1})), Pinger(0, 1, 2, 3))
-    assert [(e.kind, e.dst) for e in trace.events if e.kind != "send"] == [
+    assert [(e.kind, e.dst) for e in events(trace) if e.kind != "send"] == [
         ("deliver", 1), ("drop", 2), ("deliver", 3)]
     assert [len(r.got) for r in receivers] == [1, 0, 1]
 
@@ -529,7 +534,7 @@ class LoggedEvents(list):
         self.log = log
 
     def append(self, e):
-        self.log.append(("event", e.time, e))
+        self.log.append(("event", e[0], Event._make(e)))
         super().append(e)
 
 
@@ -600,9 +605,9 @@ def test_delay_draw_is_randint(seed, max_delay):
     sim = Simulator(FaultModel(max_delay=max_delay), seed)
     sim.add_peer(Pinger(0, *range(1, 25)))
     trace = sim.run_until_quiescent()
-    sent = {e.dst: e.time for e in trace.events if e.kind == KIND_SEND}
+    sent = {e.dst: e.time for e in events(trace) if e.kind == KIND_SEND}
     delays = [e.time - sent[e.dst]
-              for e in sorted((e for e in trace.events if e.kind == KIND_DELIVER),
+              for e in sorted((e for e in events(trace) if e.kind == KIND_DELIVER),
                               key=lambda e: e.dst)]
     reference = random.Random(wire.derive_seed(seed, "net"))
     assert delays == [reference.randint(1, max_delay) for _ in range(24)]
