@@ -28,16 +28,13 @@ from .crypto import (
     combine_vector,
     cts_to_obj,
     hom_add_vectors,
-    parse_ballot,
-    parse_cts,
-    parse_decshare,
     partial_decrypt,
     prove_ballot,
     threshold_keygen,
     verify_ballot,
 )
 from .crypto.group import DEFAULT_GROUP, Group
-from .crypto.proofs import BallotProof
+from .crypto.proofs import BallotProof, decoder
 from .simnet import (
     FaultModel,
     Peer,
@@ -93,49 +90,27 @@ class HeliosVoter(Peer):
         self.verify_failed = False
 
     def on_message(self, ctx, sender, msg):
-        kind, h = msg.get("t"), msg.get("h")
-        if (kind == "pubkey" and self.pk is None and sender == self.params.hub
-                and type(h) is int and 0 < h < self.group.p):
-            self.pk = PublicKey(self.group, h, t=self.params.t)
+        kind = msg.get("t")
+        if kind == "pubkey" and self.pk is None and sender == self.params.hub:
+            self.pk = PublicKey(self.group, msg["h"], t=self.params.t)
             ctx.log_action(PHASE_CASTING, "cast", consumes=(ARTIFACT_PUBKEY,))
             self.cast, proof = prove_ballot(self.pk, self.choice, self.params.d, ctx.rng)
             ctx.send((self.params.hub,), {"t": "ballot", "cts": cts_to_obj(self.cast),
                                           "proof": proof.to_obj()}, PHASE_CASTING)
         elif kind == "bulletin" and sender == self.params.hub:
-            self._verify_bulletin(ctx, msg)
+            self._verify_bulletin(ctx, msg["bulletin"])
 
-    def _parse_bulletin(self, msg: dict) -> tuple | None:
-        """(ballots, the ciphertexts listed under this voter's id, shares by
-        trustee index, tally, accepted), or None when any field of the
-        bulletin is malformed."""
-        group, d = self.group, self.params.d
-        entries, pairs, accepted = msg.get("ballots"), msg.get("shares"), msg.get("accepted")
-        tally = wire.int_vector(msg.get("tally"), d)
-        if not (isinstance(entries, list) and isinstance(pairs, list) and tally is not None
-                and type(accepted) is int
-                and all(isinstance(e, list) and len(e) == 3 for e in entries)
-                and all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in pairs)):
-            return None
-        ballots = [parse_ballot(group, d, cts, proof) if type(voter) is int else None
-                   for voter, cts, proof in entries]
-        shares = {idx: parse_decshare(group, self.params.trustees, idx, vals, d)
-                  for idx, vals in pairs}
-        if None in ballots or None in shares.values():
-            return None
-        mine = [b[0] for (voter, _, _), b in zip(entries, ballots) if voter == self.pid]
-        return ballots, mine, shares, tally, accepted
-
-    def _verify_bulletin(self, ctx, msg):
+    def _verify_bulletin(self, ctx, bulletin: tuple | None):
         """Check that the bulletin lists exactly the ballot this voter cast
         under its id, and recompute everything the hub published: proofs, the
         homomorphic sum, the threshold combination and the claimed tally. A
-        malformed bulletin fails verification."""
-        parsed = self._parse_bulletin(msg) if self.pk is not None else None
-        ok = (parsed is not None and parsed[1] == [self.cast]
-              and all(verify_ballot(self.pk, *b) for b in parsed[0]))
+        malformed bulletin (None) fails verification."""
+        ok = (self.pk is not None and bulletin is not None
+              and [cts for voter, cts, _ in bulletin[0] if voter == self.pid] == [self.cast]
+              and all(verify_ballot(self.pk, cts, proof) for _, cts, proof in bulletin[0]))
         if ok:
-            ballots, _, shares, tally, accepted = parsed
-            agg = hom_add_vectors(self.pk, self.params.d, (cts for cts, _ in ballots))
+            ballots, shares, tally, accepted = bulletin
+            agg = hom_add_vectors(self.pk, self.params.d, (cts for _, cts, _ in ballots))
             try:
                 ok = combine_vector(self.pk, shares, agg, self.params.n) == tally
             except CryptoError:
@@ -151,11 +126,10 @@ class HeliosVoter(Peer):
 
 
 class HeliosHub(Peer):
-    def __init__(self, params: HeliosParams, pk: PublicKey, group: Group):
+    def __init__(self, params: HeliosParams, pk: PublicKey):
         super().__init__(params.hub)
         self.params = params
         self.pk = pk
-        self.group = group
         self.ballots: dict[int, tuple[list[Ciphertext], BallotProof] | None] = {}
         self.agg: list[Ciphertext] | None = None
         self.valid: list = []
@@ -167,21 +141,19 @@ class HeliosHub(Peer):
         ctx.send(range(self.params.n), {"t": "pubkey", "h": self.pk.h}, PHASE_REGISTRATION)
 
     def on_message(self, ctx, sender, msg):
-        """A malformed ballot counts as collected and invalid; a malformed
-        decryption share, or one under another trustee's index, is ignored."""
-        kind, idx, d = msg.get("t"), msg.get("idx"), self.params.d
+        """A voter's first ballot counts, a malformed one (None) as invalid;
+        a decryption share under another trustee's index is ignored."""
+        kind, idx = msg.get("t"), msg.get("idx")
         if kind == "ballot" and 0 <= sender < self.params.n and sender not in self.ballots:
             ctx.log_action(PHASE_CASTING, "collect")
-            self.ballots[sender] = parse_ballot(self.group, d, msg.get("cts"), msg.get("proof"))
+            self.ballots[sender] = msg["ballot"]
             if len(self.ballots) == self.params.n:
                 self._aggregate(ctx)
         elif (kind == "decshare" and sender in self.params.trustee_ids and self.agg is not None
-              and idx == self.params.trustee_ids.index(sender) + 1):
-            values = parse_decshare(self.group, self.params.trustees, idx, msg.get("v"), d)
-            if values is not None and idx not in self.dec_shares:
-                self.dec_shares[idx] = values
-                if len(self.dec_shares) >= self.params.t:
-                    self._evaluate(ctx)
+              and idx == self.params.trustee_ids.index(sender) + 1 and idx not in self.dec_shares):
+            self.dec_shares[idx] = msg["v"]
+            if len(self.dec_shares) >= self.params.t:
+                self._evaluate(ctx)
 
     def on_idle(self, ctx):
         # Voters that crashed will never cast; proceed with what arrived.
@@ -223,17 +195,15 @@ class HeliosHub(Peer):
 
 
 class HeliosTrustee(Peer):
-    def __init__(self, pid: int, params: HeliosParams, share: KeyShare, group: Group):
+    def __init__(self, pid: int, params: HeliosParams, share: KeyShare):
         super().__init__(pid)
         self.params = params
         self.share = share
-        self.group = group
 
     def on_message(self, ctx, sender, msg):
-        cts = parse_cts(self.group, msg.get("cts"), self.params.d)
-        if msg.get("t") == "decrypt" and sender == self.params.hub and cts is not None:
+        if msg.get("t") == "decrypt" and sender == self.params.hub:
             ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
-            values = [partial_decrypt(self.share, ct) for ct in cts]
+            values = [partial_decrypt(self.share, ct) for ct in msg["cts"]]
             ctx.send(
                 (self.params.hub,),
                 {"t": "decshare", "idx": self.share.index, "v": values},
@@ -256,7 +226,7 @@ def _tamper_bulletin(group: Group, msg: dict) -> dict:
 # Only the hub sends bulletins, so no other peer may run the behaviour.
 register_behavior(
     BEHAVIOR_TAMPER_BULLETIN,
-    lambda inner: SendFilter(inner, partial(_tamper_bulletin, inner.group)),
+    lambda inner: SendFilter(inner, partial(_tamper_bulletin, inner.pk.group)),
     HeliosHub,
 )
 
@@ -271,11 +241,9 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
     pk, shares = threshold_keygen(
         params.t, params.trustees, group, wire.derive_seed(seed, "trustee-keys")
     )
-    hub = HeliosHub(params, pk, group)
-    trustees = tuple(
-        HeliosTrustee(tid, params, shares[i], group)
-        for i, tid in enumerate(params.trustee_ids)
-    )
+    hub = HeliosHub(params, pk)
+    trustees = tuple(HeliosTrustee(tid, params, shares[i])
+                     for i, tid in enumerate(params.trustee_ids))
 
     def details(voters: list[HeliosVoter]) -> dict:
         return {
@@ -290,6 +258,7 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
         roles=((ROLE_HUB, {params.hub}, "configured"),
                (ROLE_TRUSTEE, set(params.trustee_ids), "configured",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY))),
+        decode=decoder(group, params.d, params.trustees),
     )
 
 
@@ -333,14 +302,12 @@ class MeshVoter(Peer):
         self._maybe_column(ctx)
 
     def on_message(self, ctx, sender, msg):
-        kind, v = msg.get("t"), wire.int_vector(msg.get("v"), self.d)
-        if v is None:
-            return  # not d ints
+        kind, v = msg.get("t"), msg["v"]  # parsed by mesh_decode
         if kind == "share" and sender not in self.received:
-            self.received[sender] = tuple(x % MESH_MODULUS for x in v)
+            self.received[sender] = v
             self._maybe_column(ctx)
         elif kind == "colsum" and sender not in self.colsums:
-            self.colsums[sender] = tuple(x % MESH_MODULUS for x in v)
+            self.colsums[sender] = v
             self._maybe_total(ctx)
 
     def _maybe_column(self, ctx):
@@ -368,11 +335,18 @@ class MeshVoter(Peer):
         ctx.finish()
 
 
+def mesh_decode(d: int, payload: bytes) -> dict | None:
+    """The mesh decoder: the JSON object with ``v`` as d ints mod MESH_MODULUS, or None."""
+    msg = simnet.json_object(payload)
+    v = wire.int_vector(msg.get("v"), d) if msg is not None else None
+    return None if v is None else {**msg, "v": tuple(x % MESH_MODULUS for x in v)}
+
+
 def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
                    seed: int) -> tuple[simnet.Outcome, Trace]:
     """Additive-sharing baseline; exactly 2n(n-1) messages, no robustness."""
     n, d = params.n, params.d
     return simnet.run_election(
         "mesh", params, choices, faults, seed,
-        lambda pid, choice: MeshVoter(pid, n, d, choice),
+        lambda pid, choice: MeshVoter(pid, n, d, choice), decode=partial(mesh_decode, d),
     )

@@ -97,22 +97,17 @@ def cts_to_obj(cts) -> list[list[int]]:
     return [[c.a, c.b] for c in cts]
 
 
-def _parse_elements(group: Group, obj, d: int) -> tuple[int, ...] | None:
+def parse_elements(group: Group, obj, d: int) -> tuple[int, ...] | None:
     """d received ints in (0, p), or None. Subgroup membership is not checked."""
     values = wire.int_vector(obj, d)
     return values if values is not None and all(0 < x < group.p for x in values) else None
 
 
 def parse_cts(group: Group, obj, d: int) -> list[Ciphertext] | None:
-    """d received [a, b] pairs (see _parse_elements) as ciphertexts, or None."""
+    """d received [a, b] pairs (see parse_elements) as ciphertexts, or None."""
     ok = isinstance(obj, list) and len(obj) == d
-    pairs = [_parse_elements(group, x, 2) for x in obj] if ok else [None]
+    pairs = [parse_elements(group, x, 2) for x in obj] if ok else [None]
     return None if None in pairs else [Ciphertext(group, a, b) for a, b in pairs]
-
-
-def parse_decshare(group: Group, holders: int, idx, values, d: int) -> tuple[int, ...] | None:
-    """The d decryption-share values of holder index idx in 1..holders, or None."""
-    return _parse_elements(group, values, d) if type(idx) is int and 1 <= idx <= holders else None
 
 
 def decrypt(group: Group, x: int, c: Ciphertext, bound: int) -> int:

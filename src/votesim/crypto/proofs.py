@@ -10,11 +10,14 @@ inconsistency in a ballot that parse_ballot accepted.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .. import wire
-from .elgamal import Ciphertext, PublicKey, encrypt, hom_sum, parse_cts
+from .elgamal import Ciphertext, PublicKey, encrypt, hom_sum, parse_cts, parse_elements
 from .group import Group
 
 _OR_DOMAIN = "votesim/ballot-or/v1"
@@ -148,6 +151,63 @@ def parse_ballot(group: Group, d: int, cts_obj,
     if None in parts or min(map(min, parts)) < 0:
         return None
     return cts, BallotProof.from_obj(proof_obj)
+
+
+def decoder(group: Group, d: int, holders: int) -> Callable[[bytes], dict | None]:
+    """The payload decoder of a Helios or SPP run; both send the same
+    ``pubkey``, ``ballot``, ``decshare`` and ciphertext-vector messages. It
+    hands over the JSON object with its kind's fields parsed, by type and
+    range only (key-share indices in 1..holders), or None for any other
+    value or a malformed message. A malformed ballot or bulletin arrives
+    with that field None: receivers count it as received and invalid."""
+    def ints(lo, hi):
+        return lambda x: x if type(x) is int and lo <= x < hi else None
+
+    element, index, integer = ints(1, group.p), ints(1, holders + 1), ints(-math.inf, math.inf)
+
+    def bulletin(msg: dict) -> tuple | None:
+        """(ballots as (voter, cts, proof), shares by index, tally, accepted)."""
+        entries, pairs, accepted = msg.get("ballots"), msg.get("shares"), msg.get("accepted")
+        tally = wire.int_vector(msg.get("tally"), d)
+        if not (isinstance(entries, list) and isinstance(pairs, list) and tally is not None
+                and type(accepted) is int
+                and all(isinstance(e, list) and len(e) == 3 for e in entries)
+                and all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in pairs)):
+            return None
+        ballots = [parse_ballot(group, d, cts, proof) if type(voter) is int else None
+                   for voter, cts, proof in entries]
+        shares = {idx: index(idx) and parse_elements(group, vals, d) for idx, vals in pairs}
+        if None in ballots or None in shares.values():
+            return None
+        return [(e[0], *b) for e, b in zip(entries, ballots)], shares, tally, accepted
+
+    cts = partial(parse_cts, group, d=d)
+    fields = {
+        "pubkey": {"h": element}, "dkg-commit": {"v": element},
+        "dkg-share": {"v": ints(0, group.q)}, "decrypt": {"cts": cts},
+        "report": {"subtree": integer, "cts": cts, "count": integer},
+        "decshare": {"idx": index, "v": partial(parse_elements, group, d=d),
+                     "agg": lambda x: x if type(x) is str else None},
+        "result": {"tally": partial(wire.int_vector, n=d), "count": integer},
+    }
+
+    def decode(payload: bytes) -> dict | None:
+        msg = wire.loads(payload)
+        if not isinstance(msg, dict):
+            return None
+        kind = msg.get("t")
+        if kind == "ballot":
+            return {**msg, "ballot": parse_ballot(group, d, msg.get("cts"), msg.get("proof"))}
+        if kind == "bulletin":
+            return {**msg, "bulletin": bulletin(msg)}
+        parsers = fields.get(kind, {}) if type(kind) is str else {}
+        parsed = {key: parse(msg.get(key)) for key, parse in parsers.items()}
+        # Only SPP reads agg: a non-string agg refuses nothing and matches no aggregate.
+        if any(value is None and key != "agg" for key, value in parsed.items()):
+            return None
+        return {**msg, **parsed}
+
+    return decode
 
 
 def verify_ballot(pk: PublicKey, cts: list[Ciphertext], proof: BallotProof) -> bool:

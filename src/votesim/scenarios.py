@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from sys import float_info
 
 from . import wire
 from .ballot import DpolParams
@@ -118,6 +119,7 @@ def parse_faults(obj: dict) -> FaultModel:
     """A missing key takes FaultModel's own default."""
     _known(obj, {f.name for f in fields(FaultModel)}, "faults.")
     base = FaultModel()
+    drop = _opt(obj, "drop_probability", (int, float), base.drop_probability, "faults.")
     byz = _opt(obj, "byzantine", dict, base.byzantine, "faults.")
     try:
         byzantine = {int(k): v for k, v in byz.items()}
@@ -127,8 +129,7 @@ def parse_faults(obj: dict) -> FaultModel:
         raise ConfigError("faults.byzantine: values must be behaviour names")
     return FaultModel(
         crashed=_peer_ids(obj, "crashed", base.crashed),
-        drop_probability=float(_opt(obj, "drop_probability", (int, float),
-                                    base.drop_probability, "faults.")),
+        drop_probability=float(drop) if 0 <= drop <= 1 else drop,  # FaultModel refuses the rest
         byzantine=byzantine,
         max_delay=_opt(obj, "max_delay", int, base.max_delay, "faults."),
         lose_messages=_peer_ids(obj, "lose_messages", base.lose_messages),
@@ -164,8 +165,8 @@ def validate(sc: Scenario) -> None:
             raise ConfigError("choice_weights: need one weight per option")
         if not all(_is(w, (int, float)) for w in sc.choice_weights):
             raise ConfigError("choice_weights: every weight must be a number")
-        if any(w < 0 for w in sc.choice_weights) or sum(sc.choice_weights) <= 0:
-            raise ConfigError("choice_weights: weights must be non-negative, sum > 0")
+        if min(sc.choice_weights) < 0 or not 0 < sum(sc.choice_weights) < float_info.max:
+            raise ConfigError("choice_weights: weights must be non-negative, sum finite and > 0")
     _protocol_params(sc)  # each params dataclass checks its own fields
 
 

@@ -217,9 +217,9 @@ class Peer:
 
     def on_message(self, ctx: "PeerContext", sender: int, msg: Any) -> None:
         """Handle one delivery: ``msg`` is what the run's decoder made of the
-        payload (its JSON object, by default). Equal payload bytes in flight
-        are decoded once and share the result, so ``msg`` is read-only: a
-        handler may keep or re-send it but never change it."""
+        payload, its fields parsed; a payload decoded to None never gets here.
+        Equal payload bytes in flight are decoded once and share the result, so
+        ``msg`` is read-only: a handler may keep or re-send it but never change it."""
 
     def on_timer(self, ctx: "PeerContext", tag: str, data: Any) -> None:
         pass
@@ -597,7 +597,7 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
                  overlay: dict | None = None,
                  others: tuple[Peer, ...] = (),
                  roles: tuple[tuple, ...] = (),
-                 decode: Callable[[bytes], Any] = json_object) -> tuple[Outcome, Trace]:
+                 decode: Callable[[bytes], Any]) -> tuple[Outcome, Trace]:
     """Run one election and collect its outcome.
 
     ``params`` is the protocol's parameter dataclass; its ``n`` and ``d``
@@ -606,7 +606,7 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     ``range(n)``; each voter exposes the ``tally`` it accepted. ``overlay``
     joins the echo for the classifier, which reads only cluster overlays
     (``Overlay.to_obj()``). ``others`` are non-voter peers and ``roles``
-    are ``RoleLog.assign`` argument tuples; ``decode`` is the simulator's
+    are ``RoleLog.assign`` argument tuples; ``decode`` is the protocol's
     payload decoder. ``details(voters)`` runs after the simulation and
     returns the outcome's protocol-specific fields. Completion counts live
     voters only. A crashed or byzantine id that names no peer is a

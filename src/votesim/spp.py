@@ -27,16 +27,13 @@ from .crypto import (
     combine_vector,
     cts_to_obj,
     hom_add_vectors,
-    parse_ballot,
-    parse_cts,
-    parse_decshare,
     partial_decrypt,
     prove_ballot,
     verify_ballot,
 )
 from .crypto.elgamal import poly_eval
 from .crypto.group import DEFAULT_GROUP, Group
-from .crypto.proofs import BallotProof
+from .crypto.proofs import BallotProof, decoder
 from .overlay import Overlay, build_tree_clusters
 from .simnet import (
     FaultModel,
@@ -116,8 +113,8 @@ class SppVoter(Peer):
         self.resolved: dict[int, Claim] = {}
         self.subtree_agg: list[Ciphertext] | None = None
         self.subtree_count: int | None = None
-        # aggregate digest -> share index -> decryption-share values
-        self.dec_shares: dict[str, dict[int, list[int]]] = {}
+        # aggregate digest (None: not a digest) -> share index -> share values
+        self.dec_shares: dict[str | None, dict[int, list[int]]] = {}
         self.result_votes: dict[tuple, set[int]] = {}
         self.tally: tuple[int, ...] | None = None
         self.accepted: int | None = None
@@ -188,39 +185,27 @@ class SppVoter(Peer):
     # -- aggregation --------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        """Each field is type-checked here. A malformed ballot counts as
-        received and invalid; any other malformed message is ignored."""
-        kind, v, group, d = msg.get("t"), msg.get("v"), self.group, self.params.d
+        """A member's first ballot counts, a malformed one (None) as invalid,
+        and a decryption share only under its sender's own key-share index."""
+        kind, v, subtree = msg.get("t"), msg.get("v"), msg.get("subtree")
         root_member = self.is_root and sender in self.members
-        if kind == "dkg-share" and root_member and type(v) is int and 0 <= v < group.q:
+        if kind == "dkg-share" and root_member:
             self._dkg_receive(ctx, sender, v, None)
-        elif kind == "dkg-commit" and root_member and type(v) is int and 0 < v < group.p:
+        elif kind == "dkg-commit" and root_member:
             self._dkg_receive(ctx, sender, None, v)
-        elif kind == "pubkey" and type(msg.get("h")) is int and 0 < msg["h"] < group.p:
+        elif kind == "pubkey":
             self._adopt_pubkey(ctx, sender, msg["h"])
-        elif kind == "ballot":
-            if sender in self.members and sender not in self.ballots:
-                self.ballots[sender] = parse_ballot(group, d, msg.get("cts"), msg.get("proof"))
-                self._maybe_aggregate(ctx)
-        elif kind == "report":
-            subtree, count = msg.get("subtree"), msg.get("count")
-            cts = parse_cts(group, msg.get("cts"), d)
-            if (cts is not None and type(subtree) is int and type(count) is int
-                    and subtree in self.reports and sender in self.child_members[subtree]
-                    and sender not in self.reports[subtree]):
-                self.reports[subtree][sender] = (tuple(cts), count)
-                self._maybe_resolve(ctx, subtree)
-        elif kind == "decshare":
-            idx, agg = msg.get("idx"), msg.get("agg")
-            values = parse_decshare(group, self.params.cluster_size, idx, v, d)
-            # A share counts only under its sender's own key-share index.
-            if (root_member and idx == self.members.index(sender) + 1
-                    and values is not None and type(agg) is str):
-                self._collect_decshare(ctx, idx, values, agg)
+        elif kind == "ballot" and sender in self.members and sender not in self.ballots:
+            self.ballots[sender] = msg["ballot"]
+            self._maybe_aggregate(ctx)
+        elif (kind == "report" and subtree in self.reports
+              and sender in self.child_members[subtree] and sender not in self.reports[subtree]):
+            self.reports[subtree][sender] = (tuple(msg["cts"]), msg["count"])
+            self._maybe_resolve(ctx, subtree)
+        elif kind == "decshare" and root_member and msg["idx"] == self.members.index(sender) + 1:
+            self._collect_decshare(ctx, msg["idx"], v, msg["agg"])
         elif kind == "result":
-            tally, count = wire.int_vector(msg.get("tally"), d), msg.get("count")
-            if tally is not None and type(count) is int:
-                self._adopt_result(ctx, sender, tally, count)
+            self._adopt_result(ctx, sender, msg["tally"], msg["count"])
 
     def _maybe_aggregate(self, ctx):
         if self.cluster_agg is not None or self.pk is None:
@@ -278,7 +263,7 @@ class SppVoter(Peer):
         ctx.send([m for m in self.members if m != self.pid],
                  {"t": "decshare", "idx": idx, "v": values, "agg": digest}, PHASE_EVALUATION)
 
-    def _collect_decshare(self, ctx, idx: int, values: list[int], agg_digest: str):
+    def _collect_decshare(self, ctx, idx: int, values: list[int], agg_digest: str | None):
         self.dec_shares.setdefault(agg_digest, {}).setdefault(idx, values)
         self._maybe_evaluate(ctx)
 
@@ -363,4 +348,5 @@ def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int
         overlay=ov.to_obj(),
         roles=((ROLE_KEY_HOLDER, set(ov.members(0)), "runtime",
                 (ARTIFACT_PUBKEY, ARTIFACT_TALLY)),),
+        decode=decoder(group, params.d, params.cluster_size),
     )

@@ -9,15 +9,17 @@ from votesim.ballot import histogram
 from votesim.baselines import (
     BEHAVIOR_TAMPER_BULLETIN,
     HeliosParams,
+    HeliosVoter,
     MESH_MODULUS,
     MeshParams,
     MeshVoter,
     run_helios_like,
     run_mesh_share,
 )
-from votesim.crypto import DEFAULT_GROUP, TEST_GROUP, Group
+from votesim.crypto import DEFAULT_GROUP, TEST_GROUP, Group, cts_to_obj, prove_ballot
 from votesim.crypto import group as group_mod
 from votesim.simnet import (
+    PHASE_CASTING,
     ConfigError,
     FaultModel,
     SendFilter,
@@ -161,6 +163,36 @@ def test_helios_malformed_ballot_counts_as_invalid(field, value):
     assert {out.tallies[pid] for pid in range(9) if pid != 2} == {
         histogram([c for pid, c in enumerate(choices) if pid != 2], 2)
     }
+
+
+def _casts_twice(inner: HeliosVoter) -> HeliosVoter:
+    """Right after casting, the voter sends the hub a second valid ballot,
+    for the other option."""
+    handle = inner.on_message
+
+    def on_message(ctx, sender, msg):
+        cast = inner.cast
+        handle(ctx, sender, msg)
+        if cast is None and inner.cast is not None:
+            cts, proof = prove_ballot(inner.pk, 1 - inner.choice, inner.params.d, ctx.rng)
+            ctx.send((inner.params.hub,), {"t": "ballot", "cts": cts_to_obj(cts),
+                                           "proof": proof.to_obj()}, PHASE_CASTING)
+
+    inner.on_message = on_message
+    return inner
+
+
+def test_helios_hub_keeps_a_voters_first_ballot_and_ignores_a_second():
+    # With max_delay 1 both ballots reach the hub in the order they were sent.
+    register_behavior("test:helios-casts-twice", _casts_twice, HeliosVoter)
+    choices = [0, 0, 1, 1, 0]
+    out, _ = run_helios_like(HeliosParams(5, 3, 2, 2), choices,
+                             FaultModel(byzantine={0: "test:helios-casts-twice"}), seed=3,
+                             group=TEST_GROUP)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {(3, 2)}
+    assert out.details["accepted"] == 5
+    assert out.details["verification_failures"] == set()
 
 
 def test_helios_crashed_voters_do_not_block_the_rest():

@@ -174,6 +174,12 @@ RULE_BREAKS = [
     pytest.param("choice_weights", {"choice_weights": [1]}, id="weights-fewer-than-d"),
     pytest.param("choice_weights", {"choice_weights": [-1, 2]}, id="weight-negative"),
     pytest.param("choice_weights", {"choice_weights": [0, 0]}, id="weights-sum-0"),
+    # Numbers a float cannot hold: json writes them as 1000...0, Infinity and NaN.
+    pytest.param("faults.drop_probability", {"faults": {"drop_probability": 10**400}},
+                 id="drop-probability-overflows-float"),
+    pytest.param("choice_weights", {"choice_weights": [10**400, 1]}, id="weight-overflows-float"),
+    pytest.param("choice_weights", {"choice_weights": [float("inf"), 1]}, id="weight-infinite"),
+    pytest.param("choice_weights", {"choice_weights": [float("nan"), 1]}, id="weight-nan"),
     pytest.param("n", {"n": 0}, id="n-0"),
     pytest.param("faults.max_delay", {"faults": {"max_delay": 0}}, id="max-delay-0"),
     pytest.param("protocol", {"protocol": "paper-ballot"}, id="protocol-unknown"),

@@ -37,7 +37,7 @@ from votesim.crypto import (
     threshold_keygen,
     verify_ballot,
 )
-from votesim.crypto import blindsig
+from votesim.crypto import blindsig, proofs
 from votesim.crypto.blindsig import (
     blind,
     generate_issuer_key,
@@ -48,7 +48,7 @@ from votesim.crypto.blindsig import (
     verify_token,
 )
 from votesim.crypto.group import CryptoError
-from votesim.crypto.proofs import BallotProof, ComponentProof
+from votesim.crypto.proofs import BallotProof, ComponentProof, SumProof
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -340,6 +340,114 @@ def test_default_group_proof_roundtrip():
     assert verify_ballot(pk, cts, proof)
     dec = {s.index: partial_decrypt(s, cts[0]) for s in shares[1:]}
     assert combine(pk, dec, cts[0], 1) == 1
+
+
+# -- one forged transcript per ballot-proof check ---------------------------
+#
+# Each forgery below fails exactly one of verify_ballot's checks, as an
+# oracle written with pow() finds; so deleting that check from verify_ballot
+# makes it accept the forgery. Every check has such a forgery: none is
+# implied by the others.
+
+
+def _failing_checks(pk, cts, proof) -> set[str]:
+    """The names of verify_ballot's checks that (cts, proof) fails."""
+    group = pk.group
+    g, h, p, q = group.g, pk.h, group.p, group.q
+    failed = set()
+    if not all(0 < x < p and pow(x, q, p) == 1 for ct in cts for x in (ct.a, ct.b)):
+        failed.add("subgroup")
+    stmt = proofs._statement(pk, cts)
+    for j, (ct, c) in enumerate(zip(cts, proof.components)):
+        if (c.e0 + c.e1) % q != group.hash_scalar(proofs._OR_DOMAIN, *stmt, j,
+                                                  c.a0, c.b0, c.a1, c.b1):
+            failed.add("or-challenge")
+        for v, (a, b, e, z) in enumerate(((c.a0, c.b0, c.e0, c.z0), (c.a1, c.b1, c.e1, c.z1))):
+            if pow(g, z, p) != a * pow(ct.a, e, p) % p:
+                failed.add("or-g")
+            if pow(h, z, p) != b * pow(ct.b * pow(g, -v, p), e, p) % p:
+                failed.add("or-h")
+    big_a = big_b = 1
+    for ct in cts:
+        big_a, big_b = big_a * ct.a % p, big_b * ct.b % p
+    sp = proof.sum_proof
+    e = group.hash_scalar(proofs._SUM_DOMAIN, *stmt, sp.w1, sp.w2)
+    if pow(g, sp.z, p) != sp.w1 * pow(big_a, e, p) % p:
+        failed.add("sum-g")
+    if pow(h, sp.z, p) != sp.w2 * pow(big_b * pow(g, -1, p), e, p) % p:
+        failed.add("sum-h")
+    return failed
+
+
+def _forge(pk, ms, proven, replaced, negate_a, rng):
+    """A ballot encrypting the ints ms, transcript made by a cheating prover.
+    proven[j] is the branch component j proves from its randomness, or None
+    to simulate both branches under free challenges. replaced names the one
+    commitment drawn at random before hashing: "a" of each proven branch, or
+    the sum proof's "w1" or "w2". negate_a puts p - a in component 0."""
+    group = pk.group
+    g, h, p, q = group.g, pk.h, group.p, group.q
+
+    def rand():
+        return group.rand_scalar(rng)
+
+    rs = [rand() for _ in ms]
+    cts = [Ciphertext(group, pow(g, r, p), pow(g, m % q, p) * pow(h, r, p) % p)
+           for m, r in zip(ms, rs)]
+    if negate_a:
+        cts[0] = Ciphertext(group, p - cts[0].a, cts[0].b)
+    stmt = proofs._statement(pk, cts)
+
+    def simulated(ct, v, e):
+        z = rand()
+        return [pow(g, z, p) * pow(ct.a, -e, p) % p,
+                pow(h, z, p) * pow(ct.b * pow(g, -v, p), -e, p) % p, e, z]
+
+    comps = []
+    for j, (ct, r, v) in enumerate(zip(cts, rs, proven)):
+        if v is None:
+            branches = [simulated(ct, 0, rand()), simulated(ct, 1, rand())]
+        else:
+            w, sim = rand(), simulated(ct, 1 - v, rand())
+            real = [pow(g, rand() if replaced == "a" else w, p), pow(h, w, p)]
+            branches = [real, sim] if v == 0 else [sim, real]
+            e = (group.hash_scalar(proofs._OR_DOMAIN, *stmt, j, *branches[0][:2],
+                                   *branches[1][:2]) - sim[2]) % q
+            real += [e, (w + e * r) % q]
+        (a0, b0, e0, z0), (a1, b1, e1, z1) = branches
+        comps.append(ComponentProof(a0, b0, a1, b1, e0, e1, z0, z1))
+    w = rand()
+    w1, w2 = pow(g, rand() if replaced == "w1" else w, p), pow(h, rand() if replaced == "w2" else w, p)
+    e = group.hash_scalar(proofs._SUM_DOMAIN, *stmt, w1, w2)
+    return cts, BallotProof(tuple(comps), SumProof(w1, w2, (w + e * sum(rs)) % q))
+
+
+# check -> (plaintexts, proven branches, replaced commitment, negate a). The
+# (2, -1) ballots sum to 1, so their sum proof is honest.
+FORGERIES = {
+    "or-challenge": ((2, -1), (None, None), None, False),  # both branches simulated
+    "or-g": ((1, 0), (1, 0), "a", False),  # proven against b alone
+    "or-h": ((2, -1), (1, 0), None, False),  # proven against a alone
+    "sum-g": ((1, 0), (1, 0), "w1", False),
+    "sum-h": ((1, 0), (1, 0), "w2", False),
+    "subgroup": ((1, 0), (1, 0), None, True),  # p - a, outside the subgroup
+}
+
+
+@pytest.mark.parametrize("check", sorted(FORGERIES))
+def test_each_ballot_proof_check_alone_refuses_its_forgery(check):
+    pk, _ = _tiny_pk()
+    rng = random.Random(check)
+    # p - a passes the other checks only where the challenges it meets are
+    # even, since (p - a)^e = (-1)^e a^e; the other forgeries need one try.
+    for _ in range(64):
+        cts, proof = _forge(pk, *FORGERIES[check], rng)
+        if _failing_checks(pk, cts, proof) == {check}:
+            break
+    else:
+        pytest.fail(f"no forgery fails {check} alone")
+    assert verify_ballot(pk, cts, proof) is False
+    assert parse_ballot(TEST_GROUP, 2, cts_to_obj(cts), proof.to_obj()) == (cts, proof)
 
 
 def _alter(kind, group, cts, proof, data):

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from votesim.ballot import histogram
-from votesim.crypto import TEST_GROUP, encrypt_random, threshold_keygen
+from votesim.crypto import TEST_GROUP, cts_to_obj, encrypt_random, prove_ballot, threshold_keygen
 from votesim.overlay import build_tree_clusters
 from votesim.simnet import (
+    PHASE_CASTING,
     PHASE_EVALUATION,
     FaultModel,
     SendFilter,
@@ -300,6 +301,33 @@ def test_tally_whose_sum_misses_the_count_fails_verification():
     assert {pid: t for pid, t in out.tallies.items() if t is not None} == {
         pid: (4, 4) for pid in root}
     assert out.completion == 0.5
+
+
+def _casts_twice(inner: SppVoter) -> SppVoter:
+    """Right after casting, the member sends its cluster a second valid
+    ballot, for the other option."""
+    cast = inner._cast
+
+    def twice(ctx):
+        cast(ctx)
+        cts, proof = prove_ballot(inner.pk, 1 - inner.choice, inner.params.d, ctx.rng)
+        ctx.send([m for m in inner.members if m != inner.pid],
+                 {"t": "ballot", "cts": cts_to_obj(cts), "proof": proof.to_obj()}, PHASE_CASTING)
+
+    inner._cast = twice
+    return inner
+
+
+def test_member_keeps_a_members_first_ballot_and_ignores_a_second():
+    # With max_delay 1 both ballots reach each member in the order they were
+    # sent; counting the second would give (3, 5).
+    register_behavior("test:spp-casts-twice", _casts_twice, SppVoter)
+    choices = [0, 1] * 4
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     FaultModel(byzantine={0: "test:spp-casts-twice"}), seed=12, group=TEST_GROUP)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {(4, 4)}
+    assert out.details["accepted"] == 8
 
 
 def _forge_share_one(inner: SppVoter) -> SppVoter:
