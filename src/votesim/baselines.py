@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from . import simnet, wire
 from .crypto import (
@@ -302,12 +303,12 @@ class MeshVoter(Peer):
         self._maybe_column(ctx)
 
     def on_message(self, ctx, sender, msg):
-        kind, v = msg.get("t"), msg["v"]  # parsed by mesh_decode
+        kind = msg.get("t")  # mesh_decoder(d) has parsed v
         if kind == "share" and sender not in self.received:
-            self.received[sender] = v
+            self.received[sender] = msg["v"]
             self._maybe_column(ctx)
         elif kind == "colsum" and sender not in self.colsums:
-            self.colsums[sender] = v
+            self.colsums[sender] = msg["v"]
             self._maybe_total(ctx)
 
     def _maybe_column(self, ctx):
@@ -335,11 +336,13 @@ class MeshVoter(Peer):
         ctx.finish()
 
 
-def mesh_decode(d: int, payload: bytes) -> dict | None:
-    """The mesh decoder: the JSON object with ``v`` as d ints mod MESH_MODULUS, or None."""
-    msg = simnet.json_object(payload)
-    v = wire.int_vector(msg.get("v"), d) if msg is not None else None
-    return None if v is None else {**msg, "v": tuple(x % MESH_MODULUS for x in v)}
+def mesh_decoder(d: int) -> Callable[[bytes], dict | None]:
+    """The mesh decoder: a share's or colsum's ``v`` as d ints mod MESH_MODULUS."""
+    def vector(value) -> tuple[int, ...] | None:
+        v = wire.int_vector(value, d)
+        return None if v is None else tuple(x % MESH_MODULUS for x in v)
+
+    return wire.decoder({"share": {"v": vector}, "colsum": {"v": vector}})
 
 
 def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
@@ -348,5 +351,5 @@ def run_mesh_share(params: MeshParams, choices: list[int], faults: FaultModel,
     n, d = params.n, params.d
     return simnet.run_election(
         "mesh", params, choices, faults, seed,
-        lambda pid, choice: MeshVoter(pid, n, d, choice), decode=partial(mesh_decode, d),
+        lambda pid, choice: MeshVoter(pid, n, d, choice), decode=mesh_decoder(d),
     )

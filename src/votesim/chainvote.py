@@ -18,6 +18,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import simnet, wire
 from .crypto.blindsig import (
@@ -179,17 +180,12 @@ def parse_block(obj) -> Block | None:
     return Block(obj["parent"], obj["height"], txs, obj["proposer"], obj["nonce"])
 
 
-def decode(payload: bytes) -> tuple[dict, Transaction | Block | None] | None:
-    """The payload decoder of a chainvote run: the JSON object and the
-    transaction or block it carries (None when malformed), or None for any
-    other JSON value. The simulator decodes each payload in flight once, so
-    every peer it reaches shares one frozen Transaction or Block."""
-    msg = simnet.json_object(payload)
-    if msg is None:
-        return None
-    kind = msg.get("t")
-    return msg, (parse_transaction(msg.get("tx")) if kind == "tx"
-                 else parse_block(msg.get("block")) if kind == "block" else None)
+def decoder() -> Callable[[bytes], dict | None]:
+    """The payload decoder of a chainvote run: a message's ``tx`` or
+    ``block`` as a Transaction or Block. The simulator decodes each payload in
+    flight once, so every peer it reaches shares one frozen object, each
+    well-typed and its Token hashable."""
+    return wire.decoder({"tx": {"tx": parse_transaction}, "block": {"block": parse_block}})
 
 
 GENESIS = Block(GENESIS_PARENT, 0, (), 0, 0)
@@ -438,26 +434,21 @@ class ChainVoter(Peer):
 
     # -- gossip ----------------------------------------------------------
 
-    def on_message(self, ctx, sender, decoded):
-        # decoded is decode(payload); a malformed payload is ignored like one
-        # from an unexpected sender, so every Transaction and Block past the
-        # parse is well-typed and its Token hashable.
-        msg, obj = decoded
-        if isinstance(obj, Transaction):
-            if self.view.add_transaction(obj):
-                self._flood(ctx, msg, PHASE_CASTING, skip=sender)
-        elif isinstance(obj, Block):
-            h = obj.block_hash()
-            if h in self.seen_blocks:
-                return
+    def on_message(self, ctx, sender, msg):
+        # A relay sends the parsed object's to_obj(): an honest sender's bytes,
+        # and nothing a liar added inside a tx or block.
+        kind = msg.get("t")
+        if kind == "tx" and self.view.add_transaction(msg["tx"]):
+            self._flood(ctx, {"t": "tx", "tx": msg["tx"].to_obj()}, PHASE_CASTING, skip=sender)
+        elif kind == "block" and (h := msg["block"].block_hash()) not in self.seen_blocks:
             self.seen_blocks.add(h)
             # Relay a block only once it connects: an orphan is forwarded
             # when the block it waits on arrives and adopts it.
             stored: list[Block] = []
-            if self.view.add_block(obj, stored) == "added":
-                self._flood(ctx, msg, PHASE_AGGREGATION, skip=sender)
-                for orphan in stored[1:]:
-                    self._flood(ctx, {"t": "block", "block": orphan.to_obj()}, PHASE_AGGREGATION)
+            if self.view.add_block(msg["block"], stored) == "added":
+                for block in stored:  # the received block first, then its orphans
+                    self._flood(ctx, {"t": "block", "block": block.to_obj()}, PHASE_AGGREGATION,
+                                skip=sender if block is stored[0] else None)
                 ctx.log_action(PHASE_AGGREGATION, "aggregate")
                 if self.mining is not None and self.mining[1] != self.view.best:
                     self.mining = None  # chain moved on; candidate is stale
@@ -543,7 +534,7 @@ def run_chainvote(params: ChainParams, choices: list[int], faults: FaultModel,
         "chainvote", params, choices, faults, seed,
         lambda pid, choice: ChainVoter(pid, params, ov.neighbors(pid), key.public,
                                        tokens[pid], choice, verified),
-        details, decode=decode,
+        details, decode=decoder(),
     )
 
 

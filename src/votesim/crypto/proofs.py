@@ -160,10 +160,8 @@ def decoder(group: Group, d: int, holders: int) -> Callable[[bytes], dict | None
     range only (key-share indices in 1..holders), or None for any other
     value or a malformed message. A malformed ballot or bulletin arrives
     with that field None: receivers count it as received and invalid."""
-    def ints(lo, hi):
-        return lambda x: x if type(x) is int and lo <= x < hi else None
-
-    element, index, integer = ints(1, group.p), ints(1, holders + 1), ints(-math.inf, math.inf)
+    element, index = wire.int_in(1, group.p), wire.int_in(1, holders + 1)
+    integer = wire.int_in(-math.inf, math.inf)
 
     def bulletin(msg: dict) -> tuple | None:
         """(ballots as (voter, cts, proof), shares by index, tally, accepted)."""
@@ -182,30 +180,24 @@ def decoder(group: Group, d: int, holders: int) -> Callable[[bytes], dict | None
         return [(e[0], *b) for e, b in zip(entries, ballots)], shares, tally, accepted
 
     cts = partial(parse_cts, group, d=d)
-    fields = {
+    parse = wire.decoder({
         "pubkey": {"h": element}, "dkg-commit": {"v": element},
-        "dkg-share": {"v": ints(0, group.q)}, "decrypt": {"cts": cts},
+        "dkg-share": {"v": wire.int_in(0, group.q)}, "decrypt": {"cts": cts},
         "report": {"subtree": integer, "cts": cts, "count": integer},
+        # Only SPP reads agg: a non-string agg matches no aggregate.
         "decshare": {"idx": index, "v": partial(parse_elements, group, d=d),
-                     "agg": lambda x: x if type(x) is str else None},
+                     "agg": lambda x: x if type(x) is str else ""},
         "result": {"tally": partial(wire.int_vector, n=d), "count": integer},
-    }
+    })
 
     def decode(payload: bytes) -> dict | None:
-        msg = wire.loads(payload)
-        if not isinstance(msg, dict):
-            return None
-        kind = msg.get("t")
+        msg = parse(payload)
+        kind = msg.get("t") if msg is not None else None
         if kind == "ballot":
             return {**msg, "ballot": parse_ballot(group, d, msg.get("cts"), msg.get("proof"))}
         if kind == "bulletin":
             return {**msg, "bulletin": bulletin(msg)}
-        parsers = fields.get(kind, {}) if type(kind) is str else {}
-        parsed = {key: parse(msg.get(key)) for key, parse in parsers.items()}
-        # Only SPP reads agg: a non-string agg refuses nothing and matches no aggregate.
-        if any(value is None and key != "agg" for key, value in parsed.items()):
-            return None
-        return {**msg, **parsed}
+        return msg
 
     return decode
 

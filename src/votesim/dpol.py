@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from functools import partial
 from typing import Callable
 
 from . import simnet
@@ -56,24 +57,21 @@ def cluster_tally(local_sums: list[tuple[int, ...] | None], d: int) -> tuple[int
 
 
 def decoder(params: DpolParams) -> Callable[[bytes], dict | None]:
-    """The payload decoder of a DPol run: the JSON object, its map ``m``
-    parsed into {cluster index: d ints}, or ``m`` None when any key is not a
-    cluster index or any value is not d ints. The simulator decodes each
-    payload in flight once, so every voter it reaches shares one parse."""
-    d, keys = params.d, {str(ci): ci for ci in range(math.isqrt(params.n))}
+    """The payload decoder of a DPol run: a share's or sum's ``v`` as d ints,
+    a map's round ``r`` as an int and its ``m`` as {cluster index: d ints}.
+    The simulator decodes each payload in flight once, so every voter it
+    reaches shares one parse."""
+    keys = {str(ci): ci for ci in range(math.isqrt(params.n))}
+    vector = partial(wire.int_vector, n=params.d)
 
-    def decode(payload: bytes) -> dict | None:
-        msg = simnet.json_object(payload)
-        if msg is None or "m" not in msg:
-            return msg
-        m, tallies = msg["m"], None
-        if isinstance(m, dict):
-            tallies = {keys.get(ci): wire.int_vector(v, d) for ci, v in m.items()}
-            if None in tallies or None in tallies.values():
-                tallies = None
-        return {**msg, "m": tallies}
+    def tallies(m) -> dict[int, tuple[int, ...]] | None:
+        if not isinstance(m, dict):
+            return None
+        parsed = {keys.get(ci): vector(v) for ci, v in m.items()}
+        return None if None in parsed or None in parsed.values() else parsed
 
-    return decode
+    return wire.decoder({"share": {"v": vector}, "sum": {"v": vector},
+                         "map": {"r": wire.int_in(-math.inf, math.inf), "m": tallies}})
 
 
 class DpolVoter(Peer):
@@ -115,29 +113,21 @@ class DpolVoter(Peer):
     # -- aggregation ------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        kind = msg.get("t")
-        if kind == "share":
-            share = wire.int_vector(msg.get("v"), self.params.d)
-            if (share is not None and sender in self.expected_senders
-                    and sender not in self.shares_by_sender):
-                self.shares_by_sender[sender] = share
-                if len(self.shares_by_sender) == self.params.shares_per_voter:
-                    self._compute_local_sum(ctx)
-        elif kind == "sum":
-            local_sum = wire.int_vector(msg.get("v"), self.params.d)
-            if (local_sum is not None and sender in self.cluster_members
-                    and sender not in self.sums_by_member):
-                self.sums_by_member[sender] = local_sum
-                self._maybe_cluster_tally(ctx)
-        elif kind == "map":
-            r = msg.get("r")
-            if (type(r) is int and sender in self.expected_senders
-                    and self.merged <= r < self.rounds_total):
-                per_round = self.round_maps.setdefault(r, {})
-                tallies = msg.get("m")  # parsed by decoder(params)
-                if tallies is not None and sender not in per_round:
-                    per_round[sender] = tallies
-                    self._maybe_process_rounds(ctx)
+        kind = msg.get("t")  # decoder(params) has parsed v, r and m
+        if (kind == "share" and sender in self.expected_senders
+                and sender not in self.shares_by_sender):
+            self.shares_by_sender[sender] = msg["v"]
+            if len(self.shares_by_sender) == self.params.shares_per_voter:
+                self._compute_local_sum(ctx)
+        elif kind == "sum" and sender in self.cluster_members and sender not in self.sums_by_member:
+            self.sums_by_member[sender] = msg["v"]
+            self._maybe_cluster_tally(ctx)
+        elif (kind == "map" and sender in self.expected_senders
+              and self.merged <= msg["r"] < self.rounds_total):
+            per_round = self.round_maps.setdefault(msg["r"], {})
+            if sender not in per_round:
+                per_round[sender] = msg["m"]
+                self._maybe_process_rounds(ctx)
 
     def _compute_local_sum(self, ctx):
         self.local_sum = vector_sum(
@@ -168,7 +158,7 @@ class DpolVoter(Peer):
         # a member with an equal round and known sends those bytes, and any
         # other encodes its own map into the slot. Equal content means equal
         # bytes only because every value in known is a tuple of exact ints
-        # (wire.int_vector and vector_sum make nothing else): 1 == 1.0 == True
+        # (the decoder and vector_sum make nothing else): 1 == 1.0 == True
         # encode apart. A filtered context ignores the payload and encodes
         # what its filter makes of the message.
         slot = self.maps[self.cluster]

@@ -172,10 +172,12 @@ def validate(sc: Scenario) -> None:
 
 def from_file(path: str | Path) -> Scenario:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"scenario: file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"scenario: cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"scenario: not valid JSON: {exc}") from exc
     return parse(obj)
 

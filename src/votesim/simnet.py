@@ -74,11 +74,9 @@ def check_election(n: int, d: int, choices: list | None) -> None:
         raise ConfigError("choices: every entry must be an option index in [0, d)")
 
 
-def json_object(payload: bytes) -> dict | None:
-    """The default payload decoder: the JSON object the bytes hold, or None
-    for any other JSON value. Peers never see a payload decoded to None."""
-    msg = wire.loads(payload)
-    return msg if isinstance(msg, dict) else None
+# The default payload decoder: the JSON object the bytes hold, or None for any
+# other JSON value. Peers never see a payload decoded to None.
+json_object = wire.decoder({})
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,9 @@ class Peer:
 
     def on_message(self, ctx: "PeerContext", sender: int, msg: Any) -> None:
         """Handle one delivery: ``msg`` is what the run's decoder made of the
-        payload, its fields parsed; a payload decoded to None never gets here.
+        payload, every field its table lists parsed and well formed (a Helios
+        or SPP ``ballot`` or ``bulletin`` alone may be None); a payload decoded
+        to None never gets here, so a handler checks only what needs its state.
         Equal payload bytes in flight are decoded once and share the result, so
         ``msg`` is read-only: a handler may keep or re-send it but never change it."""
 
@@ -607,11 +607,13 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     joins the echo for the classifier, which reads only cluster overlays
     (``Overlay.to_obj()``). ``others`` are non-voter peers and ``roles``
     are ``RoleLog.assign`` argument tuples; ``decode`` is the protocol's
-    payload decoder. ``details(voters)`` runs after the simulation and
-    returns the outcome's protocol-specific fields. Completion counts live
-    voters only. A crashed or byzantine id that names no peer is a
-    ``ConfigError``, as is any breach of ``check_election``. The simulator
-    is freed when this returns, without waiting for the cycle collector.
+    payload decoder, built by ``wire.decoder``: a payload it decodes to None
+    is refused, traced as delivered but handed to no peer. ``details(voters)``
+    runs after the simulation and returns the outcome's protocol-specific
+    fields. Completion counts live voters only. A crashed or byzantine id
+    that names no peer is a ``ConfigError``, as is any breach of
+    ``check_election``. The simulator is freed when this returns, without
+    waiting for the cycle collector.
     """
     n = params.n
     check_election(n, params.d, choices)

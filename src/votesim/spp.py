@@ -113,8 +113,8 @@ class SppVoter(Peer):
         self.resolved: dict[int, Claim] = {}
         self.subtree_agg: list[Ciphertext] | None = None
         self.subtree_count: int | None = None
-        # aggregate digest (None: not a digest) -> share index -> share values
-        self.dec_shares: dict[str | None, dict[int, list[int]]] = {}
+        # aggregate digest ("": not a digest) -> share index -> share values
+        self.dec_shares: dict[str, dict[int, list[int]]] = {}
         self.result_votes: dict[tuple, set[int]] = {}
         self.tally: tuple[int, ...] | None = None
         self.accepted: int | None = None
@@ -263,7 +263,7 @@ class SppVoter(Peer):
         ctx.send([m for m in self.members if m != self.pid],
                  {"t": "decshare", "idx": idx, "v": values, "agg": digest}, PHASE_EVALUATION)
 
-    def _collect_decshare(self, ctx, idx: int, values: list[int], agg_digest: str | None):
+    def _collect_decshare(self, ctx, idx: int, values: list[int], agg_digest: str):
         self.dec_shares.setdefault(agg_digest, {}).setdefault(idx, values)
         self._maybe_evaluate(ctx)
 

@@ -8,7 +8,7 @@ trace lines: ``simnet.Trace.to_jsonl`` writes them itself, and
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Callable
 
 # What json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -25,6 +25,30 @@ def dumps(obj: Any) -> bytes:
 
 def loads(data: bytes) -> Any:
     return json.loads(data.decode())
+
+
+def decoder(kinds: dict[str, dict[str, Callable[[Any], Any]]]) -> Callable[[bytes], dict | None]:
+    """A payload decoder from a table {message kind "t": {field: parser}}: it
+    returns the JSON object with each listed field replaced by its parsed
+    value, or None when the payload is not an object or a listed field parses
+    to None. Kinds not in the table pass through unparsed."""
+    def decode(payload: bytes) -> dict | None:
+        msg = loads(payload)  # looked up per call, so a tracer's wrapper counts it
+        if not isinstance(msg, dict):
+            return None
+        kind = msg.get("t")
+        parsers = kinds.get(kind) if type(kind) is str else None
+        if not parsers:
+            return msg
+        parsed = {key: parse(msg.get(key)) for key, parse in parsers.items()}
+        return None if None in parsed.values() else {**msg, **parsed}
+
+    return decode
+
+
+def int_in(lo: float, hi: float) -> Callable[[Any], int | None]:
+    """A parser of one received int in [lo, hi); None for anything else."""
+    return lambda x: x if type(x) is int and lo <= x < hi else None
 
 
 def int_vector(value: Any, n: int) -> tuple[int, ...] | None:

@@ -16,7 +16,8 @@ from votesim.baselines import (
     run_helios_like,
     run_mesh_share,
 )
-from votesim.crypto import DEFAULT_GROUP, TEST_GROUP, Group, cts_to_obj, prove_ballot
+from votesim.crypto import (DEFAULT_GROUP, TEST_GROUP, Group, cts_to_obj, lagrange_at_zero,
+                            prove_ballot)
 from votesim.crypto import group as group_mod
 from votesim.simnet import (
     PHASE_CASTING,
@@ -288,6 +289,37 @@ def test_helios_malformed_bulletin_fails_every_voter(rewrite):
     out, _ = run_helios_like(
         params, h_choices(9, 2, 3),
         FaultModel(max_delay=3, byzantine={params.hub: "test:helios-bulletin-malformed"}),
+        seed=3, group=TEST_GROUP,
+    )
+    assert out.details["verification_failures"] == set(range(9))
+    assert set(out.tallies.values()) == {None}
+
+
+def _drop_a_vote_for_option_0(msg):
+    """The hub's bulletin with one vote for option 0 decrypted away: component
+    0 of the first listed share is multiplied by g^(1/λ), λ its Lagrange
+    coefficient over the listed indices, so the shares combine to one less
+    there; tally and accepted are published to match."""
+    if msg.get("t") != "bulletin":
+        return msg
+    g, q = TEST_GROUP, TEST_GROUP.q
+    (idx, values), *rest = msg["shares"]
+    lam = lagrange_at_zero(idx, [i for i, _ in msg["shares"]], q)
+    values = [g.mul(values[0], g.exp(g.g, pow(lam, -1, q))), *values[1:]]
+    tally = [msg["tally"][0] - 1, *msg["tally"][1:]]
+    return {**msg, "shares": [[idx, values], *rest], "tally": tally, "accepted": sum(tally)}
+
+
+def test_helios_bulletin_whose_tally_misses_a_listed_ballot_fails_every_voter():
+    # Decryption shares carry no proof, so the hub can move the sum: the
+    # shares then combine to the published tally, which sums to accepted,
+    # and only accepted == len(ballots) shows that a listed ballot is missing.
+    register_behavior("test:helios-drop-a-vote",
+                      lambda inner: SendFilter(inner, _drop_a_vote_for_option_0))
+    params = HeliosParams(9, 3, 2, 2)
+    out, _ = run_helios_like(
+        params, [0] * 5 + [1] * 4,
+        FaultModel(max_delay=3, byzantine={params.hub: "test:helios-drop-a-vote"}),
         seed=3, group=TEST_GROUP,
     )
     assert out.details["verification_failures"] == set(range(9))

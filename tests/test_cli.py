@@ -204,10 +204,19 @@ def test_malformed_field_is_config_error_naming_its_path(tmp_path, capsys, field
     pytest.param('{"schema": ', "scenario: not valid JSON", id="invalid-json"),
     pytest.param(json.dumps({"schema": scenarios.SCHEMA, "protocol": "dpol"}),
                  "n: required field missing", id="n-missing"),
+    pytest.param("[" * 100000, "scenario: not valid JSON", id="nested-too-deep"),
+    pytest.param(b"\xff\xfe{", "scenario: cannot read", id="not-utf-8"),
+    pytest.param(None, "scenario: cannot read", id="directory"),
 ])
 def test_malformed_document_is_config_error(tmp_path, capsys, text, message):
+    # text is the document: bytes are written as they are, None makes a directory.
     path = tmp_path / "scenario.json"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")

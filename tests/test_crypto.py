@@ -221,6 +221,17 @@ def test_threshold_2_of_3_any_subset_matches_direct_decryption():
         assert combine(pk, dec, c, 20) == direct
 
 
+def test_combine_interpolates_over_the_lowest_t_shares_only():
+    # A wrong share above the lowest t indices changes nothing: a holder
+    # outside the lowest t may send one, and it must not enter the sum.
+    pk, shares = threshold_keygen(2, 3, TEST_GROUP, seed=5)
+    c = encrypt_random(pk, 9, random.Random(6))
+    lowest = {s.index: partial_decrypt(s, c) for s in shares[:2]}
+    wrong = TEST_GROUP.mul(partial_decrypt(shares[2], c), TEST_GROUP.g)
+    assert combine(pk, {**lowest, shares[2].index: wrong}, c, 20) == combine(pk, lowest, c, 20)
+    assert combine(pk, lowest, c, 20) == 9
+
+
 def test_threshold_requires_t_at_most_n():
     with pytest.raises(CryptoError):
         threshold_keygen(3, 2, TEST_GROUP, seed=1)

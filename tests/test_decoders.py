@@ -1,5 +1,7 @@
 """The payload decoders never raise, whatever JSON a byzantine peer sends,
-and each hands its handlers only the shapes they expect."""
+and each hands its handlers only the shapes they expect: a message whose
+listed field is malformed decodes to None, except a Helios or SPP ballot or
+bulletin, which arrives with that field None."""
 
 import json
 import random
@@ -10,8 +12,8 @@ from test_dpol import HOSTILE_MAPS
 from test_hostile_payloads import JSON_VALUES
 from votesim import chainvote, dpol, simnet, wire
 from votesim.ballot import DpolParams
-from votesim.baselines import MESH_MODULUS, mesh_decode
-from votesim.chainvote import Block, Transaction
+from votesim.baselines import MESH_MODULUS, mesh_decoder
+from votesim.chainvote import Block, Transaction, parse_block, parse_transaction
 from votesim.crypto import (TEST_GROUP, Ciphertext, cts_to_obj, parse_ballot, prove_ballot,
                             threshold_keygen)
 from votesim.crypto.proofs import BallotProof, decoder
@@ -83,6 +85,7 @@ def pairs_of(ok):
 ELEMENT = ints_in(1, G.p)
 CTS_FIELD = (pairs_of(pairs_of(ELEMENT)), lambda x: [Ciphertext(G, a, b) for a, b in x])
 INT_FIELD = (is_int, int)
+VECTOR = (pairs_of(is_int), tuple)
 # kind -> field -> (is the raw value well formed, what the decoder makes of it)
 FIELDS = {
     "pubkey": {"h": (ELEMENT, int)},
@@ -90,8 +93,25 @@ FIELDS = {
     "dkg-commit": {"v": (ELEMENT, int)},
     "decrypt": {"cts": CTS_FIELD},
     "report": {"subtree": INT_FIELD, "cts": CTS_FIELD, "count": INT_FIELD},
-    "decshare": {"idx": (ints_in(1, HOLDERS + 1), int), "v": (pairs_of(ELEMENT), tuple)},
-    "result": {"tally": (pairs_of(is_int), tuple), "count": INT_FIELD},
+    # Only SPP reads agg: a non-string one refuses nothing and matches no aggregate.
+    "decshare": {"idx": (ints_in(1, HOLDERS + 1), int), "v": (pairs_of(ELEMENT), tuple),
+                 "agg": (lambda x: True, lambda x: x if type(x) is str else "")},
+    "result": {"tally": VECTOR, "count": INT_FIELD},
+}
+DPOL_FIELDS = {
+    "share": {"v": VECTOR}, "sum": {"v": VECTOR},
+    "map": {"r": INT_FIELD,
+            "m": (lambda m: isinstance(m, dict) and all(
+                ci in ("0", "1", "2") and pairs_of(is_int)(v) for ci, v in m.items()),
+                  lambda m: {int(ci): tuple(v) for ci, v in m.items()})},
+}
+MESH_VECTOR = (pairs_of(is_int), lambda v: tuple(x % MESH_MODULUS for x in v))
+MESH_FIELDS = {"share": {"v": MESH_VECTOR}, "colsum": {"v": MESH_VECTOR}}
+# The chain parsers are the reference here, as parse_ballot is for ballots;
+# tests/test_chainvote.py holds them to their rules.
+CHAIN_FIELDS = {
+    "tx": {"tx": (lambda x: parse_transaction(x) is not None, parse_transaction)},
+    "block": {"block": (lambda x: parse_block(x) is not None, parse_block)},
 }
 
 
@@ -112,39 +132,32 @@ def is_tally_map(m) -> bool:
         and all(type(x) is int for x in v) for ci, v in m.items())
 
 
-def without_m(msg: dict) -> bytes:
-    return wire.dumps({k: v for k, v in msg.items() if k != "m"})
-
-
 def without(msg: dict, keys) -> bytes:
     return wire.dumps({k: v for k, v in msg.items() if k not in keys})
+
+
+def check_decoded(msg, obj, kinds: dict) -> None:
+    """msg is what a decoder built from kinds made of obj: None for a
+    non-object or a listed field that is malformed; otherwise obj with each
+    listed field parsed, every other field as it was."""
+    if not isinstance(obj, dict):
+        assert msg is None
+        return
+    kind = obj.get("t")
+    fields = kinds.get(kind, {}) if type(kind) is str else {}
+    assert (msg is None) == (not all(ok(obj.get(k)) for k, (ok, _) in fields.items()))
+    if msg is not None:
+        for key, (_, parse) in fields.items():
+            want = parse(obj.get(key))
+            assert msg[key] == want and type(msg[key]) is type(want)
+        assert set(msg) == {*obj, *fields} and without(msg, fields) == without(obj, fields)
 
 
 @settings(max_examples=400)
 @given(payload=PAYLOADS, honest_variant=HONEST_VARIANTS)
 def test_decoders_never_raise(payload, honest_variant):
-    obj = json.loads(payload)
-
-    msg = simnet.json_object(payload)
-    assert (msg is None) == (not isinstance(obj, dict))
-    assert msg is None or wire.dumps(msg) == payload
-
-    msg = dpol.decoder(DPOL)(payload)
-    assert (msg is None) == (not isinstance(obj, dict))
-    if msg is not None:
-        assert msg.get("m") is None or is_tally_map(msg["m"])
-        assert without_m(msg) == without_m(obj)
-
-    decoded = chainvote.decode(payload)
-    assert (decoded is None) == (not isinstance(obj, dict))
-    if decoded is not None:
-        msg, parsed = decoded
-        assert wire.dumps(msg) == payload
-        assert parsed is None or type(parsed) is {"tx": Transaction,
-                                                  "block": Block}.get(msg.get("t"))
-
-    check_helios_spp_and_mesh_decoders(payload)
-    check_helios_spp_and_mesh_decoders(honest_variant)
+    check_decoders(payload)
+    check_decoders(honest_variant)
 
 
 def leaf_rewrites(obj, value):
@@ -165,18 +178,28 @@ def test_helios_spp_and_mesh_decoders_at_every_edge():
     for msg in HONEST:
         for edge in EDGE_VALUES:
             for variant in leaf_rewrites(msg, edge):
-                check_helios_spp_and_mesh_decoders(wire.dumps(variant))
+                check_decoders(wire.dumps(variant))
 
 
-def check_helios_spp_and_mesh_decoders(payload: bytes) -> None:
+def check_decoders(payload: bytes) -> None:
     obj = json.loads(payload)
+    check_decoded(simnet.json_object(payload), obj, {})
+
+    msg = dpol.decoder(DPOL)(payload)
+    check_decoded(msg, obj, DPOL_FIELDS)
+    assert msg is None or msg.get("t") != "map" or is_tally_map(msg["m"])
+
+    msg = chainvote.decoder()(payload)
+    check_decoded(msg, obj, CHAIN_FIELDS)
+    kind = msg.get("t") if msg is not None else None
+    assert kind not in ("tx", "block") or type(msg[kind]) is {"tx": Transaction,
+                                                               "block": Block}[kind]
+
     # Helios and SPP: None exactly for a non-object or a malformed message
     # that is neither a ballot nor a bulletin; those two keep a None field.
     msg = decoder(G, 2, HOLDERS)(payload)
     kind = obj.get("t") if isinstance(obj, dict) else None
-    if not isinstance(obj, dict):
-        assert msg is None
-    elif kind in ("ballot", "bulletin"):
+    if kind in ("ballot", "bulletin"):
         assert set(msg) == {*obj, kind} and without(msg, {kind}) == without(obj, {kind})
         if kind == "ballot":
             assert msg[kind] == parse_ballot(G, 2, obj.get("cts"), obj.get("proof"))
@@ -184,22 +207,7 @@ def check_helios_spp_and_mesh_decoders(payload: bytes) -> None:
         assert msg[kind] is not None or payload not in HONEST_PAYLOADS
         assert kind == "ballot" or msg[kind] is None or is_bulletin(msg[kind], obj)
     else:
-        fields = FIELDS.get(kind, {}) if type(kind) is str else {}
-        assert (msg is None) == (not all(ok(obj.get(k)) for k, (ok, _) in fields.items()))
-        if msg is not None:
-            for key, (_, parse) in fields.items():
-                want = parse(obj[key])
-                assert msg[key] == want and type(msg[key]) is type(want)
-            if kind == "decshare":  # only SPP reads agg, so it never refuses a share
-                agg = obj.get("agg")
-                assert msg["agg"] == (agg if type(agg) is str else None)
-                fields = {**fields, "agg": None}
-            assert set(msg) == {*obj, *fields} and without(msg, fields) == without(obj, fields)
+        check_decoded(msg, obj, FIELDS)
 
-    # Mesh: None exactly when v is not two ints; v arrives reduced.
-    msg = mesh_decode(2, payload)
-    v = obj.get("v") if isinstance(obj, dict) else None
-    assert (msg is None) == (not pairs_of(is_int)(v))
-    if msg is not None:
-        assert msg["v"] == tuple(x % MESH_MODULUS for x in v) and type(msg["v"]) is tuple
-        assert without(msg, {"v"}) == without(obj, {"v"})
+    # Mesh: a share's or colsum's v arrives as two ints, reduced.
+    check_decoded(mesh_decoder(2)(payload), obj, MESH_FIELDS)

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import events
 from votesim import dpol, simnet, wire
 from votesim.ballot import DpolParams, histogram
 from votesim.dpol import (
@@ -334,52 +335,72 @@ def test_merge_fast_path_equals_vote_counting(case):
     assert fast_ctx.actions == ref_ctx.actions
 
 
+HONEST_MAP = b'{"m":{"0":[1,5]},"r":0,"t":"map"}'
+
+
 @pytest.mark.parametrize("lie", ["1.0", "true"])
 def test_map_with_other_bytes_is_judged_on_its_own(lie):
-    voter = make_voter(9, 1)
-    decode = dpol.decoder(voter.params)
-    first, liar, last = sorted(voter.expected_senders)
-    honest = decode(b'{"m":{"0":[1,5]},"r":0,"t":"map"}')
-    voter.on_message(None, first, honest)
-    voter.on_message(None, liar, decode(f'{{"m":{{"0":[{lie},5]}},"r":0,"t":"map"}}'.encode()))
-    voter.on_message(None, last, honest)
-    assert sorted(voter.round_maps[0]) == [first, last]
+    # Equal to the honest map as Python values, but not as bytes: the
+    # decoder refuses it between two honest copies it parses.
+    decode = dpol.decoder(DpolParams(9, 1, 2))
+    liar = f'{{"m":{{"0":[{lie},5]}},"r":0,"t":"map"}}'.encode()
+    first, lied, last = decode(HONEST_MAP), decode(liar), decode(HONEST_MAP)
+    assert first == last == {"t": "map", "r": 0, "m": {0: (1, 5)}}
+    assert lied is None
+    assert all(type(x) is int for x in first["m"][0] + last["m"][0])
 
 
-def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
-    """A liar re-sends each map with its ints as floats (4.0 for 4): equal to
-    the honest copies as Python values but not as bytes, so it is dropped even
-    where an honest copy of the same round was parsed just before it."""
-    liar, arrivals, merged = 4, {}, []
-    decoder = dpol.decoder
+def record_decodes(monkeypatch) -> list[tuple]:
+    """Patch run_dpol's decoder so each payload it decodes is recorded as
+    (the payload, its JSON, what the decoder made of it)."""
+    decoded, decoder = [], dpol.decoder
 
-    def with_json(params):
-        """The run's decoder, each message also carrying its payload's JSON."""
+    def recording_decoder(params):
         decode = decoder(params)
-        return lambda payload: {**decode(payload), "json": wire.loads(payload)}
+
+        def recording(payload):
+            msg = decode(payload)
+            decoded.append((payload, json.loads(payload), msg))
+            return msg
+
+        return recording
+
+    monkeypatch.setattr(dpol, "decoder", recording_decoder)
+    return decoded
+
+
+def record_merges(monkeypatch) -> list[set]:
+    """Patch run_dpol's voters so each round they merge is recorded as the
+    set of senders whose maps it holds."""
+    merged = []
 
     class Recording(DpolVoter):
-        def on_message(self, ctx, sender, msg):
-            if msg.get("t") == "map":
-                arrivals.setdefault(self.pid, []).append((msg["r"], sender, msg["json"]["m"]))
-            super().on_message(ctx, sender, msg)
-
         def _merge_round(self, ctx, per_round):
             merged.append(set(per_round))
             super()._merge_round(ctx, per_round)
 
     monkeypatch.setattr(dpol, "DpolVoter", Recording)
-    monkeypatch.setattr(dpol, "decoder", with_json)
+    return merged
+
+
+def test_value_equal_map_in_other_bytes_is_dropped(monkeypatch):
+    """A liar re-sends each map with its ints as floats (4.0 for 4): equal to
+    the honest copies as Python values but not as bytes, so the decoder
+    refuses it even after it parsed an honest copy of the same round."""
+    liar, decoded, merged = 4, record_decodes(monkeypatch), record_merges(monkeypatch)
     register_behavior("test:float-map", lambda inner: SendFilter(
         inner, lambda msg: {**msg, "m": {ci: [float(x) for x in v] for ci, v in msg["m"].items()}}
         if msg.get("t") == "map" else msg))
     run_dpol(DpolParams(9, 1, 2), [0, 1, 1, 0, 1, 0, 0, 1, 1],
              faultless(byzantine={liar: "test:float-map"}), seed=9)
     assert merged and all(liar not in senders for senders in merged)
-    # The precondition: at some voter, the map that arrived right before the
-    # liar's was an honest copy of the same round whose JSON equals the liar's.
-    assert any(a[0] == b[0] and a[1] != liar and b[1] == liar and a[2] == b[2]
-               for seen in arrivals.values() for a, b in zip(seen, seen[1:]))
+    maps = [(obj, msg) for _, obj, msg in decoded if obj["t"] == "map"]
+    lied = [msg for obj, msg in maps if any(type(x) is float for v in obj["m"].values() for x in v)]
+    assert lied and all(msg is None for msg in lied)
+    # The precondition: the decoder parsed an honest copy of a round before a
+    # liar's copy whose JSON equals it (right before it: see the test above).
+    assert any(a[0] == b[0] and a[1] is not None and b[1] is None
+               for i, b in enumerate(maps) for a in maps[:i])
 
 
 class StubCtx(RecordingCtx):
@@ -407,14 +428,14 @@ def test_map_for_a_merged_round_is_ignored():
 
 def record_map_runs(monkeypatch):
     """Patch run_dpol's voters, its decoder and wire.int_vector so each run
-    records its voters, its map deliveries, and for each payload it decoded
-    the map values the payload held and how many values were judged then."""
+    records its voters, its deliveries, and for each payload it decoded the
+    values the payload held and how many values were judged then."""
     runs, judged = [], [0]
     decoder, int_vector = dpol.decoder, wire.int_vector
 
-    def counting(v, d):
+    def counting(v, n):
         judged[0] += 1
-        return int_vector(v, d)
+        return int_vector(v, n)
 
     def recording_decoder(params):
         decode, run = decoder(params), {"voters": [], "parses": [], "delivered": 0,
@@ -424,8 +445,8 @@ def record_map_runs(monkeypatch):
         def recording(payload):
             before, obj = judged[0], json.loads(payload)
             msg = decode(payload)
-            run["parses"].append((len(obj["m"]) if obj["t"] == "map" else 0,
-                                  judged[0] - before))
+            run["parses"].append((len(obj["m"]) if obj["t"] == "map" else 1,
+                                  judged[0] - before, obj["t"]))
             return msg
 
         return recording
@@ -438,9 +459,8 @@ def record_map_runs(monkeypatch):
         def on_message(self, ctx, sender, msg):
             before = judged[0]
             super().on_message(ctx, sender, msg)
-            if msg.get("t") == "map":
-                runs[-1]["delivered"] += 1
-                runs[-1]["judged_in_handlers"] += judged[0] - before
+            runs[-1]["delivered"] += msg["t"] == "map"
+            runs[-1]["judged_in_handlers"] += judged[0] - before
 
     monkeypatch.setattr(dpol, "DpolVoter", Recording)
     monkeypatch.setattr(dpol, "decoder", recording_decoder)
@@ -457,11 +477,12 @@ def test_each_map_object_is_judged_once_per_run(monkeypatch):
     assert len(runs) == 3
     for run in runs:
         assert len(run["voters"]) == 49
-        # Each decoded payload judges every map value it holds, once; no
-        # handler judges a map, and voters share each decoded map.
-        assert all(held == n for held, n in run["parses"])
+        # Each decoded payload judges every value it holds, once: a share's
+        # or sum's vector, each of a map's tallies. No handler judges a
+        # value, and voters share each decoded map.
+        assert all(held == n for held, n, _ in run["parses"])
         assert run["judged_in_handlers"] == 0
-        maps = sum(1 for held, _ in run["parses"] if held)
+        maps = sum(1 for _, _, kind in run["parses"] if kind == "map")
         assert 0 < maps < run["delivered"]
     # The repeated seed judged all its maps again: no parse came from a
     # run before it.
@@ -470,27 +491,20 @@ def test_each_map_object_is_judged_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("body", sorted(HOSTILE_MAPS))
 def test_malformed_map_is_malformed_for_every_voter(monkeypatch, body):
-    liar, merged, recipients = 4, [], []
-
-    class Recording(DpolVoter):
-        def on_message(self, ctx, sender, msg):
-            if msg.get("t") == "map" and sender == liar:
-                recipients.append(self.pid)
-            super().on_message(ctx, sender, msg)
-
-        def _merge_round(self, ctx, per_round):
-            merged.append(set(per_round))
-            super()._merge_round(ctx, per_round)
-
-    monkeypatch.setattr(dpol, "DpolVoter", Recording)
+    liar, decoded, merged = 4, record_decodes(monkeypatch), record_merges(monkeypatch)
     register_behavior(f"test:map-{body}", lambda inner: SendFilter(
         inner, lambda msg: {**msg, "m": HOSTILE_MAPS[body](msg["m"])}
         if msg.get("t") == "map" else msg))
-    run_dpol(DpolParams(9, 1, 2), [0, 1, 1, 0, 1, 0, 0, 1, 1],
-             faultless(byzantine={liar: f"test:map-{body}"}), seed=9)
-    # One decoded copy of each hostile map reaches several voters; the
-    # first to judge it drops it, and so does every later one.
-    assert len(set(recipients)) > 1
+    _, trace = run_dpol(DpolParams(9, 1, 2), [0, 1, 1, 0, 1, 0, 0, 1, 1],
+                        faultless(byzantine={liar: f"test:map-{body}"}), seed=9)
+    # The decoder refuses every hostile map and no honest message, and one
+    # refused copy stands for several deliveries, to more than one voter.
+    hostile = [payload for payload, obj, _ in decoded
+               if obj["t"] == "map" and obj["m"] == HOSTILE_MAPS[body](obj["m"])]
+    assert hostile and all((msg is None) == (payload in hostile) for payload, _, msg in decoded)
+    digests = {wire.digest(payload) for payload in hostile}
+    deliveries = [e.dst for e in events(trace) if e.kind == "deliver" and e.digest in digests]
+    assert len(set(deliveries)) > 1 and len(hostile) < len(deliveries)
     assert merged and all(liar not in senders for senders in merged)
 
 
