@@ -162,6 +162,8 @@ def cmd_sweep(args) -> int:
     if len(set(ns)) < 3:
         print("need at least 3 distinct n values", file=sys.stderr)
         return EXIT_CONFIG
+    if args.repeats < 1:
+        raise ConfigError("--repeats: must be >= 1")
     runs = []
     records = []
     for n in sorted(set(ns)):

@@ -116,7 +116,8 @@ class FaultModel:
 
 
 # One trace event, a plain tuple (the cycle collector untracks those): time,
-# kind, src, dst (None for a local action), phase, payload SHA-256 (hex), size.
+# kind, src, dst (None for a local action), phase, payload SHA-256 (hex; one
+# str object per distinct payload in a run), size.
 Event = tuple[int, str, int, int | None, str, str, int]
 
 
@@ -402,6 +403,9 @@ class Simulator:
         # _UNDECODED]: equal bytes in flight are decoded once and share the
         # result (see Peer.on_message); the entry goes with the last delivery.
         self._in_flight: dict[bytes, list] = {}
+        # Digest -> the one copy of it that every event of this run carries:
+        # a run has far fewer distinct payloads than events.
+        self._digests: dict[str, str] = {}
         self._finished: set[int] = set()
         self._running = False
         self.quiescent = False
@@ -442,9 +446,11 @@ class Simulator:
         now, size, events = self.now, len(payload), self.events
         max_delay, rng = faults.max_delay, self._net_rng
         bits = max_delay.bit_length()
+        share = self._digests.setdefault
         delivered = 0
         for dst in dsts:
-            events.append((now, KIND_SEND, src, dst, phase, wire.digest(payload), size))
+            d = wire.digest(payload)
+            events.append((now, KIND_SEND, src, dst, phase, share(d, d), size))
             delay = 1
             if max_delay > 1:
                 # randint(1, max_delay) as CPython draws it: same stream, no frames.
@@ -468,8 +474,9 @@ class Simulator:
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}")
         payload = wire.dumps({"action": action, **(detail or {})})
+        d = wire.digest(payload)
         self.events.append((self.now, KIND_LOCAL, pid, None, phase,
-                            wire.digest(payload), len(payload)))
+                            self._digests.setdefault(d, d), len(payload)))
         self.roles.record(pid, PerformedAction(phase, action, tuple(consumes)))
 
     def set_timer(self, pid: int, delay: int, tag: str, data: Any = None) -> None:
@@ -497,6 +504,7 @@ class Simulator:
         self._running = True
         peers, ctxs, finished = self._peers, self._ctxs, self._finished
         buckets, ticks, events, in_flight = self._buckets, self._ticks, self.events, self._in_flight
+        share = self._digests.setdefault
         for pid in sorted(peers):
             if not self.is_crashed(pid):
                 peers[pid].on_start(ctxs[pid])
@@ -516,8 +524,8 @@ class Simulator:
                             peers[pid].on_timer(ctxs[pid], tag, data)
                         continue
                     _, src, dst, phase, payload = entry
-                    events.append((t, kind, src, dst, phase, wire.digest(payload),
-                                   len(payload)))
+                    d = wire.digest(payload)
+                    events.append((t, kind, src, dst, phase, share(d, d), len(payload)))
                     if kind == KIND_DROP:
                         continue
                     slot = in_flight[payload]

@@ -277,6 +277,16 @@ def test_sweep_requires_three_sizes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_sweep_refuses_repeats_below_one(tmp_path, capsys, repeats):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--protocol", "mesh", "--n", "4,8,16", "--repeats", repeats,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --repeats: must be >= 1\n"
+    assert not out.exists()
+
+
 def test_sweep_mesh_exponent(tmp_path, capsys):
     out = tmp_path / "sw"
     code = main(

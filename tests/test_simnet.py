@@ -3,6 +3,7 @@ import heapq
 import itertools
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from votesim import scenarios, simnet, wire
 from votesim.baselines import HeliosHub
+from votesim.dpol import DpolParams, run_dpol
 from votesim.simnet import (
     ConfigError,
     FaultModel,
@@ -347,6 +349,54 @@ def test_targeted_loss_hits_one_destination_of_a_fan_out():
 def test_send_to_nobody_records_nothing():
     _, trace = fan_out(FaultModel(), Pinger(0))
     assert trace.events == []
+
+
+class Acker(Pinger):
+    """A receiver that logs one local action per message it gets."""
+
+    def on_message(self, ctx, sender, msg):
+        super().on_message(ctx, sender, msg)
+        ctx.log_action(PHASE_CASTING, "got-ping")
+
+
+def test_events_share_one_digest_string_per_payload(monkeypatch):
+    calls = []
+    digest = wire.digest
+
+    def counting(payload):
+        calls.append(payload)
+        return digest(payload)
+
+    monkeypatch.setattr(wire, "digest", counting)
+    sim = Simulator(FaultModel(), 1)
+    for peer in [Pinger(0, 1, 2, 3), Acker(1), Acker(2), Acker(3)]:
+        sim.add_peer(peer)
+    evs = events(sim.run_until_quiescent())
+    assert sorted(e.kind for e in evs) == ["deliver"] * 3 + ["local-action"] * 3 + ["send"] * 3
+    by_value: dict[str, set[int]] = {}
+    for e in evs:
+        by_value.setdefault(e.digest, set()).add(id(e.digest))
+    assert len(by_value) == 2
+    assert all(len(ids) == 1 for ids in by_value.values())
+    assert len(calls) == len(evs)  # still one wire.digest call per event
+
+
+def test_no_memory_outlives_a_run():
+    # Digests are shared per run, never interned or kept at module level.
+    def run(seed):
+        run_dpol(DpolParams(256, 1, 2), [0, 1] * 128, FaultModel(max_delay=3), seed=seed)
+
+    run(0)  # warm-up: first-call caches are not what this test is after
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for seed in (1, 2, 3):
+            run(seed)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 32 * 1024
 
 
 def test_max_ticks_reports_incomplete():

@@ -330,31 +330,52 @@ def test_member_keeps_a_members_first_ballot_and_ignores_a_second():
     assert out.details["accepted"] == 8
 
 
-def _forge_share_one(inner: SppVoter) -> SppVoter:
-    """Once its subtree aggregate exists, the peer also sends the other root
-    members a decryption share under index 1, which is not its own."""
-    send_up = inner._maybe_send_up
+def _forge_share(index):
+    """A behaviour: once its subtree aggregate exists, the peer also sends the
+    other root members the wrong decryption-share values [7, 7] under the
+    index ``index(inner)``."""
+    def factory(inner: SppVoter) -> SppVoter:
+        send_up = inner._maybe_send_up
 
-    def forging(ctx):
-        had = inner.subtree_agg is not None
-        send_up(ctx)
-        if not had and inner.subtree_agg is not None:
-            ctx.send([m for m in inner.members if m != inner.pid],
-                     {"t": "decshare", "idx": 1, "v": [7, 7], "agg": inner._agg_digest()},
-                     PHASE_EVALUATION)
+        def forging(ctx):
+            had = inner.subtree_agg is not None
+            send_up(ctx)
+            if not had and inner.subtree_agg is not None:
+                ctx.send([m for m in inner.members if m != inner.pid],
+                         {"t": "decshare", "idx": index(inner), "v": [7, 7],
+                          "agg": inner._agg_digest()},
+                         PHASE_EVALUATION)
 
-    inner._maybe_send_up = forging
-    return inner
+        inner._maybe_send_up = forging
+        return inner
+
+    return factory
 
 
 def test_decryption_share_under_another_members_index_is_ignored():
     # Peer 2 is a root member outside the lowest t = 2, so it never
     # decrypts; its share under index 1 must not take member 0's slot.
-    register_behavior("test:forge-share-one", _forge_share_one, SppVoter)
+    register_behavior("test:forge-share-one", _forge_share(lambda inner: 1), SppVoter)
     choices = [0, 1] * 4
     assert build_tree_clusters(8, 4, wire.derive_seed(12, "overlay")).members(0) == (0, 1, 2, 5)
     out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
                      faultless(byzantine={2: "test:forge-share-one"}), seed=12, group=TEST_GROUP)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)}
+
+
+@pytest.mark.parametrize("liar", [2, 5])
+def test_wrong_share_from_a_root_member_outside_the_lowest_t_is_ignored(liar):
+    # Root members 2 and 5 rank above the lowest t = 2, so nobody combines
+    # their shares: wrong values under the liar's own index change nothing.
+    # Peer 2's share reaches members 0, 1 and 5 before they finish; at this
+    # seed peer 5's reaches its members only after they have finished.
+    register_behavior("test:forge-share-own",
+                      _forge_share(lambda inner: inner.key_share.index), SppVoter)
+    choices = [0, 1] * 4
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine={liar: "test:forge-share-own"}), seed=12,
+                     group=TEST_GROUP)
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)}
 
