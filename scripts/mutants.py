@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check for the security checks: deleting or weakening any one of
-them must make a named test file fail.
+"""Mutation check for the security checks, and for the group memo's key that
+verification reads: deleting or weakening any one of them must make a named
+test file fail.
 
     python3 scripts/mutants.py
 
@@ -55,6 +56,9 @@ MUTANTS = [
      "tests/test_spp.py"),
     ("combine: only the lowest t shares are interpolated", "src/votesim/crypto/elgamal.py",
      "idx = sorted(shares)[: pk.t]", "idx = sorted(shares)",
+     "tests/test_crypto.py"),
+    ("Group.hash_scalar: the memo key holds the domain", "src/votesim/crypto/group.py",
+     "        key = (domain, parts)\n", "        key = parts\n",
      "tests/test_crypto.py"),
 ]
 

@@ -239,6 +239,7 @@ def run_helios_like(params: HeliosParams, choices: list[int], faults: FaultModel
     The hub and trustees are distinguished non-voter peers fixed by the
     scenario; a crashed hub takes the whole election down by design.
     """
+    group.forget()
     pk, shares = threshold_keygen(
         params.t, params.trustees, group, wire.derive_seed(seed, "trustee-keys")
     )

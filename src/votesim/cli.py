@@ -157,11 +157,9 @@ def cmd_sweep(args) -> int:
     try:
         ns = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError:
-        print("--n must be a comma-separated list of integers", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--n: must be a comma-separated list of integers") from None
     if len(set(ns)) < 3:
-        print("need at least 3 distinct n values", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--n: need at least 3 distinct values")
     if args.repeats < 1:
         raise ConfigError("--repeats: must be >= 1")
     runs = []

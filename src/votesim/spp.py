@@ -339,6 +339,7 @@ def run_spp(params: SppParams, choices: list[int], faults: FaultModel, seed: int
             group: Group = DEFAULT_GROUP) -> tuple[simnet.Outcome, Trace]:
     """Run one SPP election; fewer than t live root members means the run
     ends incomplete rather than failing."""
+    group.forget()
     ov = build_tree_clusters(params.n, params.cluster_size, wire.derive_seed(seed, "overlay"))
     return simnet.run_election(
         "spp", params, choices, faults, seed,

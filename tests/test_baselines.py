@@ -46,10 +46,12 @@ def test_helios_honest_exact_and_verified():
 
 
 def test_helios_memo_is_not_reused_across_elections(monkeypatch):
-    # Every election fixes a fresh key, which empties the group's memo, so
-    # re-running seed A after seed B computes all of A's powers again.
+    # Every election starts with an empty memo, so re-running seed A, after
+    # seed B or right after A itself, computes all of A's powers and
+    # challenges again.
     computed = Counter()
-    uncached_exp, uncached_jacobi = Group._exp, group_mod._jacobi
+    uncached_exp, uncached_hash = Group._exp, Group._hash_scalar
+    uncached_jacobi = group_mod._jacobi
 
     def counting_exp(self, base, e):
         computed["exp"] += 1
@@ -59,19 +61,26 @@ def test_helios_memo_is_not_reused_across_elections(monkeypatch):
         computed["jacobi"] += 1
         return uncached_jacobi(a, n)
 
+    def counting_hash(self, domain, parts):
+        computed["hash"] += 1
+        return uncached_hash(self, domain, parts)
+
     monkeypatch.setattr(Group, "_exp", counting_exp)
     monkeypatch.setattr(group_mod, "_jacobi", counting_jacobi)
+    monkeypatch.setattr(Group, "_hash_scalar", counting_hash)
     params = HeliosParams(6, 3, 2, 2)
     group = Group(DEFAULT_GROUP.p, DEFAULT_GROUP.q, DEFAULT_GROUP.g)
     runs = []
-    for seed in (1, 2, 1):
+    for seed in (1, 2, 1, 1):
         computed.clear()
         out, trace = run_helios_like(params, h_choices(6, 2, seed), FaultModel(max_delay=3),
                                      seed=seed, group=group)
         assert out.completion == 1.0
         runs.append((dict(computed), trace.to_jsonl()))
-    assert runs[2] == runs[0]
+    assert runs[3] == runs[2] == runs[0]
     assert runs[0][0]["exp"] > 0 and runs[0][0]["jacobi"] > 0
+    # One challenge per OR-proof and one per sum proof, each computed once.
+    assert runs[0][0]["hash"] == 6 * (2 + 1)
 
 
 def test_helios_hub_crash_completion_zero():

@@ -287,6 +287,19 @@ def test_sweep_refuses_repeats_below_one(tmp_path, capsys, repeats):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ("8,16", "need at least 3 distinct values"),
+    ("8,8,16,16", "need at least 3 distinct values"),
+    ("8,x", "must be a comma-separated list of integers"),
+])
+def test_sweep_refuses_bad_sizes(tmp_path, capsys, sizes, message):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--protocol", "mesh", "--n", sizes, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --n: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_mesh_exponent(tmp_path, capsys):
     out = tmp_path / "sw"
     code = main(

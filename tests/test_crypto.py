@@ -80,9 +80,21 @@ def test_group_constants_are_sound():
 @given(group=st.sampled_from([DEFAULT_GROUP, TEST_GROUP]), domain=st.text(max_size=8),
        parts=st.lists(st.integers(0, 2**300), max_size=4))
 def test_hash_scalar_hashes_domain_then_group_then_parts(group, domain, parts):
-    data = domain.encode() + b"\x00" + wire.ser_ints(group.p, group.q, group.g, *parts)
-    want = int.from_bytes(hashlib.sha256(data).digest(), "big") % group.q
-    assert group.hash_scalar(domain, *parts) == want
+    def hashed(domain, parts):
+        data = domain.encode() + b"\x00" + wire.ser_ints(group.p, group.q, group.g, *parts)
+        return int.from_bytes(hashlib.sha256(data).digest(), "big") % group.q
+
+    # The memo's key is the whole input: a warm group answers each domain
+    # and each order of the same parts as a fresh group does.
+    p, q, g = group.p, group.q, group.g
+    warm = Group(p, q, g)
+    asks = [(dom, ps) for dom in (domain, proofs._OR_DOMAIN, proofs._SUM_DOMAIN)
+            for ps in (parts, parts[::-1])]
+    for dom, ps in asks + asks:  # cold, then warm
+        want = hashed(dom, ps)
+        assert warm.hash_scalar(dom, *ps) == Group(p, q, g).hash_scalar(dom, *ps) == want
+        assert warm._memo[dom, tuple(ps)] == want
+    assert group.hash_scalar(domain, *parts) == hashed(domain, parts)
 
 
 def test_group_refuses_a_modulus_that_is_not_a_safe_prime():

@@ -2,11 +2,13 @@
 behavior and threshold decryption at the root."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from votesim.ballot import histogram
-from votesim.crypto import TEST_GROUP, cts_to_obj, encrypt_random, prove_ballot, threshold_keygen
+from votesim.crypto import (TEST_GROUP, Group, cts_to_obj, encrypt_random, prove_ballot,
+                            threshold_keygen)
 from votesim.overlay import build_tree_clusters
 from votesim.simnet import (
     PHASE_CASTING,
@@ -137,6 +139,35 @@ def test_trace_determinism():
     a = run_spp(SppParams(8, 4, 2, 2), choices, faultless(), seed=8, group=TEST_GROUP)[1]
     b = run_spp(SppParams(8, 4, 2, 2), choices, faultless(), seed=8, group=TEST_GROUP)[1]
     assert a.to_jsonl() == b.to_jsonl()
+
+
+def test_a_rerun_under_the_same_key_computes_its_own_answers(monkeypatch):
+    # Each election starts with an empty group memo, so running the same
+    # election twice in a row computes the same powers and challenges twice.
+    computed = Counter()
+    uncached_exp, uncached_hash = Group._exp, Group._hash_scalar
+
+    def counting_exp(self, base, e):
+        computed["exp"] += 1
+        return uncached_exp(self, base, e)
+
+    def counting_hash(self, domain, parts):
+        computed["hash"] += 1
+        return uncached_hash(self, domain, parts)
+
+    monkeypatch.setattr(Group, "_exp", counting_exp)
+    monkeypatch.setattr(Group, "_hash_scalar", counting_hash)
+    group = Group(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g)
+    runs = []
+    for _ in range(2):
+        computed.clear()
+        out, _ = run_spp(SppParams(8, 4, 2, 2), spp_choices(8, 2, 8), faultless(), seed=8,
+                         group=group)
+        assert out.completion == 1.0
+        runs.append(dict(computed))
+    assert runs[1] == runs[0]
+    # One challenge per OR-proof and one per sum proof, each computed once.
+    assert runs[0]["hash"] == 8 * (2 + 1) and runs[0]["exp"] > 0
 
 
 # -- units ------------------------------------------------------------------
