@@ -54,6 +54,28 @@ MUTANTS = [
      'elif kind == "ballot" and sender in self.members and sender not in self.ballots:',
      'elif kind == "ballot" and sender in self.members:',
      "tests/test_spp.py"),
+    ("SppVoter._parent_majority: a sender outside the parent cluster is refused",
+     "src/votesim/spp.py",
+     "        if sender not in self.parent_members:\n            return False\n", "",
+     "tests/test_spp.py"),
+    # Helios and SPP share the ballot rule and the share rule: each protocol's
+    # tests must catch a break in them.
+    ("count_ballots: a ballot counts only if its proofs verify (Helios)",
+     "src/votesim/crypto/proofs.py",
+     "if b is not None and verify_ballot(pk, *b)]", "if b is not None]",
+     "tests/test_baselines.py"),
+    ("count_ballots: a ballot counts only if its proofs verify (SPP)",
+     "src/votesim/crypto/proofs.py",
+     "if b is not None and verify_ballot(pk, *b)]", "if b is not None]",
+     "tests/test_spp.py"),
+    ("decrypt_tally: a wrong share is passed over (Helios)", "src/votesim/crypto/elgamal.py",
+     "for subset in combinations(sorted(shares), pk.t):",
+     "for subset in [sorted(shares)[: pk.t]]:",
+     "tests/test_baselines.py"),
+    ("decrypt_tally: a wrong share is passed over (SPP)", "src/votesim/crypto/elgamal.py",
+     "for subset in combinations(sorted(shares), pk.t):",
+     "for subset in [sorted(shares)[: pk.t]]:",
+     "tests/test_spp.py"),
     ("combine: only the lowest t shares are interpolated", "src/votesim/crypto/elgamal.py",
      "idx = sorted(shares)[: pk.t]", "idx = sorted(shares)",
      "tests/test_crypto.py"),

@@ -22,6 +22,10 @@ voters' actions of that kind consumed).
   artifact (data it must take on trust, like a threshold key or the
   decrypted tally).
 
+A voter here is a live one (``FaultModel.live`` of the scenario echo): a
+voter crashed from the start performs nothing and changes no row. Lossy runs
+and ``crash-after-step`` peers still count every voter.
+
 The privacy probe covers DPol alone. Chainvote's ballot secrecy rests on
 token unlinkability, a property of the issuer's transcript that c06
 (``test_c06_blind_token_unlinkability``) checks directly.
@@ -116,9 +120,9 @@ def classify(trace: Trace, roles: RoleLog) -> TaxonomyRow:
     make the call (incomplete or empty runs).
     """
     protocol = str(trace.params.get("protocol", "unknown"))
-    voters = set(roles.voters)
-    if not voters:
+    if not roles.voters:
         raise UnclassifiableTrace("no voters recorded")
+    voters = scenarios.parse_faults(trace.params.get("faults", {})).live(roles.voters)
     present = {phase for _, _, _, _, phase, _, _ in trace.events} - {PHASE_REGISTRATION}
     for needed in (PHASE_CASTING, PHASE_AGGREGATION, PHASE_EVALUATION):
         if needed not in present:
@@ -340,8 +344,7 @@ def robustness_report(base: scenarios.Scenario,
         sc = replace(base, faults=faults)
         outcome, _ = scenarios.run(sc)
         choices = scenarios.resolve_choices(sc)
-        live = [pid for pid in range(sc.n) if pid not in faults.crashed]
-        expected = histogram([choices[pid] for pid in live], sc.d)
+        expected = histogram([choices[pid] for pid in faults.live(range(sc.n))], sc.d)
         produced = [t for t in outcome.tallies.values() if t is not None]
         exact = None
         if produced:

@@ -16,26 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Callable
 
 from . import simnet, wire
 from .crypto import (
     Ciphertext,
-    CryptoError,
     KeyShare,
     PublicKey,
     combine,  # not called here; perfbench's tracer looks it up under this module
-    combine_vector,
     cts_to_obj,
-    hom_add_vectors,
     partial_decrypt,
     prove_ballot,
     threshold_keygen,
-    verify_ballot,
+    verify_ballot,  # likewise
 )
+from .crypto.elgamal import decrypt_tally
 from .crypto.group import DEFAULT_GROUP, Group
-from .crypto.proofs import BallotProof, decoder
+from .crypto.proofs import BallotProof, count_ballots, decoder
 from .simnet import (
     FaultModel,
     Peer,
@@ -107,16 +104,13 @@ class HeliosVoter(Peer):
         homomorphic sum, the threshold combination and the claimed tally. A
         malformed bulletin (None) fails verification."""
         ok = (self.pk is not None and bulletin is not None
-              and [cts for voter, cts, _ in bulletin[0] if voter == self.pid] == [self.cast]
-              and all(verify_ballot(self.pk, cts, proof) for _, cts, proof in bulletin[0]))
+              and [b[0] for voter, b in bulletin[0] if voter == self.pid] == [self.cast])
         if ok:
             ballots, shares, tally, accepted = bulletin
-            agg = hom_add_vectors(self.pk, self.params.d, (cts for _, cts, _ in ballots))
-            try:
-                ok = combine_vector(self.pk, shares, agg, self.params.n) == tally
-            except CryptoError:
-                ok = False
-            ok = ok and sum(tally) == accepted == len(ballots)
+            valid, agg = count_ballots(self.pk, self.params.d, ballots)
+            found = decrypt_tally(self.pk, shares, agg, self.params.n)
+            ok = (len(valid) == len(ballots) and found is not None and found[1] == tally
+                  and sum(tally) == accepted == len(ballots))
         ctx.log_action(PHASE_VERIFICATION, "verify")
         if ok:
             self.tally = tally
@@ -153,8 +147,7 @@ class HeliosHub(Peer):
         elif (kind == "decshare" and sender in self.params.trustee_ids and self.agg is not None
               and idx == self.params.trustee_ids.index(sender) + 1 and idx not in self.dec_shares):
             self.dec_shares[idx] = msg["v"]
-            if len(self.dec_shares) >= self.params.t:
-                self._evaluate(ctx)
+            self._evaluate(ctx)
 
     def on_idle(self, ctx):
         # Voters that crashed will never cast; proceed with what arrived.
@@ -163,31 +156,21 @@ class HeliosHub(Peer):
     def _aggregate(self, ctx):
         if self.agg is not None:
             return
-        ballots = [(voter, self.ballots[voter]) for voter in sorted(self.ballots)]
-        self.valid = [(voter, *b) for voter, b in ballots
-                      if b is not None and verify_ballot(self.pk, *b)]
+        self.valid, self.agg = count_ballots(self.pk, self.params.d, sorted(self.ballots.items()))
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
-        self.agg = hom_add_vectors(self.pk, self.params.d, (cts for _, cts, _ in self.valid))
         ctx.send(self.params.trustee_ids, {"t": "decrypt", "cts": cts_to_obj(self.agg)},
                  PHASE_EVALUATION)
 
     def _evaluate(self, ctx):
-        # The first t held shares, in index order, that combine: a wrong
-        # share spoils only the subsets that hold it.
-        for subset in combinations(sorted(self.dec_shares), self.params.t):
-            shares = [(idx, self.dec_shares[idx]) for idx in subset]
-            try:
-                self.tally = combine_vector(self.pk, dict(shares), self.agg, self.params.n)
-            except CryptoError:
-                continue
-            break
-        else:
-            return  # no t shares are consistent yet: publish nothing
+        found = decrypt_tally(self.pk, self.dec_shares, self.agg, self.params.n)
+        if found is None:
+            return  # no t shares combine yet: publish nothing
+        shares, self.tally = found
         ctx.log_action(PHASE_EVALUATION, "evaluate")
         bulletin = {
             "t": "bulletin",
-            "ballots": [[v, cts_to_obj(cts), proof.to_obj()] for v, cts, proof in self.valid],
-            "shares": [[idx, vals] for idx, vals in shares],
+            "ballots": [[v, cts_to_obj(cts), proof.to_obj()] for v, (cts, proof) in self.valid],
+            "shares": [[idx, vals] for idx, vals in shares.items()],
             "tally": list(self.tally),
             "accepted": len(self.valid),
         }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .. import wire
 from .group import CryptoError, Group, lagrange_at_zero
@@ -167,12 +168,19 @@ def combine(pk: PublicKey, shares: dict[int, int], c: Ciphertext, bound: int) ->
     return dlog_recover(group, gm, bound)
 
 
-def combine_vector(pk: PublicKey, shares_by_index: dict[int, list[int]], cts,
-                   bound: int) -> tuple[int, ...]:
-    """Threshold-decrypt each component of cts; shares_by_index maps a
-    holder's index to its decryption-share value for every component."""
-    return tuple(combine(pk, {i: vals[comp] for i, vals in shares_by_index.items()}, ct, bound)
-                 for comp, ct in enumerate(cts))
+def decrypt_tally(pk: PublicKey, shares: dict[int, list[int]], cts,
+                  bound: int) -> tuple[dict[int, list[int]], tuple[int, ...]] | None:
+    """The share rule of Helios and SPP: the first pk.t of ``shares`` ({index:
+    values per component of cts}), in index order, that combine, and the tally
+    of cts they give; None if none do, so a wrong share spoils only its subsets."""
+    for subset in combinations(sorted(shares), pk.t):
+        used = {i: shares[i] for i in subset}
+        try:
+            return used, tuple(combine(pk, {i: vals[comp] for i, vals in used.items()}, ct, bound)
+                               for comp, ct in enumerate(cts))
+        except CryptoError:
+            pass
+    return None
 
 
 def dlog_recover(group: Group, element: int, bound: int) -> int:

@@ -17,7 +17,8 @@ from functools import partial
 from typing import Callable
 
 from .. import wire
-from .elgamal import Ciphertext, PublicKey, encrypt, hom_sum, parse_cts, parse_elements
+from .elgamal import (Ciphertext, PublicKey, encrypt, hom_add_vectors, hom_sum, parse_cts,
+                      parse_elements)
 from .group import Group
 
 _OR_DOMAIN = "votesim/ballot-or/v1"
@@ -164,7 +165,7 @@ def decoder(group: Group, d: int, holders: int) -> Callable[[bytes], dict | None
     integer = wire.int_in(-math.inf, math.inf)
 
     def bulletin(msg: dict) -> tuple | None:
-        """(ballots as (voter, cts, proof), shares by index, tally, accepted)."""
+        """(ballots as (voter, (cts, proof)), shares by index, tally, accepted)."""
         entries, pairs, accepted = msg.get("ballots"), msg.get("shares"), msg.get("accepted")
         tally = wire.int_vector(msg.get("tally"), d)
         if not (isinstance(entries, list) and isinstance(pairs, list) and tally is not None
@@ -177,7 +178,7 @@ def decoder(group: Group, d: int, holders: int) -> Callable[[bytes], dict | None
         shares = {idx: index(idx) and parse_elements(group, vals, d) for idx, vals in pairs}
         if None in ballots or None in shares.values():
             return None
-        return [(e[0], *b) for e, b in zip(entries, ballots)], shares, tally, accepted
+        return [(e[0], b) for e, b in zip(entries, ballots)], shares, tally, accepted
 
     cts = partial(parse_cts, group, d=d)
     parse = wire.decoder({
@@ -232,3 +233,11 @@ def verify_ballot(pk: PublicKey, cts: list[Ciphertext], proof: BallotProof) -> b
     if group.exp(g, sp.z) != group.mul(sp.w1, group.exp(total.a, e_s)):
         return False
     return group.exp(h, sp.z) == group.mul(sp.w2, group.exp(bv, e_s))
+
+
+def count_ballots(pk: PublicKey, d: int, ballots) -> tuple[list, list[Ciphertext]]:
+    """The ballot rule of Helios and SPP: of ``ballots``, (voter, ballot)
+    pairs in counting order, the pairs whose ballot parsed (is not None) and
+    carries valid proofs, and the homomorphic sum of their ciphertexts."""
+    valid = [(voter, b) for voter, b in ballots if b is not None and verify_ballot(pk, *b)]
+    return valid, hom_add_vectors(pk, d, (b[0] for _, b in valid))

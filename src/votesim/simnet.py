@@ -105,6 +105,10 @@ class FaultModel:
                     f"faults.byzantine: peer {pid} cannot also be crashed ({name!r})"
                 )
 
+    def live(self, voters) -> set[int]:
+        """The live voters, those not crashed: completion and analysis count only these."""
+        return set(voters) - self.crashed
+
     def to_obj(self) -> dict:
         return {
             "crashed": sorted(self.crashed),
@@ -642,6 +646,6 @@ def run_election(protocol: str, params: Any, choices: list[int], faults: FaultMo
     trace = sim.run_until_quiescent()
     sim._ctxs.clear()  # each context refers back to sim: break the cycle
     tallies = {v.pid: v.tally for v in voters}
-    live = [pid for pid in range(n) if pid not in faults.crashed]
+    live = faults.live(range(n))
     completion = sum(1 for pid in live if tallies[pid] is not None) / max(len(live), 1)
     return Outcome(protocol, tallies, completion, sim.roles, details(voters)), trace

@@ -6,9 +6,10 @@ unit-vector ballot, attaches a validity proof and shares it with its own
 cluster. Aggregation: cluster members verify proofs, homomorphically add
 the valid ballots and push subtree aggregates upward, resolving diverging
 copies by majority. Evaluation: the lowest t root members publish
-decryption shares, every root member combines them, and the plaintext
-tally travels back down. Verification: every voter checks that the tally
-components sum to the number of accepted ballots.
+decryption shares, every root member decrypts with the first t shares, in
+index order, that combine (the share rule Helios shares, decrypt_tally),
+and the plaintext tally travels back down. Verification: every voter
+checks that the tally components sum to the number of accepted ballots.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ from functools import partial
 from . import simnet, wire
 from .crypto import (
     Ciphertext,
-    CryptoError,
     KeyShare,
     PublicKey,
     combine,  # not called here; perfbench's tracer looks it up under this module
-    combine_vector,
     cts_to_obj,
     hom_add_vectors,
     partial_decrypt,
     prove_ballot,
-    verify_ballot,
+    verify_ballot,  # likewise
 )
-from .crypto.elgamal import poly_eval
+from .crypto.elgamal import decrypt_tally, poly_eval
 from .crypto.group import DEFAULT_GROUP, Group
-from .crypto.proofs import BallotProof, decoder
+from .crypto.proofs import BallotProof, count_ballots, decoder
 from .overlay import Overlay, build_tree_clusters
 from .simnet import (
     FaultModel,
@@ -212,9 +211,8 @@ class SppVoter(Peer):
             return
         if len(self.ballots) < self.params.cluster_size:
             return
-        ballots = [self.ballots[member] for member in self.members]
-        valid = [b[0] for b in ballots if b is not None and verify_ballot(self.pk, *b)]
-        self.cluster_agg = hom_add_vectors(self.pk, self.params.d, valid)
+        valid, self.cluster_agg = count_ballots(self.pk, self.params.d,
+                                                sorted(self.ballots.items()))
         self.cluster_accepted = len(valid)
         ctx.log_action(PHASE_AGGREGATION, "aggregate")
         self._maybe_send_up(ctx)
@@ -253,8 +251,7 @@ class SppVoter(Peer):
         return wire.digest(b"".join(c.serialize() for c in self.subtree_agg))
 
     def _start_decryption(self, ctx):
-        decrypters = sorted(self.members)[: self.params.t]
-        if self.pid not in decrypters:
+        if self.rank >= self.params.t:  # members are sorted: the lowest t decrypt
             return
         ctx.log_action(PHASE_EVALUATION, "partial-decrypt")
         idx, digest = self.key_share.index, self._agg_digest()
@@ -268,17 +265,14 @@ class SppVoter(Peer):
         self._maybe_evaluate(ctx)
 
     def _maybe_evaluate(self, ctx):
-        """Combine once this member's aggregate exists and t shares of it are in."""
+        """Decrypt once this member's aggregate exists and t of its shares combine."""
         if self.tally is not None or self.subtree_agg is None:
             return
-        shares = self.dec_shares.get(self._agg_digest(), {})
-        if len(shares) < self.params.t:
-            return
-        try:
-            self.tally = combine_vector(self.pk, shares, self.subtree_agg, self.params.n)
-        except CryptoError:
-            return  # inconsistent shares: stay incomplete
-        self.accepted = self.subtree_count
+        found = decrypt_tally(self.pk, self.dec_shares.get(self._agg_digest(), {}),
+                              self.subtree_agg, self.params.n)
+        if found is None:
+            return  # no t shares of this aggregate combine yet
+        self.tally, self.accepted = found[1], self.subtree_count
         ctx.log_action(PHASE_EVALUATION, "evaluate")
         self._spread_result(ctx)
         self._verify(ctx)

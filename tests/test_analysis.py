@@ -306,3 +306,17 @@ def test_honest_grid_matches_table1(protocol, seed, max_delay):
     expected = {**EXPECTED_TABLE1,
                 "mesh": ("none", "distributed", "all")}[protocol]
     assert classify(trace, out.roles).as_tuple() == expected
+
+
+@pytest.mark.parametrize("protocol", ["helios", "chainvote"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_voter_crashed_from_the_start_leaves_the_row_unchanged(protocol, seed):
+    # Voter 1 performs nothing. The classifier counts live voters only, as
+    # completion does, so no phase loses its "every voter" core action.
+    sc = scenarios.canonical_scenario(protocol, seed)
+    if protocol == "chainvote":
+        sc.difficulty, sc.issuer_bits = 6, 512
+    sc.faults = FaultModel(crashed=frozenset({1}), max_delay=3)
+    out, trace = scenarios.run(sc)
+    assert out.completion == 1.0
+    assert classify(trace, out.roles).as_tuple() == EXPECTED_TABLE1[protocol]

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import baselines, scenarios, spp, wire
+from votesim import scenarios, wire
 from votesim.crypto import (
     DEFAULT_GROUP,
     Ciphertext,
@@ -21,7 +21,6 @@ from votesim.crypto import (
     PublicKey,
     TEST_GROUP,
     combine,
-    combine_vector,
     cts_to_obj,
     decrypt,
     dlog_recover,
@@ -47,8 +46,9 @@ from votesim.crypto.blindsig import (
     unblind,
     verify_token,
 )
+from votesim.crypto.elgamal import decrypt_tally
 from votesim.crypto.group import CryptoError
-from votesim.crypto.proofs import BallotProof, ComponentProof, SumProof
+from votesim.crypto.proofs import BallotProof, ComponentProof, SumProof, count_ballots
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -257,7 +257,7 @@ def test_insufficient_shares_raise():
         combine(pk, {1: partial_decrypt(shares[0], c)}, c, 10)
 
 
-def test_combine_vector_threshold_semantics():
+def test_decrypt_tally_takes_the_first_t_shares_that_combine():
     pk, shares = threshold_keygen(3, 4, TEST_GROUP, seed=9)
     rng = random.Random(9)
     agg = [encrypt_random(pk, 5, rng), encrypt_random(pk, 2, rng)]
@@ -265,10 +265,24 @@ def test_combine_vector_threshold_semantics():
     def by_index(holders):
         return {s.index: [partial_decrypt(s, ct) for ct in agg] for s in holders}
 
-    assert combine_vector(pk, by_index(shares[:3]), agg, bound=7) == (5, 2)
-    assert combine_vector(pk, by_index(shares[1:]), agg, bound=7) == (5, 2)
-    with pytest.raises(InsufficientShares):
-        combine_vector(pk, by_index(shares[:2]), agg, bound=7)
+    assert decrypt_tally(pk, by_index(shares[:3]), agg, bound=7) == (by_index(shares[:3]), (5, 2))
+    assert decrypt_tally(pk, by_index(shares), agg, bound=7) == (by_index(shares[:3]), (5, 2))
+    assert decrypt_tally(pk, by_index(shares[1:]), agg, bound=7) == (by_index(shares[1:]), (5, 2))
+    assert decrypt_tally(pk, by_index(shares[:2]), agg, bound=7) is None
+    # Holder 1's wrong share spoils the three subsets that hold it.
+    wrong = {**by_index(shares), 1: [7, 7]}
+    assert decrypt_tally(pk, wrong, agg, bound=7) == (by_index(shares[1:]), (5, 2))
+    assert decrypt_tally(pk, {**by_index(shares[:3]), 1: [7, 7]}, agg, bound=7) is None
+
+
+def test_count_ballots_sums_the_ballots_that_parsed_and_verify():
+    pk, _ = threshold_keygen(1, 1, TEST_GROUP, seed=3)
+    rng = random.Random(3)
+    first, second = (prove_ballot(pk, choice, 2, rng) for choice in (0, 1))
+    forged = (second[0], prove_ballot(pk, 0, 2, rng)[1])
+    valid, agg = count_ballots(pk, 2, [(4, first), (1, None), (2, forged), (0, second)])
+    assert valid == [(4, first), (0, second)]
+    assert agg == [hom_add(a, b) for a, b in zip(first[0], second[0])]
 
 
 def test_plaintext_bound_violation():
@@ -544,8 +558,7 @@ def test_canonical_crypto_work_does_not_depend_on_earlier_runs(protocol, monkeyp
 
     monkeypatch.setattr(Group, "exp", counting("exp", Group.exp))
     monkeypatch.setattr(Group, "is_element", counting("is_element", Group.is_element))
-    for module in (baselines, spp):
-        monkeypatch.setattr(module, "verify_ballot", counting("verify", module.verify_ballot))
+    monkeypatch.setattr(proofs, "verify_ballot", counting("verify", proofs.verify_ballot))
     runs = []
     for _ in range(2):
         counts.clear()

@@ -118,8 +118,8 @@ CHAIN_FIELDS = {
 def is_bulletin(parsed, obj: dict) -> bool:
     """Whether parsed is what the bulletin obj holds, each part well formed."""
     ballots, shares, tally, accepted = parsed
-    return (ballots == [(v, *parse_ballot(G, 2, cts, proof)) for v, cts, proof in obj["ballots"]]
-            and all(type(v) is int for v, _, _ in ballots)
+    return (ballots == [(v, parse_ballot(G, 2, cts, proof)) for v, cts, proof in obj["ballots"]]
+            and all(type(v) is int for v, _ in ballots)
             and shares == {i: tuple(v) for i, v in obj["shares"]}
             and all(ints_in(1, HOLDERS + 1)(i) and all(map(ELEMENT, v)) for i, v in shares.items())
             and tally == tuple(obj["tally"]) and pairs_of(is_int)(obj["tally"])

@@ -7,12 +7,13 @@ from collections import Counter
 import pytest
 
 from votesim.ballot import histogram
-from votesim.crypto import (TEST_GROUP, Group, cts_to_obj, encrypt_random, prove_ballot,
-                            threshold_keygen)
+from votesim.crypto import (TEST_GROUP, Group, cts_to_obj, encrypt_random, partial_decrypt,
+                            prove_ballot, threshold_keygen)
 from votesim.overlay import build_tree_clusters
 from votesim.simnet import (
     PHASE_CASTING,
     PHASE_EVALUATION,
+    PHASE_REGISTRATION,
     FaultModel,
     SendFilter,
     register_behavior,
@@ -424,3 +425,71 @@ def test_wrong_decryption_share_never_yields_a_wrong_tally():
     out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
                      faultless(byzantine={0: "test:decshare-7"}), seed=12, group=TEST_GROUP)
     assert all(t is None or t == histogram(choices, 2) for t in out.tallies.values())
+
+
+@pytest.mark.parametrize("kind", ["pubkey", "result"])
+def test_pubkey_or_result_from_outside_the_parent_cluster_is_ignored(kind):
+    # Members 4, 6 and 7, a cluster majority but not member 3's parent
+    # cluster, each send member 3 a forged key or tally at the start: only
+    # the parent-cluster check keeps member 3 from adopting it.
+    forged = {"pubkey": ({"t": "pubkey", "h": TEST_GROUP.g}, PHASE_REGISTRATION),
+              "result": ({"t": "result", "tally": [8, 0], "count": 8}, PHASE_EVALUATION)}
+
+    def factory(inner: SppVoter) -> SppVoter:
+        start = inner.on_start
+
+        def forging(ctx):
+            start(ctx)
+            ctx.send((3,), *forged[kind])
+
+        inner.on_start = forging
+        return inner
+
+    register_behavior("test:tell-member-3", factory, SppVoter)
+    ov = build_tree_clusters(8, 4, wire.derive_seed(12, "overlay"))
+    assert (ov.members(0), ov.members(1)) == ((0, 1, 2, 5), (3, 4, 6, 7))
+    choices = [0, 1] * 4
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine=dict.fromkeys((4, 6, 7), "test:tell-member-3")),
+                     seed=12, group=TEST_GROUP)
+    assert out.completion == 1.0
+    assert set(out.tallies.values()) == {histogram(choices, 2)}
+    assert out.details["accepted"] == 8
+
+
+def _volunteer_share(inner: SppVoter) -> SppVoter:
+    """A root member outside the lowest t that also decrypts: it keeps its
+    own, correct decryption share and sends it to the other root members."""
+    send_up = inner._maybe_send_up
+
+    def volunteering(ctx):
+        had = inner.subtree_agg is not None
+        send_up(ctx)
+        if not had and inner.subtree_agg is not None:
+            idx, digest = inner.key_share.index, inner._agg_digest()
+            values = [partial_decrypt(inner.key_share, ct) for ct in inner.subtree_agg]
+            ctx.send([m for m in inner.members if m != inner.pid],
+                     {"t": "decshare", "idx": idx, "v": values, "agg": digest}, PHASE_EVALUATION)
+            inner._collect_decshare(ctx, idx, values, digest)
+
+    inner._maybe_send_up = volunteering
+    return inner
+
+
+def test_wrong_share_among_the_lowest_t_is_passed_over_for_a_correct_one():
+    # Root member 0 (index 1) sends wrong share values; root member 2
+    # (index 3), outside the lowest t = 2, volunteers a correct share. The
+    # other root members combine the first two shares that do: indices 2, 3.
+    register_behavior(
+        "test:decshare-7",
+        lambda inner: SendFilter(
+            inner, lambda msg: {**msg, "v": [7, 7]} if msg.get("t") == "decshare" else msg
+        ),
+    )
+    register_behavior("test:volunteer-share", _volunteer_share, SppVoter)
+    choices = [0, 1] * 4
+    out, _ = run_spp(SppParams(8, 4, 2, 2), choices,
+                     faultless(byzantine={0: "test:decshare-7", 2: "test:volunteer-share"}),
+                     seed=12, group=TEST_GROUP)
+    assert {pid for pid, t in out.tallies.items() if t is None} <= {0}
+    assert set(out.tallies.values()) - {None} == {histogram(choices, 2)}
