@@ -190,6 +190,10 @@ def decoder() -> Callable[[bytes], dict | None]:
 
 GENESIS = Block(GENESIS_PARENT, 0, (), 0, 0)
 GENESIS_HASH = GENESIS.block_hash()
+# Orphans one view keeps, the oldest dropped first. An honest run holds next
+# to none (none in the benchmark's 32 chainvote elections), while a liar can
+# mine orphans on parents that never come for about 2^difficulty hashes each.
+MAX_ORPHANS = 64
 
 
 def mine_block(parent: str, height: int, txs: tuple[Transaction, ...], proposer: int,
@@ -223,7 +227,8 @@ class ChainView:
         self.blocks: dict[str, Block] = {GENESIS_HASH: GENESIS}
         self.spent: dict[str, frozenset[str]] = {GENESIS_HASH: frozenset()}
         self.best = GENESIS_HASH
-        self.orphans: dict[str, list[Block]] = {}
+        # Block hash -> a block whose parent is unknown, oldest first.
+        self.orphans: dict[str, Block] = {}
         self.mempool: dict[str, Transaction] = {}
         # Tokens whose signature has checked out under issuer_pk, shared by
         # the views of one election; keyed by the whole token, so a known
@@ -254,7 +259,8 @@ class ChainView:
     def add_block(self, block: Block, stored: list[Block] | None = None) -> str:
         """Returns one of "known", "orphan", "invalid", "added". An added
         block adopts the orphans waiting on it, depth first from an explicit
-        stack, so a chain sent child first is adopted whatever its length.
+        stack, so a chain sent child first is adopted whatever its length, as
+        far as the view kept its blocks (at most MAX_ORPHANS wait).
         Each block stored, the added one first, is appended to ``stored``."""
         h = block.block_hash()
         if h in self.blocks:
@@ -264,7 +270,9 @@ class ChainView:
             # stored, so it is never flooded either.
             if not block.meets_difficulty(self.difficulty):
                 return "invalid"
-            self.orphans.setdefault(block.parent, []).append(block)
+            if h not in self.orphans and len(self.orphans) >= MAX_ORPHANS:
+                del self.orphans[next(iter(self.orphans))]
+            self.orphans[h] = block
             return "orphan"
         status, stack = "invalid", [block]
         while stack:
@@ -281,7 +289,10 @@ class ChainView:
             # The longest chain wins; the lower tip hash breaks a tie.
             if (block.height, -int(h, 16)) > (self.best_height, -int(self.best, 16)):
                 self.best = h
-            stack.extend(reversed(self.orphans.pop(h, [])))
+            children = [b for b in self.orphans.values() if b.parent == h]
+            for child in children:
+                del self.orphans[child.block_hash()]
+            stack.extend(reversed(children))
         return status
 
     def block_defect(self, block: Block, parent: Block,

@@ -74,7 +74,9 @@ def cmd_run(args) -> int:
     outcome, trace = scenarios.run(sc)
     row = _classify_row(sc.protocol, trace, outcome.roles)
     messages, nbytes = trace.message_count(), trace.byte_count()
-    _write_text(out / "trace.jsonl", trace.to_jsonl())
+    out.mkdir(parents=True, exist_ok=True)
+    with (out / "trace.jsonl").open("w") as fh:
+        trace.write(fh)
     _write_text(
         out / "outcome.json",
         json.dumps(

@@ -87,6 +87,7 @@ class DpolVoter(Peer):
         self.recipients = rmap.recipients[pid]
         self.expected_senders = frozenset(rmap.senders[pid])
         self.rounds_total = int(math.isqrt(params.n)) - 1
+        self.shares_per_voter = params.shares_per_voter
         self.shares_by_sender: dict[int, tuple[int, ...]] = {}
         self.local_sum: tuple[int, ...] | None = None
         self.sums_by_member: dict[int, tuple[int, ...]] = {}
@@ -117,7 +118,7 @@ class DpolVoter(Peer):
         if (kind == "share" and sender in self.expected_senders
                 and sender not in self.shares_by_sender):
             self.shares_by_sender[sender] = msg["v"]
-            if len(self.shares_by_sender) == self.params.shares_per_voter:
+            if len(self.shares_by_sender) == self.shares_per_voter:
                 self._compute_local_sum(ctx)
         elif kind == "sum" and sender in self.cluster_members and sender not in self.sums_by_member:
             self.sums_by_member[sender] = msg["v"]
@@ -178,7 +179,7 @@ class DpolVoter(Peer):
         # Rounds are processed in order so the forwarded map grows
         # monotonically hop by hop.
         while self.merged < self.rounds_total:
-            if len(self.round_maps.get(self.merged, ())) < self.params.shares_per_voter:
+            if len(self.round_maps.get(self.merged, ())) < self.shares_per_voter:
                 return
             self._merge_round(ctx, self.round_maps.pop(self.merged))
             self.merged += 1

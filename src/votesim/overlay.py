@@ -140,6 +140,9 @@ def build_tree_clusters(n: int, cluster_size: int, seed: int) -> Overlay:
         raise OverlayError("cluster_size: must be >= 2")
     if n < 1 or n % cluster_size != 0:
         raise OverlayError("n: must be positive and divisible by cluster_size")
+    if n < 2 * cluster_size:
+        # One cluster is its own root: no tree, and every peer a key holder.
+        raise OverlayError("n: must make at least two clusters (n >= 2 * cluster_size)")
     m = n // cluster_size
     keyed = sorted(
         range(n),

@@ -20,7 +20,7 @@ import heapq
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from . import wire
 
@@ -124,6 +124,12 @@ class FaultModel:
 # str object per distinct payload in a run), size.
 Event = tuple[int, str, int, int | None, str, str, int]
 
+# "0" to "1023", made once per process: most ints of a trace line (ticks, peer
+# ids, payload sizes) are small, and reading one here is cheaper than str().
+# This covers every int of a 576-voter DPol trace; a larger table would cost
+# every process more resident memory.
+_DECIMALS = tuple(map(str, range(1024)))
+
 
 @dataclass
 class Trace:
@@ -132,16 +138,30 @@ class Trace:
     events: list[Event]
     params: dict
 
-    def to_jsonl(self) -> str:
+    def lines(self) -> Iterator[str]:
         """One JSON line per event, as ``wire.dumps`` would make it (kind, phase
         and digest never need escaping: the simulator rejects other phases)."""
-        return "".join([
-            f'{{"digest":"{digest}","from":{src},"kind":"{kind}","phase":"{phase}",'
-            f'"size":{size},"time":{time}}}\n' if dst is None else
-            f'{{"digest":"{digest}","from":{src},"kind":"{kind}","phase":"{phase}",'
-            f'"size":{size},"time":{time},"to":{dst}}}\n'
-            for time, kind, src, dst, phase, digest, size in self.events
-        ])
+        dec = _DECIMALS
+        n = len(dec)
+        for time, kind, src, dst, phase, digest, size in self.events:
+            # A negative index would read the table from its end: 0 <= x.
+            time = dec[time] if 0 <= time < n else time
+            src = dec[src] if 0 <= src < n else src
+            size = dec[size] if 0 <= size < n else size
+            if dst is None:
+                yield (f'{{"digest":"{digest}","from":{src},"kind":"{kind}","phase":"{phase}",'
+                       f'"size":{size},"time":{time}}}\n')
+            else:
+                yield (f'{{"digest":"{digest}","from":{src},"kind":"{kind}","phase":"{phase}",'
+                       f'"size":{size},"time":{time},"to":{dec[dst] if 0 <= dst < n else dst}}}\n')
+
+    def to_jsonl(self) -> str:
+        """The whole trace as JSON lines, one per event."""
+        return "".join(self.lines())
+
+    def write(self, fh: IO[str]) -> None:
+        """Write the lines of ``to_jsonl`` to ``fh`` one at a time."""
+        fh.writelines(self.lines())
 
     def message_count(self) -> int:
         return sum(1 for e in self.events if e[1] == KIND_SEND)
@@ -410,6 +430,8 @@ class Simulator:
         # Digest -> the one copy of it that every event of this run carries:
         # a run has far fewer distinct payloads than events.
         self._digests: dict[str, str] = {}
+        # Action name -> the payload of a local action without detail.
+        self._actions: dict[str, bytes] = {}
         self._finished: set[int] = set()
         self._running = False
         self.quiescent = False
@@ -477,7 +499,12 @@ class Simulator:
                      consumes: tuple[str, ...] = (), detail: dict | None = None) -> None:
         if phase not in PHASES:
             raise ConfigError(f"unknown phase {phase!r}")
-        payload = wire.dumps({"action": action, **(detail or {})})
+        if detail:
+            payload = wire.dumps({"action": action, **detail})
+        else:
+            payload = self._actions.get(action)
+            if payload is None:
+                payload = self._actions[action] = wire.dumps({"action": action})
         d = wire.digest(payload)
         self.events.append((self.now, KIND_LOCAL, pid, None, phase,
                             self._digests.setdefault(d, d), len(payload)))

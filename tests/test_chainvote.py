@@ -231,9 +231,10 @@ def long_chain():
     return blocks
 
 
-def test_child_first_chain_is_adopted_without_recursion(issuer_key, long_chain):
+def test_child_first_chain_is_adopted_without_recursion(issuer_key, long_chain, monkeypatch):
     # Each block waits as an orphan until genesis' child arrives last; one
     # call frame per generation would overflow the interpreter's stack.
+    monkeypatch.setattr(chainvote, "MAX_ORPHANS", len(long_chain))
     view = ChainView(issuer_key.public, 4)
     assert [view.add_block(b) for b in reversed(long_chain[1:])] == ["orphan"] * 1199
     assert view.add_block(long_chain[0]) == "added"
@@ -312,6 +313,33 @@ def test_orphan_with_proof_of_work_is_not_flooded():
     assert sent == {0}
     assert out.completion == 1.0
     assert set(out.tallies.values()) == {histogram(choices, 2)}
+
+
+def test_mined_orphans_are_kept_within_the_bound(monkeypatch):
+    # The liar's three neighbours each receive all 200 orphans; they keep the
+    # newest MAX_ORPHANS, and every honest voter still accepts the tally.
+    rng = random.Random(0)
+    junk = [mine_block(rng.getrandbits(256).to_bytes(32, "big").hex(), 1, (), 0, 4)[0]
+            for _ in range(200)]
+    voters = []
+
+    class Recording(chainvote.ChainVoter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            voters.append(self)
+
+    monkeypatch.setattr(chainvote, "ChainVoter", Recording)
+    register_behavior("test:mined-orphans", lambda inner: _BlocksAtStart(inner, junk))
+    choices = random.Random(0).choices(range(2), k=8)
+    out, _ = run_chainvote(
+        ChainParams(n=8, d=2, degree=3, difficulty=4, block_capacity=8, issuer_bits=512),
+        choices, FaultModel(byzantine={0: "test:mined-orphans"}), 0)
+    liar, honest = voters[0], voters[1:]  # built in pid order
+    assert liar.pid == 0 and all(len(v.view.orphans) <= chainvote.MAX_ORPHANS for v in honest)
+    neighbours = [v for v in honest if v.pid in liar.neighbors]
+    assert [list(v.view.orphans.values()) for v in neighbours] == [junk[-chainvote.MAX_ORPHANS:]] * 3
+    assert out.completion == 1.0
+    assert {out.tallies[v.pid] for v in honest} == {histogram(choices, 2)} == {(4, 4)}
 
 
 def test_adopted_orphan_is_flooded(long_chain):

@@ -40,6 +40,14 @@ def test_run_writes_three_artifacts(tmp_path, capsys):
     assert "structured-ring" in report[1]
 
 
+def test_run_streams_the_rendered_trace(tmp_path):
+    sc = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(sc), "--out", str(out)]) == 0
+    _, trace = scenarios.run(scenarios.from_file(sc))
+    assert (out / "trace.jsonl").read_bytes() == trace.to_jsonl().encode()
+
+
 def test_run_rejects_non_square_dpol(tmp_path, capsys):
     sc = write_scenario(tmp_path, n=10)
     code = main(["run", "--scenario", str(sc), "--out", str(tmp_path / "o")])
@@ -129,6 +137,8 @@ RULE_BREAKS = [
     pytest.param("k", {"k": 4}, id="dpol-2k+1-over-cluster"),
     pytest.param("n", {"protocol": "spp", "n": 10, "cluster_size": 4, "t": 2},
                  id="spp-n-indivisible"),
+    pytest.param("n", {"protocol": "spp", "n": 4, "cluster_size": 4, "t": 2},
+                 id="spp-one-cluster"),
     pytest.param("cluster_size", {"protocol": "spp", "n": 8, "cluster_size": 1, "t": 1},
                  id="spp-cluster-size-1"),
     pytest.param("t", {"protocol": "spp", "n": 8, "cluster_size": 4, "t": 5},

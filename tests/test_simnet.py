@@ -301,7 +301,12 @@ def reference_to_obj(e: Event) -> dict:
     return obj
 
 
-_INTS = st.integers(0, 2**63)
+# Trace ints below len(simnet._DECIMALS) are read from that table and the
+# others formatted: draw small ints, both edges, negatives (which must not
+# index the table from its end) and large ones.
+_TABLE = len(simnet._DECIMALS)
+_INTS = (st.integers(-2, _TABLE + 1) | st.sampled_from([-_TABLE - 1, -_TABLE, _TABLE - 1])
+         | st.integers(-2**63, 2**63))
 _EVENTS = st.tuples(
     _INTS,
     st.sampled_from([KIND_SEND, KIND_DELIVER, KIND_DROP, KIND_LOCAL]),
@@ -317,6 +322,11 @@ _EVENTS = st.tuples(
 @given(st.lists(_EVENTS, max_size=4))
 @example([(0, KIND_LOCAL, 1, None, PHASE_CASTING, wire.digest(b""), 0),
           (1, KIND_SEND, 1, 2, PHASE_CASTING, wire.digest(b"x"), 1)])
+@example([(_TABLE - 1, KIND_SEND, _TABLE - 1, _TABLE - 1, PHASE_CASTING, wire.digest(b""),
+           _TABLE - 1)])
+@example([(_TABLE, KIND_DELIVER, _TABLE, _TABLE, PHASE_CASTING, wire.digest(b""), _TABLE)])
+@example([(-1, KIND_DROP, -1, -1, PHASE_CASTING, wire.digest(b""), -1),
+          (-_TABLE, KIND_LOCAL, -_TABLE, None, PHASE_CASTING, wire.digest(b""), -_TABLE)])
 def test_to_jsonl_matches_wire_dumps(evs):
     trace = Trace(evs, params={})
     assert trace.to_jsonl() == "".join(
