@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check for the security checks, and for the group memo's key that
-verification reads: deleting or weakening any one of them must make a named
-test file fail.
+"""Mutation check for the security checks, for the group memo's key that
+verification reads, and for what a chainvote relay sends: deleting or
+weakening any one of them must make a named test file fail.
 
     python3 scripts/mutants.py
 
@@ -82,6 +82,28 @@ MUTANTS = [
     ("Group.hash_scalar: the memo key holds the domain", "src/votesim/crypto/group.py",
      "        key = (domain, parts)\n", "        key = parts\n",
      "tests/test_crypto.py"),
+    ("ChainVoter.on_message: a relay floods the parsed tx, not the tx as it arrived",
+     "src/votesim/chainvote.py",
+     '    return Transaction(Token(token["serial"], token["sig"]), obj["choice"], obj["nonce"])\n',
+     '    tx = Transaction(Token(token["serial"], token["sig"]), obj["choice"], obj["nonce"])\n'
+     '    tx.__dict__["message"] = {"t": "tx", "tx": obj}\n'
+     "    return tx\n",
+     "tests/test_chainvote.py"),
+    ("ChainVoter._finalize: a chain that fails re-verification is refused, not raised",
+     "src/votesim/chainvote.py",
+     "        try:\n"
+     "            # tally_chain re-verifies the whole chain before it counts.\n"
+     "            self.tally = tally_chain(self.view, self.params.d)\n"
+     "        except ChainError:\n"
+     "            self.tally = None\n"
+     '            ctx.log_action(PHASE_VERIFICATION, "verify-failed")\n'
+     "        else:\n"
+     '            ctx.log_action(PHASE_EVALUATION, "evaluate")\n'
+     '            ctx.log_action(PHASE_VERIFICATION, "verify")\n',
+     "        self.tally = tally_chain(self.view, self.params.d)\n"
+     '        ctx.log_action(PHASE_EVALUATION, "evaluate")\n'
+     '        ctx.log_action(PHASE_VERIFICATION, "verify")\n',
+     "tests/test_chainvote.py"),
 ]
 
 

@@ -82,8 +82,26 @@ class ChainParams:
             raise simnet.ConfigError("issuer_bits: must be in [512, 4096]")
 
 
+class _Gossiped:
+    """A frozen value that travels as the message ``{"t": KIND, KIND:
+    to_obj()}``. The message and its canonical bytes are built once per
+    object; a filter that rewrites the message must rewrite a copy."""
+
+    KIND: str
+
+    @cached_property
+    def message(self) -> dict:
+        return {"t": self.KIND, self.KIND: self.to_obj()}
+
+    @cached_property
+    def payload(self) -> bytes:
+        return wire.dumps(self.message)
+
+
 @dataclass(frozen=True)
-class Transaction:
+class Transaction(_Gossiped):
+    KIND = "tx"
+
     token: Token
     choice: int
     nonce: str  # 32-byte hex
@@ -96,15 +114,22 @@ class Transaction:
         )
 
     @cached_property
+    def serialized(self) -> bytes:
+        """serialize(), computed once per transaction."""
+        return self.serialize()
+
+    @cached_property
     def txid(self) -> str:
-        return hashlib.sha256(self.serialize()).hexdigest()
+        return hashlib.sha256(self.serialized).hexdigest()
 
     def to_obj(self) -> dict:
         return {"token": self.token.to_obj(), "choice": self.choice, "nonce": self.nonce}
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(_Gossiped):
+    KIND = "block"
+
     parent: str
     height: int
     txs: tuple[Transaction, ...]
@@ -136,7 +161,7 @@ class Block:
 
 
 def tx_root(txs: tuple[Transaction, ...]) -> bytes:
-    return hashlib.sha256(b"".join(t.serialize() for t in txs)).digest()
+    return hashlib.sha256(b"".join(t.serialized for t in txs)).digest()
 
 
 def header_parts(parent: str, height: int, proposer: int, root: bytes) -> tuple[bytes, bytes]:
@@ -200,21 +225,25 @@ def mine_block(parent: str, height: int, txs: tuple[Transaction, ...], proposer:
                difficulty: int) -> tuple[Block, int]:
     """Grind the work nonce; returns the sealed block and the attempt count.
 
-    The hash state of the fixed header prefix is computed once, so each
-    attempt hashes only the nonce and the transaction root.
+    The header is ``head + wire.ser_ints(nonce) + tail``, and ``ser_ints``
+    gives every nonce of k bytes the same 4-byte length prefix. So the hash
+    state of ``head`` and that prefix is computed once per k, and each
+    attempt hashes only ``nonce.to_bytes(k, "big") + tail``; its digest is
+    compared as bytes with the 32-byte big-endian target 2^(256 - difficulty).
     """
     head, tail = header_parts(parent, height, proposer, tx_root(txs))
-    prefix = hashlib.sha256(head)
-    shift = 256 - difficulty
-    nonce = 0
+    target = (1 << (256 - difficulty)).to_bytes(32, "big")
+    nonce, k = 0, 1
     while True:
-        h = prefix.copy()
-        h.update(wire.ser_ints(nonce) + tail)
-        if int.from_bytes(digest := h.digest(), "big") >> shift == 0:
-            block = Block(parent, height, txs, proposer, nonce)
-            block.__dict__["_hash"] = digest.hex()  # what block_hash() would compute
-            return block, nonce + 1
-        nonce += 1
+        prefix = hashlib.sha256(head + k.to_bytes(4, "big"))
+        for nonce in range(nonce, 1 << (8 * k)):  # nonce 0 takes one byte too
+            h = prefix.copy()
+            h.update(nonce.to_bytes(k, "big") + tail)
+            if (digest := h.digest()) < target:
+                block = Block(parent, height, txs, proposer, nonce)
+                block.__dict__["_hash"] = digest.hex()  # what block_hash() would compute
+                return block, nonce + 1
+        nonce, k = 1 << (8 * k), k + 1
 
 
 class ChainView:
@@ -435,22 +464,22 @@ class ChainVoter(Peer):
             )
         for tx in txs:
             self.view.add_transaction(tx)
-            self._flood(ctx, {"t": "tx", "tx": tx.to_obj()}, PHASE_CASTING)
+            self._flood(ctx, tx, PHASE_CASTING)
 
     def _nonce(self, ctx) -> str:
         return ctx.rng.getrandbits(256).to_bytes(32, "big").hex()
 
-    def _flood(self, ctx, payload: dict, phase: str, skip: int | None = None):
-        ctx.send([nb for nb in self.neighbors if nb != skip], payload, phase)
+    def _flood(self, ctx, obj: Transaction | Block, phase: str, skip: int | None = None):
+        ctx.send([nb for nb in self.neighbors if nb != skip], obj.message, phase, obj.payload)
 
     # -- gossip ----------------------------------------------------------
 
     def on_message(self, ctx, sender, msg):
-        # A relay sends the parsed object's to_obj(): an honest sender's bytes,
-        # and nothing a liar added inside a tx or block.
+        # A relay sends the parsed object's canonical bytes: an honest
+        # sender's bytes, and nothing a liar added inside a tx or block.
         kind = msg.get("t")
         if kind == "tx" and self.view.add_transaction(msg["tx"]):
-            self._flood(ctx, {"t": "tx", "tx": msg["tx"].to_obj()}, PHASE_CASTING, skip=sender)
+            self._flood(ctx, msg["tx"], PHASE_CASTING, skip=sender)
         elif kind == "block" and (h := msg["block"].block_hash()) not in self.seen_blocks:
             self.seen_blocks.add(h)
             # Relay a block only once it connects: an orphan is forwarded
@@ -458,7 +487,7 @@ class ChainVoter(Peer):
             stored: list[Block] = []
             if self.view.add_block(msg["block"], stored) == "added":
                 for block in stored:  # the received block first, then its orphans
-                    self._flood(ctx, {"t": "block", "block": block.to_obj()}, PHASE_AGGREGATION,
+                    self._flood(ctx, block, PHASE_AGGREGATION,
                                 skip=sender if block is stored[0] else None)
                 ctx.log_action(PHASE_AGGREGATION, "aggregate")
                 if self.mining is not None and self.mining[1] != self.view.best:
@@ -491,7 +520,7 @@ class ChainVoter(Peer):
             self.proposed = True
             ctx.log_action(PHASE_AGGREGATION, "propose-block")
             ctx.log_action(PHASE_AGGREGATION, "aggregate")
-            self._flood(ctx, {"t": "block", "block": candidate.to_obj()}, PHASE_AGGREGATION)
+            self._flood(ctx, candidate, PHASE_AGGREGATION)
 
     def _finalize(self, ctx):
         try:

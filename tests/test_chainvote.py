@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 from conftest import events
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from votesim import chainvote, wire
+from votesim import chainvote, simnet, wire
 from votesim.ballot import histogram
 from votesim.chainvote import (
     BEHAVIOR_DOUBLE_SPEND,
@@ -45,6 +45,20 @@ def issuer_key():
 @pytest.fixture(scope="module")
 def tokens16(issuer_key):
     return issue_tokens(list(range(16)), issuer_key, seed=500)
+
+
+@pytest.fixture
+def voters(monkeypatch):
+    """The ChainVoters the next run builds, in pid order."""
+    built = []
+
+    class Recording(chainvote.ChainVoter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(chainvote, "ChainVoter", Recording)
+    return built
 
 
 def params(n=16, **kw):
@@ -245,15 +259,15 @@ def test_child_first_chain_is_adopted_without_recursion(issuer_key, long_chain, 
 
 class _BlocksAtStart(SendFilter):
     """Sends its neighbours the given blocks, in order, at start, then runs
-    the honest peer."""
+    the honest peer; ``f`` rewrites every message it sends, these too."""
 
-    def __init__(self, inner, blocks: list[Block]):
-        super().__init__(inner, lambda msg: msg)
+    def __init__(self, inner, blocks: list[Block], f=lambda msg: msg):
+        super().__init__(inner, f)
         self.blocks = blocks
 
     def on_start(self, ctx):
         for block in self.blocks:
-            ctx.send(self.inner.neighbors, {"t": "block", "block": block.to_obj()},
+            ctx.send(self.inner.neighbors, self.f({"t": "block", "block": block.to_obj()}),
                      PHASE_AGGREGATION)
         super().on_start(ctx)
 
@@ -269,21 +283,13 @@ def test_child_first_chain_from_a_byzantine_peer_crashes_no_honest_peer(long_cha
     assert set(out.tallies.values()) == {histogram(choices, 2)} == {(4, 4)}
 
 
-def test_orphan_without_proof_of_work_is_neither_stored_nor_flooded(monkeypatch):
+def test_orphan_without_proof_of_work_is_neither_stored_nor_flooded(voters):
     rng, junk = random.Random(0), []
     while len(junk) < 200:
         block = Block(rng.getrandbits(256).to_bytes(32, "big").hex(), 1, (), 0, 0)
         if not block.meets_difficulty(4):  # nonce 0 meets difficulty 4 one time in 16
             junk.append(block)
     junk_digests = {wire.digest(wire.dumps({"t": "block", "block": b.to_obj()})) for b in junk}
-    voters = []
-
-    class Recording(chainvote.ChainVoter):
-        def __init__(self, *args):
-            super().__init__(*args)
-            voters.append(self)
-
-    monkeypatch.setattr(chainvote, "ChainVoter", Recording)
     register_behavior("test:junk-orphans", lambda inner: _BlocksAtStart(inner, junk))
     choices = random.Random(0).choices(range(2), k=8)
     out, trace = run_chainvote(
@@ -315,20 +321,12 @@ def test_orphan_with_proof_of_work_is_not_flooded():
     assert set(out.tallies.values()) == {histogram(choices, 2)}
 
 
-def test_mined_orphans_are_kept_within_the_bound(monkeypatch):
+def test_mined_orphans_are_kept_within_the_bound(voters):
     # The liar's three neighbours each receive all 200 orphans; they keep the
     # newest MAX_ORPHANS, and every honest voter still accepts the tally.
     rng = random.Random(0)
     junk = [mine_block(rng.getrandbits(256).to_bytes(32, "big").hex(), 1, (), 0, 4)[0]
             for _ in range(200)]
-    voters = []
-
-    class Recording(chainvote.ChainVoter):
-        def __init__(self, *args):
-            super().__init__(*args)
-            voters.append(self)
-
-    monkeypatch.setattr(chainvote, "ChainVoter", Recording)
     register_behavior("test:mined-orphans", lambda inner: _BlocksAtStart(inner, junk))
     choices = random.Random(0).choices(range(2), k=8)
     out, _ = run_chainvote(
@@ -409,6 +407,10 @@ def naive_mine(parent, height, txs, proposer, difficulty):
     proposer=st.integers(0, 2 ** 20),
     difficulty=st.integers(1, 8),
 )
+# The winning nonces of the examples are 3,448 and 69,131: the grind
+# crosses from one nonce byte to two, and from two to three.
+@example(picks=[1, 2], parent="00" * 32, height=5, proposer=17, difficulty=16)
+@example(picks=[3], parent="00" * 32, height=5, proposer=70, difficulty=16)
 def test_mine_block_matches_naive_grind(tokens16, picks, parent, height, proposer, difficulty):
     tokens, _ = tokens16
     txs = tuple(Transaction(tokens[i], i % 2, f"{i:064x}") for i in picks)
@@ -499,6 +501,39 @@ def test_verify_chain_refuses_a_broken_parent_link(issuer_key):
         view.verify_chain()
 
 
+def test_chain_forged_after_arrival_fails_verification(monkeypatch):
+    # Voter 0's tip is swapped, after it arrived, for a block that spends a
+    # forged token: the final re-verification refuses the chain, and the
+    # voter logs the refusal, accepts no tally and finishes.
+    finished, finish = [], simnet.PeerContext.finish
+    monkeypatch.setattr(simnet.PeerContext, "finish",
+                        lambda ctx: finished.append(ctx.pid) or finish(ctx))
+
+    class Forged(chainvote.ChainVoter):
+        def _finalize(self, ctx):
+            if self.pid == 0:
+                view = self.view
+                tip = view.blocks[view.best]
+                tx, *rest = tip.txs
+                forged = Transaction(Token(tx.token.serial, tx.token.signature ^ 1),
+                                     tx.choice, tx.nonce)
+                view.blocks[view.best] = mine_block(tip.parent, tip.height, (forged, *rest),
+                                                    tip.proposer, view.difficulty)[0]
+            super()._finalize(ctx)
+
+    monkeypatch.setattr(chainvote, "ChainVoter", Forged)
+    choices = chain_choices(8, 2, 23)
+    out, trace = run_chainvote(SMALL, choices, FaultModel(max_delay=3), seed=23)
+    actions = {a: wire.digest(wire.dumps({"action": a}))
+               for a in ("verify-failed", "evaluate", "verify")}
+    logged = [(e.src, e.digest) for e in events(trace) if e.kind == simnet.KIND_LOCAL]
+    assert logged.count((0, actions["verify-failed"])) == 1
+    assert {(0, actions["evaluate"]), (0, actions["verify"])}.isdisjoint(logged)
+    assert out.tallies[0] is None and 0 in finished
+    assert {out.tallies[pid] for pid in range(1, 8)} == {histogram(choices, 2)}
+    assert out.completion == 7 / 8
+
+
 def _with_tx(msg, **fields):
     return {**msg, "tx": {**msg["tx"], **fields}}
 
@@ -551,6 +586,53 @@ def test_verify_token_runs_once_per_token_per_election(monkeypatch):
         assert out.completion == 1.0
         counts.append(len(checked))
     assert counts == [8, 8, 8]
+
+
+def _padded(msg):
+    """msg with a field added inside its tx or block."""
+    kind = msg["t"]
+    return {**msg, kind: {**msg[kind], "padding": "liar"}}
+
+
+def test_relay_sends_canonical_bytes_not_a_liars_fields(voters):
+    # The liar pads every tx and block it sends, and sends its neighbours one
+    # padded block at start: honest peers relay both, without the padding.
+    block = mine_block(GENESIS_HASH, 1, (), 0, SMALL.difficulty)[0]
+    register_behavior("test:padded", lambda inner: _BlocksAtStart(inner, [block], _padded))
+    out, trace = run_chainvote(SMALL, chain_choices(8, 2, 24), FaultModel(
+        max_delay=3, byzantine={0: "test:padded"}), seed=24)
+    assert out.completion == 1.0
+    liar, honest = voters[0], voters[1:]  # built in pid order
+    liar_tx = next(tx for tx in liar.view.mempool.values() if tx.token == liar.token)
+    sends = [e for e in events(trace) if e.kind == "send"]
+    from_liar = {e.digest for e in sends if e.src == 0}
+    from_honest = {e.digest for e in sends if e.src != 0}
+    assert from_liar and from_liar.isdisjoint(from_honest)
+    # Every object an honest peer sent is in its view; each send is the
+    # canonical encoding of one of them, encoded here afresh.
+    canonical = {wire.digest(wire.dumps({"t": kind, kind: obj.to_obj()}))
+                 for v in honest
+                 for kind, objs in (("tx", v.view.mempool), ("block", v.view.blocks))
+                 for obj in objs.values()}
+    assert from_honest <= canonical
+    for kind, obj in (("tx", liar_tx), ("block", block)):
+        assert wire.digest(wire.dumps(_padded({"t": kind, kind: obj.to_obj()}))) in from_liar
+        assert wire.digest(wire.dumps({"t": kind, kind: obj.to_obj()})) in from_honest
+
+
+def test_each_gossiped_object_is_encoded_once(monkeypatch, voters):
+    # Relays forward one object's bytes however many times it is flooded:
+    # an honest election encodes no more tx and block messages than there
+    # are distinct tx and block objects in its voters' views.
+    encoded, dumps = [], wire.dumps
+    monkeypatch.setattr(wire, "dumps", lambda obj: (
+        encoded.append(obj) if obj.get("t") in ("tx", "block") else None) or dumps(obj))
+    out, trace = run_chainvote(SMALL, chain_choices(8, 2, 25), FaultModel(max_delay=3), 25)
+    assert out.completion == 1.0
+    objects = {id(obj) for v in voters for obj in [*v.view.mempool.values(),
+                                                   *v.view.blocks.values()]}
+    sends = sum(e.kind == "send" for e in events(trace))
+    assert 0 < len(encoded) <= len(objects) < sends
 
 
 def test_each_payload_object_is_parsed_once_per_run(monkeypatch):
